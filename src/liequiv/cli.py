@@ -161,20 +161,24 @@ def _combo_string(combo: dict) -> str:
 
 
 def _cmd_bracket(args) -> int:
-    from .catalog import structure_constants, verified_entries
+    from .catalog import decompose_in_span, structure_constants, verified_entries
+    from .generators import bracket
     reg = build_registry(args.dim)
     catalog = build_catalog(args.dim, reg)
     entries = verified_entries(catalog)
     payload = report.skeleton("bracket", args.dim)
     if args.pair:
         left, _, right = args.pair.partition(",")
-        table = structure_constants(reg, entries)
-        if left not in table.names or right.strip() not in table.names:
-            raise ValueError(f"--pair must name two verified entries, got {args.pair}")
         right = right.strip()
+        specs = {e.name: e.spec for e in entries}
+        if left not in specs or right not in specs:
+            raise ValueError(f"--pair must name two verified entries, got {args.pair}")
+        # A bracket outside the span prints 0, as its table cell does.
+        combo = decompose_in_span(
+            reg, bracket(reg, specs[left], specs[right]), entries)
         payload["left"] = left
         payload["right"] = right
-        payload["value"] = _combo_string(table.cell(left, right))
+        payload["value"] = _combo_string(combo or {})
     else:
         table = structure_constants(reg, entries)
         payload["basis"] = list(table.names)
@@ -250,8 +254,29 @@ _HANDLERS = {
 }
 
 
+def _join_negative_params(argv: list) -> list:
+    """Rewrite ``--param -3/2`` as ``--param=-3/2``.
+
+    argparse reads a token that starts with '-' and is not a plain negative
+    number as an option, so a negative rational would otherwise be rejected.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--param" and tok.startswith("-"):
+            try:
+                Fraction(tok)
+            except (ValueError, ZeroDivisionError):
+                pass
+            else:
+                out[-1] = f"--param={tok}"
+                continue
+        out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = _join_negative_params(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -16,9 +16,7 @@ the momentum principal derivatives in the input) and reports that power.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .expr import Expr, Monomial, ZERO, as_expr, atoms_of, substitute
+from .expr import Expr, Monomial, ONE, ZERO, as_expr, atoms_of, substitute
 from .jets import JetRegistry, total_derivative
 
 
@@ -139,18 +137,21 @@ def restrict_to_manifold(e, system: BalanceSystem) -> tuple:
     if power == 0:
         return e, 0
 
-    out = ZERO
+    acc = {}
     for mono, c in e.terms:
         rest = []
-        cleared = Expr.const(c)
+        num = ONE
         deg = 0
         for a, k in mono.factors:
             i = u_t_index.get(a)
             if i is None:
                 rest.append((a, k))
             else:
-                cleared = cleared * pm.u_t_num[i] ** k
+                num = num * pm.u_t_num[i] ** k
                 deg += k
-        cleared = cleared * Expr(((Monomial(rest), Fraction(1)),))
-        out = out + cleared * Expr.of(reg.rho) ** (power - deg)
-    return out, power
+        rest.append((reg.rho, power - deg))
+        factor = Monomial(rest)
+        for m, cn in num.terms:
+            m = m * factor
+            acc[m] = acc.get(m, 0) + c * cn
+    return Expr(acc), power

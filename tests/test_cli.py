@@ -108,6 +108,17 @@ def test_transform_with_rational_parameter(capsys):
     assert maps["t"] == "3/2 + t"
 
 
+def test_transform_negative_parameter(capsys):
+    for argv in (["--param", "-3/2"], ["--param=-3/2"]):
+        code, out, _ = run(capsys, "transform", "--dim", "1", "--gen", "X0",
+                           *argv, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["parameter"] == "-3/2"
+        maps = {m["coordinate"]: m["image"] for m in payload["maps"]}
+        assert maps["t"] == "-3/2 + t"
+
+
 def test_list_catalog(capsys):
     code, out, _ = run(capsys, "list", "--dim", "2", "--format", "json")
     assert code == 0

@@ -6,7 +6,7 @@ from liequiv.catalog import find_entry
 from liequiv.determining import (check_entry, determining_equations,
                                  finite_check, parametric_atoms, recompose,
                                  solve_unknowns, verify, witness_is_sound)
-from liequiv.expr import Expr, unknown
+from liequiv.expr import ZERO, Expr, substitute, unknown
 from liequiv.flows import exponentiate
 from liequiv.generators import (apply_generator, make_generator, prolong,
                                 zero_generator)
@@ -104,6 +104,54 @@ def test_scaling_family_forces_weights(spaces):
         mu_pi=(2 * reg.pi[(1, 1)],),
         mu_g=2 * reg.g)
     assert forced == find_entry(spaces[1].catalog, "Z1").spec
+
+
+def degree1_ansatz(reg):
+    """Every coefficient slot gets one ?constant for 1 and one for each
+    admitted coordinate: xi, eta^u on (t, x, u); eta^p, eta^rho on
+    (t, x, u, p, rho); mu^Pi on the gradient jets and the Pi components;
+    mu^G, mu^H on (p, rho, G, H)."""
+    base = [reg.t, *reg.x, *reg.u]
+    point = base + [reg.p, reg.rho]
+    gradient = ([reg.u_x[k] for k in sorted(reg.u_x)]
+                + [reg.pi[k] for k in reg.pi_pairs()])
+    state = [reg.p, reg.rho, reg.g, reg.h]
+    count = 0
+
+    def general(atoms):
+        nonlocal count
+        e = ZERO
+        for basis in [None] + atoms:
+            count += 1
+            c = unknown(f"c{count}")
+            e = e + (Expr.of(c) if basis is None else c * basis)
+        return e
+
+    spec = make_generator(
+        reg,
+        xi_t=general(base),
+        xi_x=tuple(general(base) for _ in reg.x),
+        eta_u=tuple(general(base) for _ in reg.u),
+        eta_p=general(point), eta_rho=general(point),
+        mu_pi=tuple(general(gradient) for _ in reg.pi_pairs()),
+        mu_g=general(state), mu_h=general(state))
+    return spec, count
+
+
+def test_degree1_ansatz_solver_counts(spaces):
+    # (declared unknowns, unknowns reaching the solver, free, rank); the
+    # unknowns that occur in no split coefficient never reach the solver.
+    expected = {1: (37, 34, 5, 29), 2: (80, 76, 7, 69)}
+    for dim, (declared, reaching, n_free, rank) in expected.items():
+        spec, count = degree1_ansatz(spaces[dim].reg)
+        assert count == declared
+        d = determining_equations(spaces[dim].system, spec, f"ansatz{dim}")
+        res = solve_unknowns(d)
+        assert len(res["solution"]) == reaching
+        assert len(res["free"]) == n_free
+        assert reaching - n_free == rank
+        for coeff in d.coefficients():
+            assert substitute(coeff, res["solution"]) == ZERO
 
 
 def test_solve_unknowns_rejects_nonlinear(spaces):
