@@ -5,14 +5,13 @@ Pi(grad u) and state functions G(p, rho), H(p, rho)."""
 __version__ = "0.1.0"
 
 from .expr import (Atom, Expr, Monomial, as_expr, atoms_of, collect,
-                   diff_atom, diff_partial, evaluate, is_zero, normalize,
-                   replace_atoms, substitute)
+                   diff_atom, diff_partial, evaluate, is_zero, replace_atoms,
+                   substitute)
 from .jets import JetRegistry, build_registry, total_derivative
-from .system import (BalanceSystem, build_system, restrict_to_manifold,
-                     solve_principal)
-from .generators import (GeneratorSpec, ProlongedGenerator, apply_generator,
-                         apply_with_trace, bracket, combine, make_generator,
-                         prolong, zero_generator)
+from .system import BalanceSystem, build_system, restrict_to_manifold
+from .generators import (GeneratorSpec, ProlongedGenerator, apply_with_trace,
+                         bracket, combine, from_coefficients, make_generator,
+                         prolong)
 from .flows import FiniteTransformation, exponentiate, numeric_flow
 from .determining import (DeterminingSystem, Verdict, check_entry,
                           determining_equations, finite_check, solve_unknowns,
@@ -23,13 +22,12 @@ from .dsl import parse_expr, parse_generator, print_generator
 
 __all__ = [
     "Atom", "Expr", "Monomial", "as_expr", "atoms_of", "collect",
-    "diff_atom", "diff_partial", "evaluate", "is_zero", "normalize",
-    "replace_atoms", "substitute",
+    "diff_atom", "diff_partial", "evaluate", "is_zero", "replace_atoms",
+    "substitute",
     "JetRegistry", "build_registry", "total_derivative",
-    "BalanceSystem", "build_system", "restrict_to_manifold", "solve_principal",
-    "GeneratorSpec", "ProlongedGenerator", "apply_generator",
-    "apply_with_trace", "bracket", "combine", "make_generator", "prolong",
-    "zero_generator",
+    "BalanceSystem", "build_system", "restrict_to_manifold",
+    "GeneratorSpec", "ProlongedGenerator", "apply_with_trace", "bracket",
+    "combine", "from_coefficients", "make_generator", "prolong",
     "FiniteTransformation", "exponentiate", "numeric_flow",
     "DeterminingSystem", "Verdict", "check_entry", "determining_equations",
     "finite_check", "solve_unknowns", "verify",

@@ -21,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .expr import (Expr, Monomial, ZERO, atoms_of, collect, evaluate,
-                   is_unknown, is_zero)
+from .expr import (Expr, ZERO, atoms_of, collect, evaluate, is_unknown,
+                   is_zero)
 from .flows import SCALE, SCALE_INV, FiniteTransformation, reduce_scale
-from .generators import GeneratorSpec, apply_generator, prolong
+from .generators import GeneratorSpec, apply_with_trace, prolong
 from .jets import JetRegistry
 from .linsolve import solve_linear
 from .system import BalanceSystem, restrict_to_manifold
@@ -72,7 +72,7 @@ def determining_equations(system: BalanceSystem, g: GeneratorSpec,
     parametric = parametric_atoms(reg)
     splits = []
     for eq_name, eq in system.equations():
-        residual = apply_generator(reg, pg, eq)
+        residual = apply_with_trace(reg, pg, eq)[0]
         restricted, power = restrict_to_manifold(residual, system)
         buckets = {} if is_zero(restricted) else collect(restricted, parametric)
         splits.append(EquationSplit(eq_name, power, tuple(buckets.items())))
@@ -153,7 +153,7 @@ def finite_check(system: BalanceSystem, ft: FiniteTransformation) -> FiniteCheck
     for eq_name, eq in system.equations():
         pullback = ft.transform(eq)
         found = None
-        lead_mono, lead_coeff = eq.leading()
+        lead_mono, lead_coeff = eq.terms[0]
         for mono, c in pullback.terms:
             q = mono.try_divide(lead_mono)
             if q is None:
@@ -227,25 +227,27 @@ def solve_unknowns(dsys: DeterminingSystem) -> dict:
     for coeff in dsys.coefficients():
         groups = {}
         for mono, c in coeff.terms:
-            lin = {}
+            var = None
+            mixed = False
             rest = []
             for a, k in mono.factors:
                 if is_unknown(a):
                     if k > 1:
                         raise ValueError(
                             f"coefficient is nonlinear in unknown {a.name}")
-                    lin[a] = True
+                    # raised after the loop: a nonlinear factor goes first
+                    mixed = var is not None
+                    var = a
                 else:
                     rest.append((a, k))
-            if len(lin) > 1:
+            if mixed:
                 raise ValueError("coefficient mixes unknowns within one term")
-            key = Monomial(rest)
-            row = groups.setdefault(key, ({}, [Fraction(0)]))
-            if lin:
-                a = next(iter(lin))
-                row[0][a] = row[0].get(a, Fraction(0)) + c
-            else:
+            # factors are sorted, so the filtered subsequence is canonical
+            row = groups.setdefault(tuple(rest), ({}, [Fraction(0)]))
+            if var is None:
                 row[1][0] += c
+            else:
+                row[0][var] = row[0].get(var, Fraction(0)) + c
         for coeffs, const in groups.values():
             equations.append((coeffs, -const[0]))
     solution, free = solve_linear(equations, unknowns)

@@ -24,7 +24,8 @@ import re
 from fractions import Fraction
 
 from .expr import Expr, ONE, ZERO, is_zero, unknown
-from .generators import GeneratorSpec, make_generator
+from .generators import (GeneratorSpec, base_coefficients, from_coefficients,
+                         make_generator)
 from .jets import JetRegistry
 
 
@@ -153,7 +154,7 @@ class _Parser:
             return Expr.of(unknown(tok.text[1:]))
         if tok.kind == "name":
             self.next()
-            return Expr.of(self.resolve_name(tok))
+            return Expr.of(self.resolve_name(tok, tok.text))
         if tok.kind == "op" and tok.text == "(":
             self.next()
             inner = self.parse_sum()
@@ -161,34 +162,41 @@ class _Parser:
             return inner
         self.fail(f"expected a coefficient factor, found {tok.text or 'end of input'!r}")
 
-    def resolve_name(self, tok: _Token):
-        name = _resolve_symmetric(tok.text)
-        if not self.reg.has_name(name):
-            raise UnknownCoordinateError(tok.text, tok.line, tok.column)
-        return self.reg.coordinate(name)
+    def resolve_name(self, tok: _Token, name: str):
+        resolved = _resolve_symmetric(name)
+        if not self.reg.has_name(resolved):
+            raise UnknownCoordinateError(name, tok.line, tok.column)
+        return self.reg.coordinate(resolved)
 
     # -- generator level ---------------------------------------------------
 
     def parse_generator(self) -> dict:
-        slots = {}
+        """Map base direction -> accumulated coefficient."""
+        directions = base_coefficients(self.reg, make_generator(self.reg))
+        coeffs = {}
         tok = self.peek()
         if tok.kind == "number" and tok.text == "0":
             self.next()
             if self.peek().kind != "end":
                 self.fail("trailing input after zero generator")
-            return slots
+            return coeffs
         first = True
         while True:
             sign = self.parse_sign()
             if first and sign == 1 and self.peek().kind == "end":
                 self.fail("empty generator")
             first = False
-            coeff, direction = self.parse_term()
-            slot = self.direction_slot(direction)
-            slots[slot] = slots.get(slot, ZERO) + sign * coeff
+            coeff, tok = self.parse_term()
+            name = tok.text[len("d/d"):]
+            atom = self.resolve_name(tok, name)
+            if atom not in directions:
+                raise DslSyntaxError(
+                    f"d/d{name} is not a base direction; jet and stress-derivative "
+                    "coordinates are prolonged automatically", tok.line, tok.column)
+            coeffs[atom] = coeffs.get(atom, ZERO) + sign * coeff
             tok = self.peek()
             if tok.kind == "end":
-                return slots
+                return coeffs
             if not (tok.kind == "op" and tok.text in "+-"):
                 self.fail(f"expected '+', '-' or end of input, found {tok.text!r}")
 
@@ -206,37 +214,6 @@ class _Parser:
                 self.next()
                 continue
             self.fail("a term must end in a direction d/d<coordinate>")
-
-    def direction_slot(self, tok: _Token):
-        name = tok.text[len("d/d"):]
-        resolved = _resolve_symmetric(name)
-        reg = self.reg
-        if resolved == "t":
-            return ("xi_t",)
-        m = re.fullmatch(r"x(\d)", resolved)
-        if m and 1 <= int(m.group(1)) <= reg.dim:
-            return ("xi_x", int(m.group(1)) - 1)
-        m = re.fullmatch(r"u(\d)", resolved)
-        if m and 1 <= int(m.group(1)) <= reg.dim:
-            return ("eta_u", int(m.group(1)) - 1)
-        if resolved == "p":
-            return ("eta_p",)
-        if resolved == "rho":
-            return ("eta_rho",)
-        m = re.fullmatch(r"Pi(\d)(\d)", resolved)
-        if m:
-            pair = (int(m.group(1)), int(m.group(2)))
-            if pair in reg.pi:
-                return ("mu_pi", reg.pi_pairs().index(pair))
-        if resolved == "G":
-            return ("mu_g",)
-        if resolved == "H":
-            return ("mu_h",)
-        if reg.has_name(resolved):
-            raise DslSyntaxError(
-                f"d/d{name} is not a base direction; jet and stress-derivative "
-                "coordinates are prolonged automatically", tok.line, tok.column)
-        raise UnknownCoordinateError(name, tok.line, tok.column)
 
 
 def _resolve_symmetric(name: str) -> str:
@@ -257,20 +234,7 @@ def parse_expr(reg: JetRegistry, src: str) -> Expr:
 
 
 def parse_generator(reg: JetRegistry, src: str) -> GeneratorSpec:
-    parser = _Parser(reg, src)
-    slots = parser.parse_generator()
-    kwargs = {
-        "xi_t": slots.get(("xi_t",), ZERO),
-        "xi_x": tuple(slots.get(("xi_x", i), ZERO) for i in range(reg.dim)),
-        "eta_u": tuple(slots.get(("eta_u", i), ZERO) for i in range(reg.dim)),
-        "eta_p": slots.get(("eta_p",), ZERO),
-        "eta_rho": slots.get(("eta_rho",), ZERO),
-        "mu_pi": tuple(slots.get(("mu_pi", i), ZERO)
-                       for i in range(len(reg.pi_pairs()))),
-        "mu_g": slots.get(("mu_g",), ZERO),
-        "mu_h": slots.get(("mu_h",), ZERO),
-    }
-    return make_generator(reg, **kwargs)
+    return from_coefficients(reg, _Parser(reg, src).parse_generator())
 
 
 def _coefficient_str(coeff: Expr) -> str:
@@ -290,15 +254,8 @@ def _coefficient_str(coeff: Expr) -> str:
 
 def print_generator(reg: JetRegistry, g: GeneratorSpec) -> str:
     """Canonical DSL form; directions in registry order, zero slots omitted."""
-    directions = [(reg.t, g.xi_t)]
-    directions += [(reg.x[i], g.xi_x[i]) for i in range(reg.dim)]
-    directions += [(reg.u[i], g.eta_u[i]) for i in range(reg.dim)]
-    directions += [(reg.p, g.eta_p), (reg.rho, g.eta_rho)]
-    directions += [(reg.pi[pair], c) for pair, c in zip(reg.pi_pairs(), g.mu_pi)]
-    directions += [(reg.g, g.mu_g), (reg.h, g.mu_h)]
-
     pieces = []
-    for atom, coeff in directions:
+    for atom, coeff in base_coefficients(reg, g).items():
         if is_zero(coeff):
             continue
         negative = False

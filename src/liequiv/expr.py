@@ -327,10 +327,6 @@ class Expr:
     def __bool__(self):
         return bool(self.terms)
 
-    def leading(self):
-        """First (monomial, coefficient) pair in canonical order."""
-        return self.terms[0]
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -373,13 +369,6 @@ def as_expr(v) -> Expr:
     if isinstance(v, (int, Fraction)):
         return Expr.const(v)
     raise UnsupportedFormError(f"cannot interpret {v!r} as an expression")
-
-
-def normalize(v) -> Expr:
-    """Canonical form of any finite +, *, integer-power tree over atoms and
-    rationals.  Idempotent: normalize(normalize(e)) is structurally equal to
-    normalize(e)."""
-    return as_expr(v)
 
 
 def is_zero(e) -> bool:

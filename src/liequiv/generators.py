@@ -22,9 +22,20 @@ derivative in the element-argument space, realized by the chaining partial
 by u^r_{x^s} (constant on everything that is not a gradient jet or a Pi
 component).
 
-The directional action of a prolonged field treats every coordinate of the
-extended space as independent, as a vector field must; the constitutive
-argument declarations play no role there.
+The directional action of a prolonged field (``apply_with_trace``) treats
+every coordinate of the extended space as independent, as a vector field
+must; the constitutive argument declarations play no role there.  It is the
+only derivation in the engine: the invariance residual is the action of the
+full prolongation on an equation, and the Lie bracket is the bracket of the
+prolonged fields, whose base components
+
+    [X1, X2]^a = X1(c2^a) - X2(c1^a)
+
+need only the first prolongation, since a base coefficient depends on no
+jet beyond the velocity gradient.  ``base_coefficients`` and
+``from_coefficients`` convert between a generator and its ordered map
+direction -> coefficient; everything else reads the coefficient slots
+through that map.
 """
 
 from __future__ import annotations
@@ -107,27 +118,14 @@ def make_generator(reg: JetRegistry, *, xi_t=0, xi_x=None, eta_u=None,
     return g
 
 
-def zero_generator(reg: JetRegistry) -> GeneratorSpec:
-    return make_generator(reg)
-
-
 def combine(reg: JetRegistry, parts) -> GeneratorSpec:
     """Exact rational linear combination of generators: parts = [(c, g), ...]."""
-    acc = zero_generator(reg)
+    acc = {}
     for c, g in parts:
         c = Fraction(c)
-        acc = GeneratorSpec(
-            reg.dim,
-            acc.xi_t + c * g.xi_t,
-            tuple(a + c * b for a, b in zip(acc.xi_x, g.xi_x)),
-            tuple(a + c * b for a, b in zip(acc.eta_u, g.eta_u)),
-            acc.eta_p + c * g.eta_p,
-            acc.eta_rho + c * g.eta_rho,
-            tuple(a + c * b for a, b in zip(acc.mu_pi, g.mu_pi)),
-            acc.mu_g + c * g.mu_g,
-            acc.mu_h + c * g.mu_h,
-        )
-    return acc
+        for a, coeff in base_coefficients(reg, g).items():
+            acc[a] = acc.get(a, ZERO) + c * coeff
+    return from_coefficients(reg, acc)
 
 
 def base_coefficients(reg: JetRegistry, g: GeneratorSpec) -> dict:
@@ -146,13 +144,26 @@ def base_coefficients(reg: JetRegistry, g: GeneratorSpec) -> dict:
     return out
 
 
+def from_coefficients(reg: JetRegistry, table: dict) -> GeneratorSpec:
+    """Inverse of ``base_coefficients``; absent directions are zero."""
+    def c(a):
+        return table.get(a, ZERO)
+
+    return make_generator(
+        reg, xi_t=c(reg.t), xi_x=tuple(c(a) for a in reg.x),
+        eta_u=tuple(c(a) for a in reg.u), eta_p=c(reg.p), eta_rho=c(reg.rho),
+        mu_pi=tuple(c(reg.pi[pair]) for pair in reg.pi_pairs()),
+        mu_g=c(reg.g), mu_h=c(reg.h))
+
+
 class ProlongedGenerator:
     """A generator together with all prolonged coefficients.
 
     ``coefficient(atom)`` covers the base directions, the first-order jets,
     the spatial second-order velocity jets and the stress-derivative
     coordinates; those maps are exposed as ``zeta1``, ``zeta2`` and
-    ``mu_d`` for inspection.
+    ``mu_d`` for inspection.  ``bracket`` builds first-order fields, with
+    ``zeta2`` and ``mu_d`` empty.
     """
 
     def __init__(self, reg: JetRegistry, base: GeneratorSpec,
@@ -175,36 +186,37 @@ class ProlongedGenerator:
         return dict(self._table)
 
 
-def first_jet_coefficients(reg: JetRegistry, g: GeneratorSpec) -> dict:
-    """First-prolongation coefficients for every first-order jet."""
-    dirs = (reg.t,) + reg.x
-    xis = (g.xi_t,) + g.xi_x
-    d_xi = {(v, w): total_derivative(xi, w, reg)
-            for v, xi in zip(dirs, xis) for w in dirs}
+def first_jet_coefficients(reg: JetRegistry, g: GeneratorSpec) -> tuple:
+    """First-prolongation coefficients for every first-order jet.
 
-    base = [(reg.u[k], g.eta_u[k]) for k in range(reg.dim)]
-    base += [(reg.p, g.eta_p), (reg.rho, g.eta_rho)]
+    Returns (zeta1, d_xi): zeta1 maps each first-order jet to its
+    coefficient, d_xi maps (v, w) to the nonzero total derivatives D_w(xi^v).
+    """
+    dirs = reg.independents
+    d_xi = {}
+    for v, xi in zip(dirs, (g.xi_t,) + g.xi_x):
+        for w in dirs:
+            d = total_derivative(xi, w, reg)
+            if not is_zero(d):
+                d_xi[(v, w)] = d
 
     zeta1 = {}
-    for alpha, eta in base:
+    for alpha, eta in zip(reg.u + (reg.p, reg.rho),
+                          g.eta_u + (g.eta_p, g.eta_rho)):
         for w in dirs:
             val = total_derivative(eta, w, reg)
             for v in dirs:
-                d = d_xi[(v, w)]
-                if not is_zero(d):
+                d = d_xi.get((v, w))
+                if d is not None:
                     val = val - d * reg.advance(alpha, v)
             zeta1[reg.advance(alpha, w)] = val
-    return zeta1
+    return zeta1, d_xi
 
 
 def prolong(reg: JetRegistry, g: GeneratorSpec) -> ProlongedGenerator:
     validate_ansatz(reg, g)
-    dirs = (reg.t,) + reg.x
-    xis = (g.xi_t,) + g.xi_x
-    d_xi = {(v, w): total_derivative(xi, w, reg)
-            for v, xi in zip(dirs, xis) for w in dirs}
-
-    zeta1 = first_jet_coefficients(reg, g)
+    dirs = reg.independents
+    zeta1, d_xi = first_jet_coefficients(reg, g)
 
     zeta2 = {}
     for k in range(1, reg.dim + 1):
@@ -213,8 +225,8 @@ def prolong(reg: JetRegistry, g: GeneratorSpec) -> ProlongedGenerator:
                 first = zeta1[reg.u_x[(k, l)]]
                 val = total_derivative(first, reg.x[j - 1], reg)
                 for v in dirs:
-                    d = d_xi[(v, reg.x[j - 1])]
-                    if not is_zero(d):
+                    d = d_xi.get((v, reg.x[j - 1]))
+                    if d is not None:
                         val = val - d * reg.advance(reg.u_x[(k, l)], v)
                 zeta2[reg.u_xx[(k, l, j)]] = val
 
@@ -260,56 +272,18 @@ def apply_with_trace(reg: JetRegistry, pg: ProlongedGenerator, e) -> tuple:
     return total, tuple(trace)
 
 
-def apply_generator(reg: JetRegistry, pg: ProlongedGenerator, e) -> Expr:
-    total, _ = apply_with_trace(reg, pg, e)
-    return total
-
-
-def _derivation(reg: JetRegistry, table: dict, e: Expr) -> Expr:
-    out = ZERO
-    for a in atoms_of(e):
-        if is_unknown(a):
-            continue
-        c = table.get(a)
-        if c is None:
-            raise AnsatzError(
-                f"bracket coefficient depends on {a.name}, outside the "
-                "classical ansatz directions")
-        if not is_zero(c):
-            out = out + c * diff_atom(e, a)
-    return out
-
-
 def bracket(reg: JetRegistry, g1: GeneratorSpec, g2: GeneratorSpec) -> GeneratorSpec:
-    """Lie bracket [g1, g2], coefficient-wise on the base directions.
+    """Lie bracket [g1, g2] of the prolonged fields, on the base directions.
 
-    Each generator acts as a derivation over all coordinates its partner's
-    coefficients may contain; for the gradient jets inside mu^Pi coefficients
-    the action uses the first-prolongation jet coefficients, so the bracket
-    agrees with the bracket of the prolonged fields.
+    Each component is X1(c2) - X2(c1), where X1 and X2 act through their
+    first prolongations: the mu^Pi coefficients may contain gradient jets,
+    and a first-order field already carries their coefficients.
     """
-    tables = []
-    for g in (g1, g2):
-        validate_ansatz(reg, g)
-        table = base_coefficients(reg, g)
-        zeta1 = first_jet_coefficients(reg, g)
-        for atom in reg.u_x.values():
-            table[atom] = zeta1[atom]
-        tables.append(table)
-    t1, t2 = tables
-
-    def component(direction: Atom) -> Expr:
-        return (_derivation(reg, t1, t2[direction])
-                - _derivation(reg, t2, t1[direction]))
-
-    return make_generator(
-        reg,
-        xi_t=component(reg.t),
-        xi_x=tuple(component(a) for a in reg.x),
-        eta_u=tuple(component(a) for a in reg.u),
-        eta_p=component(reg.p),
-        eta_rho=component(reg.rho),
-        mu_pi=tuple(component(reg.pi[pair]) for pair in reg.pi_pairs()),
-        mu_g=component(reg.g),
-        mu_h=component(reg.h),
-    )
+    validate_ansatz(reg, g1)
+    validate_ansatz(reg, g2)
+    c1, c2 = base_coefficients(reg, g1), base_coefficients(reg, g2)
+    p1, p2 = (ProlongedGenerator(reg, g, first_jet_coefficients(reg, g)[0], {}, {})
+              for g in (g1, g2))
+    return from_coefficients(reg, {
+        a: apply_with_trace(reg, p1, c2[a])[0] - apply_with_trace(reg, p2, c1[a])[0]
+        for a in c1})

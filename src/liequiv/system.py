@@ -113,10 +113,6 @@ def build_system(dim: int, reg: JetRegistry) -> BalanceSystem:
     return BalanceSystem(reg, mass, tuple(momentum), pressure, phi, principal)
 
 
-def solve_principal(system: BalanceSystem) -> PrincipalMap:
-    return system.principal
-
-
 def restrict_to_manifold(e, system: BalanceSystem) -> tuple:
     """Eliminate principal derivatives, clearing rho denominators.
 

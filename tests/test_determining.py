@@ -8,15 +8,14 @@ from liequiv.determining import (check_entry, determining_equations,
                                  solve_unknowns, verify, witness_is_sound)
 from liequiv.expr import ZERO, Expr, substitute, unknown
 from liequiv.flows import exponentiate
-from liequiv.generators import (apply_generator, make_generator, prolong,
-                                zero_generator)
+from liequiv.generators import apply_with_trace, make_generator, prolong
 from liequiv.report import verdict_payload
 from liequiv.system import restrict_to_manifold
 
 
 def test_zero_generator_gives_empty_system(spaces):
     system = spaces[1].system
-    d = determining_equations(system, zero_generator(spaces[1].reg), "zero")
+    d = determining_equations(system, make_generator(spaces[1].reg), "zero")
     assert all(not s.terms for s in d.splits)
 
 
@@ -65,7 +64,7 @@ def test_determining_system_reconstructs_residual(spaces):
         d = determining_equations(system, entry.spec, name)
         pg = prolong(reg, entry.spec)
         for split, (_, eq) in zip(d.splits, system.equations()):
-            residual = apply_generator(reg, pg, eq)
+            residual = apply_with_trace(reg, pg, eq)[0]
             restricted, power = restrict_to_manifold(residual, system)
             assert split.rho_power == power
             assert recompose(split) == restricted
@@ -157,10 +156,15 @@ def test_degree1_ansatz_solver_counts(spaces):
 def test_solve_unknowns_rejects_nonlinear(spaces):
     reg = spaces[1].reg
     a = unknown("a")
-    g = make_generator(reg, eta_p=a * a * reg.p)
-    d = determining_equations(spaces[1].system, g, "bad")
-    with pytest.raises(ValueError):
-        solve_unknowns(d)
+    b, c = unknown("b"), unknown("c")
+    cases = [(a * a * reg.p, r"nonlinear in unknown \?a"),
+             (a * b * reg.p, "mixes unknowns"),
+             (a * b * c * c * reg.p, r"nonlinear in unknown \?c")]
+    for eta_p, message in cases:
+        g = make_generator(reg, eta_p=eta_p)
+        d = determining_equations(spaces[1].system, g, "bad")
+        with pytest.raises(ValueError, match=message):
+            solve_unknowns(d)
 
 
 def test_finite_check_translation_factors(spaces):

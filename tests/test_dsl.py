@@ -1,10 +1,16 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liequiv.catalog import find_entry
 from liequiv.dsl import (DslSyntaxError, UnknownCoordinateError, parse_expr,
                          parse_generator, print_generator)
-from liequiv.expr import Expr, unknown
-from liequiv.generators import AnsatzError, make_generator, zero_generator
+from liequiv.expr import ONE, ZERO, Expr, unknown
+from liequiv.generators import AnsatzError, make_generator
+from liequiv.jets import build_registry
+
+REGISTRIES = {dim: build_registry(dim) for dim in (1, 2, 3)}
+CONSTANTS = (unknown("a"), unknown("b2"))
 
 
 def test_parse_boost(spaces):
@@ -26,6 +32,12 @@ def test_unknown_coordinate_is_named(spaces):
     assert err.value.coordinate == "q"
     with pytest.raises(UnknownCoordinateError):
         parse_generator(reg, "d/dq")
+    with pytest.raises(UnknownCoordinateError) as err:
+        parse_generator(reg, "d/dx2")
+    assert err.value.coordinate == "x2"
+    with pytest.raises(UnknownCoordinateError) as err:
+        parse_generator(spaces[3].reg, "d/dx4")
+    assert err.value.coordinate == "x4"
 
 
 def test_syntax_errors_carry_position(spaces):
@@ -69,7 +81,7 @@ def test_symmetric_index_resolution(spaces):
 
 def test_zero_generator_round_trip(spaces):
     reg = spaces[1].reg
-    g = zero_generator(reg)
+    g = make_generator(reg)
     assert print_generator(reg, g) == "0"
     assert parse_generator(reg, "0") == g
 
@@ -117,3 +129,42 @@ def test_whitespace_and_signs(spaces):
     g2 = parse_generator(reg, "  - 2 * p * d/dp\n + d/dt ")
     assert g2.eta_p == -2 * reg.p
     assert g2.xi_t == Expr.const(1)
+
+
+@st.composite
+def specs(draw):
+    """(registry, generator): every slot a small polynomial in its admitted
+    atoms and ?constants, with rational coefficients."""
+    reg = REGISTRIES[draw(st.integers(1, 3))]
+    point = [reg.t, *reg.x, *reg.u, reg.p, reg.rho]
+    gradient = [*reg.u_x.values(), *reg.pi.values()]
+    state = [reg.p, reg.rho, reg.g, reg.h]
+
+    def coeff(atoms):
+        factors = st.lists(st.sampled_from(atoms + list(CONSTANTS)), max_size=3)
+        terms = st.lists(st.tuples(st.fractions(-5, 5, max_denominator=4), factors),
+                         max_size=3)
+        e = ZERO
+        for c, fs in draw(terms):
+            t = Expr.const(c)
+            for a in fs:
+                t = t * Expr.of(a)
+            e = e + t
+        if draw(st.booleans()):
+            e = e + ONE
+        return e
+
+    g = make_generator(
+        reg, xi_t=coeff(point), xi_x=tuple(coeff(point) for _ in reg.x),
+        eta_u=tuple(coeff(point) for _ in reg.u), eta_p=coeff(point),
+        eta_rho=coeff(point),
+        mu_pi=tuple(coeff(gradient) for _ in reg.pi_pairs()),
+        mu_g=coeff(state), mu_h=coeff(state))
+    return reg, g
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(specs())
+def test_print_parse_round_trip_on_random_specs(case):
+    reg, g = case
+    assert parse_generator(reg, print_generator(reg, g)) == g

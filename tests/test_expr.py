@@ -5,9 +5,9 @@ import pytest
 
 from liequiv.expr import (CyclicSubstitutionError, Expr, MissingBindingError,
                           Monomial, UnknownSymbolError, UnsupportedFormError,
-                          atoms_of, collect, coordinate, derivative_of,
-                          diff_atom, diff_partial, evaluate, function_symbol,
-                          is_zero, normalize, replace_atoms, substitute,
+                          as_expr, atoms_of, collect, coordinate,
+                          derivative_of, diff_atom, diff_partial, evaluate,
+                          function_symbol, is_zero, replace_atoms, substitute,
                           unknown)
 
 from conftest import random_expr
@@ -42,8 +42,8 @@ def test_normalize_idempotent_on_random_trees():
     rnd = random.Random(2024)
     for _ in range(1000):
         e = random_expr(rnd, ATOMS)
-        assert normalize(e) == e
-        assert normalize(normalize(e)).terms == normalize(e).terms
+        assert as_expr(e) == e
+        assert as_expr(as_expr(e)).terms == as_expr(e).terms
 
 
 def test_ring_axioms_on_random_inputs():

@@ -2,7 +2,7 @@ import pytest
 
 from liequiv.expr import (Expr, Monomial, atoms_of, is_zero, replace_atoms)
 from liequiv.jets import build_registry
-from liequiv.system import build_system, restrict_to_manifold, solve_principal
+from liequiv.system import build_system, restrict_to_manifold
 
 
 def test_dim1_equations(spaces):
@@ -37,7 +37,7 @@ def test_dimension_mismatch():
 def test_principal_map_is_triangular(spaces):
     for dim in (1, 2, 3):
         reg = spaces[dim].reg
-        pm = solve_principal(spaces[dim].system)
+        pm = spaces[dim].system.principal
         principal = {reg.rho_t, reg.p_t} | set(reg.u_t)
         for e in (pm.rho_t, pm.p_t) + pm.u_t_num:
             assert not principal.intersection(atoms_of(e))
@@ -45,13 +45,13 @@ def test_principal_map_is_triangular(spaces):
 
 def test_principal_dim1_rho_t(spaces):
     reg = spaces[1].reg
-    pm = solve_principal(spaces[1].system)
+    pm = spaces[1].system.principal
     assert pm.rho_t == -(reg.u[0] * reg.rho_x[0] + reg.rho * reg.u_x[(1, 1)])
 
 
 def test_principal_dim2_pressure_binding_has_shear_term(spaces):
     reg = spaces[2].reg
-    pm = solve_principal(spaces[2].system)
+    pm = spaces[2].system.principal
     # expansion of -H*Phi contributes -H*Pi12*(u1_x2 + u2_x1)
     terms = dict(pm.p_t.terms)
     m1 = Monomial(((reg.h, 1), (reg.pi[(1, 2)], 1), (reg.u_x[(1, 2)], 1)))
