@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import report
-from .catalog import build_catalog, find_entry
+from .catalog import build_catalog, find_entry, verified_entries
 from .determining import check_entry, determining_equations, verify
 from .dsl import (DslSyntaxError, UnknownCoordinateError, parse_generator,
                   print_generator)
@@ -71,8 +71,7 @@ def _select_generators(args, reg, catalog):
     """Resolve --gen into a list of (name, kind, spec, entry-or-None)."""
     sel = args.gen
     if sel == "all-theorem":
-        return [(e.name, e.kind, e.spec, e) for e in catalog
-                if e.kind == "theorem"]
+        return [(e.name, e.kind, e.spec, e) for e in verified_entries(catalog)]
     if sel == "all":
         return [(e.name, e.kind, e.spec, e) for e in catalog]
     entry = find_entry(catalog, sel)
@@ -161,7 +160,7 @@ def _combo_string(combo: dict) -> str:
 
 
 def _cmd_bracket(args) -> int:
-    from .catalog import decompose_in_span, structure_constants, verified_entries
+    from .catalog import decompose_in_span, structure_constants
     from .generators import bracket
     reg = build_registry(args.dim)
     catalog = build_catalog(args.dim, reg)
@@ -212,7 +211,7 @@ def _cmd_transform(args) -> int:
     payload["equations"] = [
         {"equation": f.equation,
          "factor": f.factor if f.ok else "none (not form-invariant)",
-         "image": str(ft.transform(dict(system.equations())[f.equation]))}
+         "image": str(f.pullback)}
         for f in result.factors]
     payload["status"] = "ok"
     _emit(args, payload)

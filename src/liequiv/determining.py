@@ -93,6 +93,7 @@ class FiniteFactor:
     equation: str
     factor: str | None
     ok: bool
+    pullback: Expr  # the equation pulled back through the transformation
 
 
 @dataclass(frozen=True)
@@ -149,7 +150,6 @@ def finite_check(system: BalanceSystem, ft: FiniteTransformation) -> FiniteCheck
     result is a nonzero constant multiple (a rational times a power of
     exp(a)) of the original equation."""
     factors = []
-    passed = True
     for eq_name, eq in system.equations():
         pullback = ft.transform(eq)
         found = None
@@ -165,20 +165,16 @@ def finite_check(system: BalanceSystem, ft: FiniteTransformation) -> FiniteCheck
                 k = q.exponent(SCALE) - q.exponent(SCALE_INV)
                 found = _factor_string(c / lead_coeff, k)
                 break
-        if found is None:
-            passed = False
-            factors.append(FiniteFactor(eq_name, None, False))
-        else:
-            factors.append(FiniteFactor(eq_name, found, True))
-    return FiniteCheckResult(passed, tuple(factors))
+        factors.append(FiniteFactor(eq_name, found, found is not None, pullback))
+    return FiniteCheckResult(all(f.ok for f in factors), tuple(factors))
 
 
 def check_entry(system: BalanceSystem, entry) -> Verdict:
     """Infinitesimal verdict plus, when a closed-form flow exists, the finite
     cross-check and the agreement flag between the two routes."""
-    from .flows import exponentiate, has_closed_form
+    from .flows import exponentiate
     base = verify(system, entry.spec, entry.name)
-    if not has_closed_form(system.registry, entry.name):
+    if not entry.has_flow:
         return base
     ft = exponentiate(system.registry, entry.name)
     fin = finite_check(system, ft)
@@ -218,8 +214,11 @@ def solve_unknowns(dsys: DeterminingSystem) -> dict:
     Every split coefficient must vanish identically in the remaining
     coordinates, which yields one linear equation over the unknowns per
     residual monomial.  Raises on a nonlinear occurrence; returns the unique
-    exact solution (unknowns the system does not constrain stay at 0, and
-    are reported by the companion ``free`` list).
+    exact solution, in which unknowns the system does not constrain stay at 0
+    and are listed in the companion ``free`` list.  The unknowns are collected
+    from the split coefficients only: an unknown of the generator that
+    occurs in no split coefficient is reported neither in ``solution`` nor in
+    ``free`` (ROADMAP open item 1).
     """
     unknowns = sorted(
         {a for c in dsys.coefficients() for a in atoms_of(c) if is_unknown(a)})

@@ -17,6 +17,11 @@ sequences).  Structural equality therefore decides mathematical equality and
 normalization is idempotent by construction.  Output is byte-stable across
 runs and platforms.
 
+The normal-form rule lives in one routine, ``_normal_form``: it adds
+(item, number) pairs with equal items, drops zero sums and sorts by the
+items' ``.key``.  Every ``Monomial.factors`` (atoms with exponents) and
+every ``Expr.terms`` (monomials with coefficients) is built through it.
+
 Division and negative or fractional exponents are deliberately unsupported;
 callers that need a denominator clear it explicitly.
 """
@@ -24,6 +29,7 @@ callers that need a denominator clear it explicitly.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 COORD = "coord"
@@ -155,22 +161,28 @@ def derivative_of(a: Atom, arg: str) -> Atom:
     return Atom(DERIV, _derivative_name(base, wrt), args=args, base=base, wrt=wrt)
 
 
+def _normal_form(pairs) -> tuple:
+    """Sum the numbers of equal items, drop zero sums, sort by item key."""
+    acc = {}
+    for item, n in pairs:
+        prev = acc.get(item)
+        acc[item] = n if prev is None else prev + n
+    return tuple(sorted(filter(itemgetter(1), acc.items()),
+                        key=lambda pair: pair[0].key))
+
+
 class Monomial:
     """Product of atoms with positive integer exponents; the empty product is 1."""
 
     __slots__ = ("factors", "key")
 
     def __init__(self, factors: Iterable = ()):
-        acc = {}
+        factors = tuple(factors)
         for a, e in factors:
             if not isinstance(e, int) or e < 0:
                 raise UnsupportedFormError(f"unsupported exponent {e!r} on {a!r}")
-            if e == 0:
-                continue
-            acc[a] = acc.get(a, 0) + e
-        pairs = tuple(sorted(acc.items(), key=lambda item: item[0].key))
-        self.factors = pairs
-        self.key = tuple((a.key, e) for a, e in pairs)
+        self.factors = _normal_form(factors)
+        self.key = tuple((a.key, e) for a, e in self.factors)
 
     def is_one(self) -> bool:
         return not self.factors
@@ -194,16 +206,11 @@ class Monomial:
 
     def try_divide(self, other: "Monomial"):
         """Quotient monomial, or None when ``other`` does not divide ``self``."""
-        d = dict(self.factors)
-        for a, e in other.factors:
-            r = d.get(a, 0) - e
-            if r < 0:
-                return None
-            if r == 0:
-                d.pop(a)
-            else:
-                d[a] = r
-        return Monomial(tuple(d.items()))
+        mine = dict(self.factors)
+        if any(mine.get(a, 0) < e for a, e in other.factors):
+            return None
+        theirs = dict(other.factors)
+        return Monomial((a, e - theirs.get(a, 0)) for a, e in self.factors)
 
     def __eq__(self, other):
         return isinstance(other, Monomial) and self.key == other.key
@@ -229,56 +236,35 @@ MONO_ONE = Monomial()
 class Expr:
     """Canonical sum of rational multiples of monomials.  Immutable.
 
-    The zero expression is the empty sum.  Construction from a mapping or an
-    iterable of (monomial, coefficient) pairs merges duplicates, drops zero
-    coefficients and sorts, so any Expr in circulation is canonical.
+    The zero expression is the empty sum.  Construction from an iterable of
+    (monomial, coefficient) pairs merges duplicates, drops zero coefficients
+    and sorts, so any Expr in circulation is canonical.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc = {}
-        for mono, c in items:
-            c = Fraction(c)
-            if not c:
-                continue
-            prev = acc.get(mono)
-            if prev is None:
-                acc[mono] = c
-            else:
-                s = prev + c
-                if s:
-                    acc[mono] = s
-                else:
-                    del acc[mono]
-        self.terms = tuple(sorted(acc.items(), key=lambda item: item[0].key))
+        # Fraction(c) of a Fraction costs as much as an addition; skip it
+        self.terms = _normal_form(
+            (mono, c if type(c) is Fraction else Fraction(c)) for mono, c in terms)
 
     @staticmethod
     def of(a: Atom) -> "Expr":
-        return Expr(((Monomial(((a, 1),)), Fraction(1)),))
+        return Expr(((Monomial(((a, 1),)), 1),))
 
     @staticmethod
     def const(c) -> "Expr":
-        return Expr(((MONO_ONE, Fraction(c)),))
+        return Expr(((MONO_ONE, c),))
 
     # -- ring operators -------------------------------------------------
 
     def __add__(self, other):
-        other = as_expr(other)
-        acc = dict(self.terms)
-        for mono, c in other.terms:
-            s = acc.get(mono, _F0) + c
-            if s:
-                acc[mono] = s
-            else:
-                acc.pop(mono, None)
-        return _raw(acc)
+        return Expr(self.terms + as_expr(other).terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _raw({m: -c for m, c in self.terms})
+        return Expr((m, -c) for m, c in self.terms)
 
     def __sub__(self, other):
         return self + (-as_expr(other))
@@ -288,16 +274,8 @@ class Expr:
 
     def __mul__(self, other):
         other = as_expr(other)
-        acc = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = m1 * m2
-                s = acc.get(m, _F0) + c1 * c2
-                if s:
-                    acc[m] = s
-                else:
-                    del acc[m]
-        return _raw(acc)
+        return Expr((m1 * m2, c1 * c2)
+                    for m1, c1 in self.terms for m2, c2 in other.terms)
 
     __rmul__ = __mul__
 
@@ -348,15 +326,6 @@ class Expr:
     __repr__ = __str__
 
 
-_F0 = Fraction(0)
-
-
-def _raw(acc: dict) -> Expr:
-    e = Expr.__new__(Expr)
-    e.terms = tuple(sorted(acc.items(), key=lambda item: item[0].key))
-    return e
-
-
 ZERO = Expr()
 ONE = Expr.const(1)
 
@@ -394,7 +363,7 @@ def _single_derivative(a: Atom, v: Atom, chain: bool):
 
 
 def _differentiate(e: Expr, v: Atom, chain: bool) -> Expr:
-    acc = {}
+    pieces = []
     for mono, c in e.terms:
         for idx, (a, k) in enumerate(mono.factors):
             da = _single_derivative(a, v, chain)
@@ -405,13 +374,9 @@ def _differentiate(e: Expr, v: Atom, chain: bool) -> Expr:
                 rest.append((a, k - 1))
             if isinstance(da, Atom):
                 rest.append((da, 1))
-            m = Monomial(rest)
-            s = acc.get(m, _F0) + c * k
-            if s:
-                acc[m] = s
-            else:
-                del acc[m]
-    return _raw(acc)
+            pieces.append((Monomial(rest), c * k))
+    # most partials of a jet expression vanish; skip building those
+    return Expr(pieces) if pieces else ZERO
 
 
 def diff_partial(e, v: Atom) -> Expr:
@@ -444,27 +409,22 @@ def replace_atoms(e, mapping: Mapping[Atom, object]) -> Expr:
     inside replacement values are left alone, which makes relabelings and
     self-referencing maps (x -> x + a) well defined.
     """
-    e = as_expr(e)
     table = {a: as_expr(v) for a, v in mapping.items()}
-    acc = {}
-    for mono, c in e.terms:
-        t = Expr.const(c)
-        plain = []
-        for a, k in mono.factors:
-            b = table.get(a)
-            if b is None:
-                plain.append((a, k))
-            else:
-                t = t * b ** k
-        if plain:
-            t = t * _raw({Monomial(plain): Fraction(1)})
-        for m, cc in t.terms:
-            s = acc.get(m, _F0) + cc
-            if s:
-                acc[m] = s
-            else:
-                del acc[m]
-    return _raw(acc)
+
+    def pieces():
+        for mono, c in as_expr(e).terms:
+            image = ONE
+            plain = []
+            for a, k in mono.factors:
+                b = table.get(a)
+                if b is None:
+                    plain.append((a, k))
+                else:
+                    image = image * b ** k
+            rest = Monomial(plain)
+            for m, cc in image.terms:
+                yield m * rest, c * cc
+    return Expr(pieces())
 
 
 def substitute(e, bindings: Mapping[Atom, object]) -> Expr:
@@ -501,19 +461,9 @@ def collect(e, parametric) -> dict:
         par, rest = [], []
         for a, k in mono.factors:
             (par if a in pset else rest).append((a, k))
-        key = Monomial(par)
-        sub = buckets.setdefault(key, {})
-        m = Monomial(rest)
-        s = sub.get(m, _F0) + c
-        if s:
-            sub[m] = s
-        else:
-            del sub[m]
-    out = {}
-    for key in sorted(buckets, key=lambda m: m.key):
-        if buckets[key]:
-            out[key] = _raw(buckets[key])
-    return out
+        buckets.setdefault(Monomial(par), []).append((Monomial(rest), c))
+    # distinct terms stay distinct after the split, so no bucket sums to zero
+    return {key: Expr(buckets[key]) for key in sorted(buckets, key=lambda m: m.key)}
 
 
 def evaluate(e, point: Mapping[Atom, object]):

@@ -52,22 +52,15 @@ def scale_power(d: int) -> Expr:
 
 def reduce_scale(e) -> Expr:
     """Cancel exp(a) * exp(-a) pairs inside every monomial."""
-    e = as_expr(e)
-    out = {}
-    for mono, c in e.terms:
-        pos = mono.exponent(SCALE)
-        neg = mono.exponent(SCALE_INV)
-        m = min(pos, neg)
-        if m:
-            factors = []
-            for a, k in mono.factors:
-                if a == SCALE or a == SCALE_INV:
-                    k -= m
-                if k:
-                    factors.append((a, k))
-            mono = Monomial(factors)
-        out[mono] = out.get(mono, Fraction(0)) + c
-    return Expr(out)
+    return Expr((_cancel_scale(mono), c) for mono, c in as_expr(e).terms)
+
+
+def _cancel_scale(mono: Monomial) -> Monomial:
+    m = min(mono.exponent(SCALE), mono.exponent(SCALE_INV))
+    if not m:
+        return mono
+    return Monomial((a, k - m if a == SCALE or a == SCALE_INV else k)
+                    for a, k in mono.factors)
 
 
 class FiniteTransformation:

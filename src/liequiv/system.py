@@ -133,21 +133,20 @@ def restrict_to_manifold(e, system: BalanceSystem) -> tuple:
     if power == 0:
         return e, 0
 
-    acc = {}
-    for mono, c in e.terms:
-        rest = []
-        num = ONE
-        deg = 0
-        for a, k in mono.factors:
-            i = u_t_index.get(a)
-            if i is None:
-                rest.append((a, k))
-            else:
-                num = num * pm.u_t_num[i] ** k
-                deg += k
-        rest.append((reg.rho, power - deg))
-        factor = Monomial(rest)
-        for m, cn in num.terms:
-            m = m * factor
-            acc[m] = acc.get(m, 0) + c * cn
-    return Expr(acc), power
+    def cleared():
+        for mono, c in e.terms:
+            rest = []
+            num = ONE
+            deg = 0
+            for a, k in mono.factors:
+                i = u_t_index.get(a)
+                if i is None:
+                    rest.append((a, k))
+                else:
+                    num = num * pm.u_t_num[i] ** k
+                    deg += k
+            rest.append((reg.rho, power - deg))
+            factor = Monomial(rest)
+            for m, cn in num.terms:
+                yield m * factor, c * cn
+    return Expr(cleared()), power

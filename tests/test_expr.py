@@ -2,13 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from liequiv.expr import (CyclicSubstitutionError, Expr, MissingBindingError,
-                          Monomial, UnknownSymbolError, UnsupportedFormError,
-                          as_expr, atoms_of, collect, coordinate,
-                          derivative_of, diff_atom, diff_partial, evaluate,
-                          function_symbol, is_zero, replace_atoms, substitute,
-                          unknown)
+from liequiv.expr import (COORD, FUNC, CyclicSubstitutionError, Expr,
+                          MissingBindingError, Monomial, UnknownSymbolError,
+                          UnsupportedFormError, as_expr, atoms_of, collect,
+                          coordinate, derivative_of, diff_atom, diff_partial,
+                          evaluate, function_symbol, is_zero, replace_atoms,
+                          substitute, unknown)
 
 from conftest import random_expr
 
@@ -225,3 +228,154 @@ def test_unknown_atoms():
 def test_canonical_string_is_stable():
     e = Expr.of(G) * u1_x1 + p_t - 2 * rho * u1_x1
     assert str(e) == "G*u1_x1 + p_t - 2*rho*u1_x1"
+
+
+# -- normal form against sympy ------------------------------------------------
+
+t = coordinate("t")
+x1 = coordinate("x1")
+c1 = unknown("c1")
+c2 = unknown("c2")
+NF_ATOMS = [t, x1, p, rho, u1_x1, c1, c2, G, Pi11, derivative_of(G, "p"),
+            derivative_of(G, "rho"), derivative_of(Pi11, "u1_x1")]
+DIFF_BY = [t, x1, p, rho, u1_x1, c1]
+# replaced atoms are arguments of no function symbol, so sympy's xreplace
+# leaves G(p, rho) and Pi11(u1_x1) alone, as replace_atoms does
+REPLACEABLE = [t, x1, c1, c2]
+MAX_DEPTH = 4
+
+
+def sym_atom(a):
+    """The sympy object an atom stands for: a Symbol, an applied function or
+    a derivative of one."""
+    if a.kind == COORD:
+        return sympy.Symbol(a.name)
+    applied = sympy.Function(a.base or a.name)(*map(sympy.Symbol, a.args))
+    return applied if a.kind == FUNC else sympy.diff(applied, *a.wrt)
+
+
+def derivative_tower(f, order):
+    layer, out = [f], [f]
+    for _ in range(order):
+        layer = list({derivative_of(a, v): None for a in layer for v in f.args})
+        out += layer
+    return out
+
+
+# every function atom a tree can reach (one derivative per diff node, at
+# most one diff node per level), as a plain sympy Symbol of the atom's name
+PLAIN = {sym_atom(a): sympy.Symbol(a.name)
+         for f in (G, Pi11) for a in derivative_tower(f, MAX_DEPTH + 1)}
+UNPLAIN = {v: k for k, v in PLAIN.items()}
+
+
+def to_plain(sym):
+    return sympy.expand(sympy.expand(sym).xreplace(PLAIN))
+
+
+def plain(e: Expr):
+    return sympy.Add(*[sympy.Rational(c.numerator, c.denominator)
+                       * sympy.Mul(*[sympy.Symbol(a.name) ** k
+                                     for a, k in mono.factors])
+                       for mono, c in e.terms])
+
+
+def strictly_increasing(keys) -> bool:
+    return all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def assert_normal_form(e: Expr):
+    assert strictly_increasing([mono.key for mono, _ in e.terms])
+    for mono, c in e.terms:
+        assert type(c) is Fraction and c != 0
+        assert strictly_increasing([a.key for a, _ in mono.factors])
+        assert all(type(k) is int and k > 0 for _, k in mono.factors)
+
+
+coefficients = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2),
+                                Fraction(-2), Fraction(1, 2)])
+
+
+@st.composite
+def trees(draw, depth=MAX_DEPTH):
+    """An operation tree over short sums of a small atom pool, so that like
+    terms meet.  ``cancel`` computes (a + b) - a, which cancels every term
+    of a."""
+    if depth == 0 or draw(st.integers(0, 4)) == 4:
+        return ("sum", draw(st.lists(
+            st.tuples(coefficients, st.sampled_from([None] + NF_ATOMS)),
+            min_size=1, max_size=3)))
+    op = draw(st.sampled_from(
+        ["add", "sub", "mul", "cancel", "pow", "diff", "replace", "collect"]))
+    sub = trees(depth - 1)
+    if op in ("add", "sub", "mul", "cancel"):
+        return (op, draw(sub), draw(sub))
+    if op == "pow":
+        return (op, draw(sub), draw(st.integers(0, 2)))
+    if op == "diff":
+        return (op, draw(sub), draw(st.sampled_from(DIFF_BY)))
+    if op == "replace":
+        return (op, draw(sub), draw(st.sampled_from(REPLACEABLE)), draw(sub))
+    parametric = draw(st.sets(st.sampled_from(NF_ATOMS), min_size=1, max_size=4))
+    return (op, draw(sub), parametric, draw(st.integers(0, 20)))
+
+
+def evaluate_tree(tree):
+    """(Expr, sympy expression) of a tree; every node is checked for normal
+    form and against sympy's expansion of the same operation."""
+    op, args = tree[0], tree[1:]
+    if op == "sum":
+        e = Expr((Monomial() if a is None else Monomial(((a, 1),)), c)
+                 for c, a in args[0])
+        sym = sympy.Add(*[sympy.Rational(c.numerator, c.denominator)
+                          * (1 if a is None else sym_atom(a))
+                          for c, a in args[0]])
+    elif op == "pow":
+        e, sym = evaluate_tree(args[0])
+        e, sym = e ** args[1], sym ** args[1]
+    elif op == "diff":
+        e, sym = evaluate_tree(args[0])
+        e, sym = diff_partial(e, args[1]), sympy.diff(sym, sym_atom(args[1]))
+    elif op == "replace":
+        (e, sym), (v, vsym) = evaluate_tree(args[0]), evaluate_tree(args[2])
+        e = replace_atoms(e, {args[1]: v})
+        sym = sym.xreplace({sym_atom(args[1]): vsym})
+    elif op == "collect":
+        e, sym = evaluate_tree(args[0])
+        e, sym = collect_one(e, sym, sorted(args[1]), args[2])
+    else:
+        (a, asym), (b, bsym) = evaluate_tree(args[0]), evaluate_tree(args[1])
+        e, sym = {"add": (a + b, asym + bsym),
+                  "sub": (a - b, asym - bsym),
+                  "mul": (a * b, asym * bsym),
+                  "cancel": ((a + b) - a, (asym + bsym) - asym)}[op]
+    assert_normal_form(e)
+    assert sympy.expand(to_plain(sym) - plain(e)) == 0
+    return e, sym
+
+
+def collect_one(e, sym, parametric, pick):
+    """Check ``collect`` on ``e``, then return its bucket number ``pick``
+    (cyclically) and sympy's coefficient of the same parametric monomial."""
+    buckets = collect(e, parametric)
+    keys = list(buckets)
+    assert strictly_increasing([key.key for key in keys])
+    back = Expr()
+    for key, coeff in buckets.items():
+        assert set(key.atoms()) <= set(parametric)
+        assert coeff and not set(atoms_of(coeff)) & set(parametric)
+        back = back + Expr(((key, 1),)) * coeff
+    assert back == e
+    if not keys:
+        return e, sym
+    key = keys[pick % len(keys)]
+    gens = [sympy.Symbol(a.name) for a in parametric]
+    poly = sympy.Poly(to_plain(sym), *gens)
+    want = poly.as_dict().get(tuple(key.exponent(a) for a in parametric), 0)
+    return buckets[key], sympy.sympify(want).xreplace(UNPLAIN)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(trees())
+def test_normal_form_matches_sympy(tree):
+    evaluate_tree(tree)
