@@ -15,6 +15,9 @@ two readings: ``naive`` leaves the constitutive coordinates fixed, and
 ``tensorial`` conjugates the stress through the infinitesimal rotation,
 delta Pi = Omega Pi - Pi Omega.  Candidates are exploratory and carry no
 closed-form flow in the exact carrier.
+
+``structure_constants`` prolongs each entry once per table and brackets
+every pair from those first-order fields.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from fractions import Fraction
 
 from .expr import Expr, ZERO
 from .flows import has_closed_form
-from .generators import GeneratorSpec, bracket, make_generator
+from .generators import (GeneratorSpec, bracket_fields, first_order_field,
+                         make_generator)
 from .jets import JetRegistry, UnsupportedDimensionError
 from .linsolve import InconsistentSystemError, solve_linear
 
@@ -171,15 +175,16 @@ def decompose_in_span(reg: JetRegistry, g: GeneratorSpec, entries) -> dict | Non
 
 
 def structure_constants(reg: JetRegistry, entries) -> StructureTable:
-    """All pairwise brackets expressed over the entries themselves."""
+    """All pairwise brackets expressed over the entries themselves; each
+    entry is prolonged once, and every pair goes through ``bracket_fields``."""
     names = tuple(e.name for e in entries)
-    specs = {e.name: e.spec for e in entries}
+    fields = [first_order_field(reg, e.spec) for e in entries]
     combos = {}
     failures = []
     for a in range(len(names)):
         for b in range(a + 1, len(names)):
             n1, n2 = names[a], names[b]
-            br = bracket(reg, specs[n1], specs[n2])
+            br = bracket_fields(reg, fields[a], fields[b])
             combo = decompose_in_span(reg, br, entries)
             if combo is None:
                 failures.append((n1, n2))

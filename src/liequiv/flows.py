@@ -31,6 +31,7 @@ PARAM = coordinate("a")
 SCALE = coordinate("exp(a)")
 SCALE_INV = coordinate("exp(-a)")
 
+_FAMILY_NAME = re.compile(r"([XY])(\d)|S|T|Z1|Z2")
 _ROTATION_NAME = re.compile(r"^J(\d)(\d)_(naive|tensorial)$")
 
 
@@ -111,26 +112,28 @@ class FiniteTransformation:
         return FiniteTransformation(self.registry, self.name, self.scale, shift)
 
 
-def _recipe(reg: JetRegistry, name: str):
-    """(scale, shift) dicts for a built-in family name, or None."""
+def _family(reg: JetRegistry, name: str):
+    """(family, index) of a built-in closed-form family name, or None."""
+    m = _FAMILY_NAME.fullmatch(name)
+    if m is None:
+        return None
+    if m.group(1) is None:
+        return name, 0
+    i = int(m.group(2))
+    lowest = 0 if m.group(1) == "X" else 1
+    return (m.group(1), i) if lowest <= i <= reg.dim else None
+
+
+def _recipe(reg: JetRegistry, family: str, i: int):
+    """(scale, shift) dicts for a family resolved by ``_family``."""
     rng = range(1, reg.dim + 1)
     a = Expr.of(PARAM)
 
-    if name == "X0":
-        return {}, {reg.t: a}
-    m = re.match(r"^X(\d)$", name)
-    if m:
-        i = int(m.group(1))
-        if 1 <= i <= reg.dim:
-            return {}, {reg.x[i - 1]: a}
-        return None
-    if name == "S":
+    if family == "X":
+        return {}, {reg.independents[i]: a}
+    if family == "S":
         return {}, {reg.p: a}
-    m = re.match(r"^Y(\d)$", name)
-    if m:
-        i = int(m.group(1))
-        if not 1 <= i <= reg.dim:
-            return None
+    if family == "Y":
         shift = {reg.x[i - 1]: a * reg.t, reg.u[i - 1]: a}
         for k in rng:
             shift[reg.u_t[k - 1]] = -a * reg.u_x[(k, i)]
@@ -141,11 +144,11 @@ def _recipe(reg: JetRegistry, name: str):
                 pair = (min(i, l), max(i, l))
                 shift[reg.u_tx[(k, l)]] = -a * reg.u_xx[(k,) + pair]
         return {}, shift
-    if name == "T":
+    if family == "T":
         shift = {reg.pi[(k, k)]: a for k in rng}
         shift[reg.g] = -a * reg.h
         return {}, shift
-    if name == "Z1":
+    if family == "Z1":
         scale = {}
         for i in rng:
             scale[reg.x[i - 1]] = 1
@@ -163,31 +166,30 @@ def _recipe(reg: JetRegistry, name: str):
             scale[reg.pi_d[key]] = 2
         scale[reg.g] = 2
         return scale, {}
-    if name == "Z2":
-        scale = {reg.rho: 1, reg.p: 1, reg.p_t: 1, reg.rho_t: 1, reg.g: 1}
-        for i in rng:
-            scale[reg.p_x[i - 1]] = 1
-            scale[reg.rho_x[i - 1]] = 1
-        for key in reg.pi:
-            scale[reg.pi[key]] = 1
-        for key in reg.pi_d:
-            scale[reg.pi_d[key]] = 1
-        return scale, {}
-    return None
+    # Z2
+    scale = {reg.rho: 1, reg.p: 1, reg.p_t: 1, reg.rho_t: 1, reg.g: 1}
+    for i in rng:
+        scale[reg.p_x[i - 1]] = 1
+        scale[reg.rho_x[i - 1]] = 1
+    for key in reg.pi:
+        scale[reg.pi[key]] = 1
+    for key in reg.pi_d:
+        scale[reg.pi_d[key]] = 1
+    return scale, {}
 
 
 def has_closed_form(reg: JetRegistry, name: str) -> bool:
-    return _recipe(reg, name) is not None
+    return _family(reg, name) is not None
 
 
 def exponentiate(reg: JetRegistry, name: str, param=None) -> FiniteTransformation:
     """Finite transformation of a built-in family; ``param`` optionally binds
     the shift parameter to an exact rational."""
-    recipe = _recipe(reg, name)
-    if recipe is None:
+    family = _family(reg, name)
+    if family is None:
         raise NoClosedFormError(
             f"no closed-form flow in the exact carrier for {name}")
-    ft = FiniteTransformation(reg, name, *recipe)
+    ft = FiniteTransformation(reg, name, *_recipe(reg, *family))
     if param is not None:
         ft = ft.with_parameter(param)
     return ft

@@ -32,7 +32,9 @@ prolonged fields, whose base components
     [X1, X2]^a = X1(c2^a) - X2(c1^a)
 
 need only the first prolongation, since a base coefficient depends on no
-jet beyond the velocity gradient.  ``base_coefficients`` and
+jet beyond the velocity gradient.  ``bracket`` and the structure-constant
+table both take it through ``bracket_fields``; the table prolongs each
+entry once.  ``base_coefficients`` and
 ``from_coefficients`` convert between a generator and its ordered map
 direction -> coefficient; everything else reads the coefficient slots
 through that map.
@@ -162,7 +164,7 @@ class ProlongedGenerator:
     ``coefficient(atom)`` covers the base directions, the first-order jets,
     the spatial second-order velocity jets and the stress-derivative
     coordinates; those maps are exposed as ``zeta1``, ``zeta2`` and
-    ``mu_d`` for inspection.  ``bracket`` builds first-order fields, with
+    ``mu_d`` for inspection.  ``first_order_field`` builds one with
     ``zeta2`` and ``mu_d`` empty.
     """
 
@@ -272,6 +274,21 @@ def apply_with_trace(reg: JetRegistry, pg: ProlongedGenerator, e) -> tuple:
     return total, tuple(trace)
 
 
+def first_order_field(reg: JetRegistry, g: GeneratorSpec) -> ProlongedGenerator:
+    """The first prolongation of ``g``, with ``zeta2`` and ``mu_d`` empty."""
+    validate_ansatz(reg, g)
+    return ProlongedGenerator(reg, g, first_jet_coefficients(reg, g)[0], {}, {})
+
+
+def bracket_fields(reg: JetRegistry, p1: ProlongedGenerator,
+                   p2: ProlongedGenerator) -> GeneratorSpec:
+    """[X1, X2] on the base directions from two first-order fields."""
+    c1, c2 = base_coefficients(reg, p1.base), base_coefficients(reg, p2.base)
+    return from_coefficients(reg, {
+        a: apply_with_trace(reg, p1, c2[a])[0] - apply_with_trace(reg, p2, c1[a])[0]
+        for a in c1})
+
+
 def bracket(reg: JetRegistry, g1: GeneratorSpec, g2: GeneratorSpec) -> GeneratorSpec:
     """Lie bracket [g1, g2] of the prolonged fields, on the base directions.
 
@@ -279,11 +296,4 @@ def bracket(reg: JetRegistry, g1: GeneratorSpec, g2: GeneratorSpec) -> Generator
     first prolongations: the mu^Pi coefficients may contain gradient jets,
     and a first-order field already carries their coefficients.
     """
-    validate_ansatz(reg, g1)
-    validate_ansatz(reg, g2)
-    c1, c2 = base_coefficients(reg, g1), base_coefficients(reg, g2)
-    p1, p2 = (ProlongedGenerator(reg, g, first_jet_coefficients(reg, g)[0], {}, {})
-              for g in (g1, g2))
-    return from_coefficients(reg, {
-        a: apply_with_trace(reg, p1, c2[a])[0] - apply_with_trace(reg, p2, c1[a])[0]
-        for a in c1})
+    return bracket_fields(reg, first_order_field(reg, g1), first_order_field(reg, g2))

@@ -162,15 +162,21 @@ def total_derivative(e, w: Atom, reg: JetRegistry) -> Expr:
     first-order jets of (chain partial) * (advanced jet coordinate); the
     declared arguments of Pi, G and H make the constitutive chain terms,
     e.g. D_{x^j} Pi^{ij} = sum_kl Pi^{ij}_{kl} u^k_{x^l x^j}, fall out of the
-    same rule.  An input already containing second-order jets (or needing an
-    unregistered advance such as a second derivative of p) raises
-    JetOrderError.
+    same rule.  The chain runs only through the coordinates the input depends
+    on (its coordinates and the declared arguments of its function atoms),
+    in registry order; every other partial is structurally zero.  An input
+    already containing second-order jets (or needing an unregistered advance
+    such as a second derivative of p) raises JetOrderError.
     """
     e = as_expr(e)
     if w not in reg.independents:
         raise UnknownSymbolError(f"{w.name} is not an independent coordinate")
+    deps = {n for mono, _ in e.terms for a, _ in mono.factors
+            for n in a.args or (a.name,)}
     out = diff_partial(e, w)
     for c in reg._chain:
+        if c.name not in deps:
+            continue
         d = diff_partial(e, c)
         if is_zero(d):
             continue

@@ -1,13 +1,15 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from liequiv import generators
 from liequiv.catalog import (build_catalog, candidate_entries,
                              decompose_in_span, find_entry,
                              structure_constants, verified_entries)
 from liequiv.determining import verify
 from liequiv.expr import Expr
-from liequiv.generators import make_generator
+from liequiv.generators import bracket, make_generator
 from liequiv.jets import UnsupportedDimensionError, build_registry
 
 
@@ -63,6 +65,34 @@ def test_structure_table_matches_hand_values(spaces):
                     continue
                 flipped = {k: -v for k, v in table.cell(n2, n1).items()}
                 assert table.cell(n1, n2) == flipped
+
+
+def test_table_cells_match_single_brackets(spaces):
+    for dim in (1, 2, 3):
+        reg = spaces[dim].reg
+        entries = verified_entries(spaces[dim].catalog)
+        table = structure_constants(reg, entries)
+        assert table.closed
+        for a in entries:
+            for b in entries:
+                want = decompose_in_span(reg, bracket(reg, a.spec, b.spec), entries)
+                assert table.cell(a.name, b.name) == want, (a.name, b.name)
+
+
+def test_table_prolongs_each_entry_once(spaces, monkeypatch):
+    reg = spaces[3].reg
+    entries = verified_entries(spaces[3].catalog)
+    prolonged = Counter()
+    original = generators.first_jet_coefficients
+
+    def counting(reg, g):
+        prolonged[id(g)] += 1
+        return original(reg, g)
+
+    monkeypatch.setattr(generators, "first_jet_coefficients", counting)
+    structure_constants(reg, entries)
+    assert len(entries) == 11
+    assert prolonged == Counter(id(e.spec) for e in entries)
 
 
 def test_decompose_detects_outside_span(spaces):

@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from liequiv.catalog import verified_entries
+from liequiv import flows
+from liequiv.catalog import build_catalog, verified_entries
 from liequiv.expr import Expr, evaluate
 from liequiv.flows import (PARAM, SCALE, SCALE_INV, NoClosedFormError,
                            composition_is_additive, exponentiate,
-                           identity_at_zero, numeric_flow, reduce_scale)
+                           has_closed_form, identity_at_zero, numeric_flow,
+                           reduce_scale)
 from liequiv.generators import prolong
 
 
@@ -67,6 +69,30 @@ def test_no_closed_form(spaces):
         exponentiate(reg, "J12_naive")
     with pytest.raises(NoClosedFormError):
         exponentiate(reg, "Q7")
+
+
+def test_closed_form_names(spaces):
+    reg = spaces[2].reg
+    named = ["X0", "X1", "X2", "S", "Y1", "Y2", "T", "Z1", "Z2"]
+    assert [n for n in named if not has_closed_form(reg, n)] == []
+    unnamed = ["X3", "Y0", "Y3", "Z3", "X12", "x1", "X1\n", " S", "J12_naive", ""]
+    assert [n for n in unnamed if has_closed_form(reg, n)] == []
+
+
+def test_only_exponentiate_builds_a_recipe(spaces, monkeypatch):
+    built = []
+    original = flows._recipe
+
+    def counting(*args):
+        built.append(args[1:])
+        return original(*args)
+
+    monkeypatch.setattr(flows, "_recipe", counting)
+    reg = spaces[3].reg
+    build_catalog(3, reg)
+    assert built == []
+    numeric_flow(reg, "Y2")
+    assert built == [("Y", 2)]
 
 
 def test_identity_at_zero_and_composition(spaces):

@@ -3,14 +3,17 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+import sympy
 
 from liequiv.catalog import find_entry
 from liequiv.dsl import parse_generator, print_generator
-from liequiv.expr import Expr, UnknownSymbolError, diff_atom, is_zero
+from liequiv.expr import Expr, UnknownSymbolError, diff_atom, is_zero, unknown
 from liequiv.generators import (AnsatzError, apply_with_trace, bracket,
                                 base_coefficients, combine, make_generator,
                                 prolong)
 from liequiv.jets import total_derivative
+
+from conftest import random_expr
 
 
 def _spec(spaces, dim, name):
@@ -206,3 +209,103 @@ def test_base_coefficients_cover_all_directions(spaces):
     assert table[reg.g] == Expr.of(reg.g)
     assert table[reg.h] == Expr()
     assert len(table) == 1 + 2 * reg.dim + 2 + len(reg.pi_pairs()) + 2
+
+
+# -- prolongation against sympy ------------------------------------------------
+
+
+def jet_table(reg):
+    """The independents as sympy symbols, and each dependent and jet atom as
+    a function of (t, x) or its derivative."""
+    ind = [sympy.Symbol(a.name) for a in reg.independents]
+    t, xs = ind[0], ind[1:]
+    table = dict(zip(reg.independents, ind))
+    for a in reg.u + (reg.p, reg.rho):
+        table[a] = sympy.Function(a.name)(*ind)
+        for v, s in zip(reg.independents, ind):
+            table[reg.advance(a, v)] = sympy.diff(table[a], s)
+    for (k, l, j), a in reg.u_xx.items():
+        table[a] = sympy.diff(table[reg.u[k - 1]], xs[l - 1], xs[j - 1])
+    for (k, l), a in reg.u_tx.items():
+        table[a] = sympy.diff(table[reg.u[k - 1]], t, xs[l - 1])
+    return ind, table
+
+
+def element_table(reg):
+    """Each stress component as a function of the gradient-jet symbols and
+    each stress-derivative atom as its sympy derivative."""
+    grad = {a: sympy.Symbol(a.name) for a in reg.u_x.values()}
+    table = dict(grad)
+    for a in reg.pi.values():
+        table[a] = sympy.Function(a.name)(*(grad[reg.coordinate(n)] for n in a.args))
+    for (i, j, k, l), a in reg.pi_d.items():
+        table[a] = sympy.diff(table[reg.pi[(i, j)]], grad[reg.u_x[(k, l)]])
+    return table
+
+
+def to_sympy(e, table):
+    """``e`` with every atom replaced by its table entry; other atoms become
+    plain symbols."""
+    return sympy.Add(*[sympy.Rational(c.numerator, c.denominator)
+                       * sympy.Mul(*[table.get(a, sympy.Symbol(a.name)) ** k
+                                     for a, k in mono.factors])
+                       for mono, c in e.terms])
+
+
+def random_generator(reg, rnd):
+    # xi and eta^u stay off p and rho: their second prolongation would need
+    # the unregistered jets p_xx and rho_xx (JetOrderError)
+    base = [reg.t, *reg.x, *reg.u, unknown("c1")]
+    point = base + [reg.p, reg.rho]
+    gradient = [*reg.u_x.values(), *reg.pi.values(), unknown("c2")]
+
+    def coeff(pool):
+        return random_expr(rnd, pool, 2) if rnd.random() < 0.8 else Expr()
+
+    return make_generator(
+        reg, xi_t=coeff(base), xi_x=[coeff(base) for _ in reg.x],
+        eta_u=[coeff(base) for _ in reg.u], eta_p=coeff(point),
+        eta_rho=coeff(point), mu_pi=[coeff(gradient) for _ in reg.pi])
+
+
+def assert_same(got, want, what):
+    assert sympy.expand(got - want) == 0, what
+
+
+def test_prolongation_matches_sympy(spaces):
+    # zeta^a_w = D_w(eta^a) - sum_v D_w(xi^v) a_v with D_w = d/dw on functions
+    # of (t, x); zeta^u_{x_l x_j} = D_{x_j} of zeta^u_{x_l} likewise; the
+    # stress derivatives differentiate through Pi(grad u) in element space
+    for dim in (1, 2):
+        reg = spaces[dim].reg
+        ind, jets = jet_table(reg)
+        elem = element_table(reg)
+        rnd = random.Random(20 + dim)
+        for _ in range(8):
+            g = random_generator(reg, rnd)
+            pg = prolong(reg, g)
+            xi = [to_sympy(c, jets) for c in (g.xi_t,) + g.xi_x]
+
+            def zeta(f, eta, w):
+                return (sympy.diff(eta, w)
+                        - sum(sympy.diff(xv, w) * sympy.diff(f, v)
+                              for xv, v in zip(xi, ind)))
+
+            for alpha, eta in zip(reg.u + (reg.p, reg.rho),
+                                  g.eta_u + (g.eta_p, g.eta_rho)):
+                for v, w in zip(reg.independents, ind):
+                    jet = reg.advance(alpha, v)
+                    assert_same(to_sympy(pg.zeta1[jet], jets),
+                                zeta(jets[alpha], to_sympy(eta, jets), w), jet)
+            for (k, l, j), jet in reg.u_xx.items():
+                first = to_sympy(pg.zeta1[reg.u_x[(k, l)]], jets)
+                assert_same(to_sympy(pg.zeta2[jet], jets),
+                            zeta(jets[reg.u_x[(k, l)]], first, ind[j]), jet)
+            for (i, j, k, l), a in reg.pi_d.items():
+                arg = elem[reg.u_x[(k, l)]]
+                mu = to_sympy(g.mu_pi[reg.pi_pairs().index((i, j))], elem)
+                want = sympy.diff(mu, arg) - sum(
+                    elem[reg.pi_d[(i, j, r, s)]]
+                    * sympy.diff(to_sympy(pg.zeta1[reg.u_x[(r, s)]], elem), arg)
+                    for (r, s) in reg.u_x)
+                assert_same(to_sympy(pg.mu_d[a], elem), want, a)

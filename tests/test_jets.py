@@ -1,8 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from liequiv.expr import Expr, UnknownSymbolError, diff_partial
+from liequiv.expr import (COORD, Expr, Monomial, UnknownSymbolError,
+                          derivative_of, diff_partial, is_zero, unknown)
 from liequiv.jets import (JetOrderError, UnsupportedDimensionError,
                           build_registry, total_derivative)
 
@@ -125,3 +129,68 @@ def test_direction_must_be_independent(spaces):
     reg = spaces[1].reg
     with pytest.raises(UnknownSymbolError):
         total_derivative(Expr.of(reg.p), reg.p, reg)
+
+
+# -- equivalence with the chain over every registered coordinate ---------------
+
+REGISTRIES = {dim: build_registry(dim) for dim in (1, 2, 3)}
+
+
+def reference_total_derivative(e, w, reg):
+    """The partial by ``w`` plus the chain through every registered
+    coordinate that is not an independent one, in registry order."""
+    out = diff_partial(e, w)
+    for c in reg.space_atoms():
+        if c.kind != COORD or c in reg.independents:
+            continue
+        d = diff_partial(e, c)
+        if is_zero(d):
+            continue
+        a = reg.advance(c, w)
+        if a is None:
+            raise JetOrderError(
+                f"d/d{w.name} of an expression depending on {c.name} "
+                "leaves the registered jet space")
+        out = out + d * a
+    return out
+
+
+def atom_pool(reg):
+    """Registry atoms, formal derivatives of Pi, G and H up to second order,
+    and ``?`` constants."""
+    first = [derivative_of(f, v) for f in (reg.g, reg.h) for v in f.args]
+    second = [derivative_of(derivative_of(reg.g, "p"), "rho"),
+              derivative_of(derivative_of(reg.h, "rho"), "rho"),
+              derivative_of(reg.pi_d[(1, 1, 1, 1)], reg.pi[(1, 1)].args[-1])]
+    return list(reg.space_atoms()) + first + second + [unknown("c1"), unknown("c2")]
+
+
+POOLS = {dim: atom_pool(reg) for dim, reg in REGISTRIES.items()}
+
+
+@st.composite
+def jet_polynomials(draw):
+    dim = draw(st.sampled_from(sorted(REGISTRIES)))
+    pool = POOLS[dim]
+    monomial = st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 2)),
+                        max_size=3)
+    coefficient = st.sampled_from([Fraction(1), Fraction(-2), Fraction(3, 2)])
+    terms = draw(st.lists(st.tuples(monomial, coefficient), max_size=4))
+    w = draw(st.sampled_from(REGISTRIES[dim].independents))
+    return dim, Expr((Monomial(m), c) for m, c in terms), w
+
+
+def outcome(f, *args):
+    try:
+        return "value", f(*args)
+    except JetOrderError as err:
+        return "error", str(err)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(jet_polynomials())
+def test_total_derivative_matches_full_chain(case):
+    dim, e, w = case
+    reg = REGISTRIES[dim]
+    assert (outcome(total_derivative, e, w, reg)
+            == outcome(reference_total_derivative, e, w, reg))
