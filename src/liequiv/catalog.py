@@ -13,8 +13,9 @@ The verified families, for spatial dimension N:
 (N + N + 5 entries).  For N >= 2 rotation candidates J{i}{j} are exposed in
 two readings: ``naive`` leaves the constitutive coordinates fixed, and
 ``tensorial`` conjugates the stress through the infinitesimal rotation,
-delta Pi = Omega Pi - Pi Omega.  Candidates are exploratory and carry no
-closed-form flow in the exact carrier.
+delta Pi = Omega Pi - Pi Omega.  Candidates are exploratory; their flows
+need cos/sin, so only the verified entries carry a closed-form flow
+(``has_flow``).
 
 ``structure_constants`` prolongs each entry once per table and brackets
 every pair from those first-order fields.
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .expr import Expr, ZERO
-from .flows import has_closed_form
 from .generators import (GeneratorSpec, bracket_fields, first_order_field,
                          make_generator)
 from .jets import JetRegistry, UnsupportedDimensionError
@@ -48,7 +48,7 @@ def _unit(dim: int, idx: int) -> tuple:
     return tuple(Expr.const(1) if k == idx else ZERO for k in range(dim))
 
 
-def _rotation_specs(reg: JetRegistry, i: int, j: int):
+def rotation_specs(reg: JetRegistry, i: int, j: int):
     """(naive, tensorial) rotation generators in the x_i-x_j plane."""
     dim = reg.dim
     omega = [[Fraction(0)] * dim for _ in range(dim)]
@@ -84,7 +84,7 @@ def build_catalog(dim: int, reg: JetRegistry) -> tuple:
     entries = []
 
     def add(name, kind, spec):
-        entries.append(CatalogEntry(name, kind, spec, has_closed_form(reg, name)))
+        entries.append(CatalogEntry(name, kind, spec, kind == KIND_VERIFIED))
 
     add("X0", KIND_VERIFIED, make_generator(reg, xi_t=1))
     for i in rng:
@@ -114,7 +114,7 @@ def build_catalog(dim: int, reg: JetRegistry) -> tuple:
         mu_g=Expr.of(reg.g)))
 
     planes = [(i, j) for i in rng for j in rng if i < j]
-    rotations = [(pair, _rotation_specs(reg, *pair)) for pair in planes]
+    rotations = [(pair, rotation_specs(reg, *pair)) for pair in planes]
     for (i, j), (naive, _) in rotations:
         add(f"J{i}{j}_naive", KIND_CANDIDATE, naive)
     for (i, j), (_, tensorial) in rotations:

@@ -14,7 +14,8 @@ from fractions import Fraction
 
 from . import report
 from .catalog import build_catalog, find_entry, verified_entries
-from .determining import check_entry, determining_equations, verify
+from .determining import (check_entry, determining_equations, finite_check,
+                          verify)
 from .dsl import (DslSyntaxError, UnknownCoordinateError, parse_generator,
                   print_generator)
 from .expr import ExprError
@@ -200,8 +201,11 @@ def _cmd_transform(args) -> int:
             param = Fraction(args.param)
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"--param must be an exact rational, got {args.param!r}")
-    ft = exponentiate(reg, args.gen, param)
-    from .determining import finite_check
+    selected = _select_generators(args, reg, build_catalog(args.dim, reg))
+    if len(selected) != 1:
+        raise ValueError(f"transform needs exactly one generator, "
+                         f"got {len(selected)} from {args.gen}")
+    ft = exponentiate(reg, selected[0][2], param)
     result = finite_check(system, ft)
     payload = report.skeleton("transform", args.dim)
     payload["generator"] = args.gen

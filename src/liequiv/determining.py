@@ -11,8 +11,8 @@ coefficients.
 
 A generator is an equivalence symmetry exactly when every split coefficient
 is the zero expression; the first nonzero entry in canonical order is kept
-as a witness.  For families with a closed-form flow the same statement is
-cross-checked finitely: the pullback of each equation must equal a nonzero
+as a witness.  For catalog entries with a closed-form flow the same statement
+is cross-checked finitely: the pullback of each equation must equal a nonzero
 factor, constant over the space, times the equation.
 """
 
@@ -23,7 +23,8 @@ from fractions import Fraction
 
 from .expr import (Expr, ZERO, atoms_of, collect, evaluate, is_unknown,
                    is_zero)
-from .flows import SCALE, SCALE_INV, FiniteTransformation, reduce_scale
+from .flows import (SCALE, SCALE_INV, FiniteTransformation, exponentiate,
+                    reduce_scale)
 from .generators import GeneratorSpec, apply_with_trace, prolong
 from .jets import JetRegistry
 from .linsolve import solve_linear
@@ -172,11 +173,10 @@ def finite_check(system: BalanceSystem, ft: FiniteTransformation) -> FiniteCheck
 def check_entry(system: BalanceSystem, entry) -> Verdict:
     """Infinitesimal verdict plus, when a closed-form flow exists, the finite
     cross-check and the agreement flag between the two routes."""
-    from .flows import exponentiate
     base = verify(system, entry.spec, entry.name)
     if not entry.has_flow:
         return base
-    ft = exponentiate(system.registry, entry.name)
+    ft = exponentiate(system.registry, entry.spec)
     fin = finite_check(system, ft)
     return Verdict(base.generator, base.zero, base.equations, fin,
                    base.zero == fin.passed)

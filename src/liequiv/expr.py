@@ -29,7 +29,8 @@ callers that need a denominator clear it explicitly.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import itemgetter
+from functools import reduce
+from operator import itemgetter, mul
 from typing import Iterable, Mapping
 
 COORD = "coord"
@@ -413,16 +414,13 @@ def replace_atoms(e, mapping: Mapping[Atom, object]) -> Expr:
 
     def pieces():
         for mono, c in as_expr(e).terms:
-            image = ONE
-            plain = []
-            for a, k in mono.factors:
-                b = table.get(a)
-                if b is None:
-                    plain.append((a, k))
-                else:
-                    image = image * b ** k
-            rest = Monomial(plain)
-            for m, cc in image.terms:
+            hit = [table[a] for a, k in mono.factors if a in table
+                   for _ in range(k)]
+            if not hit:
+                yield mono, c
+                continue
+            rest = Monomial((a, k) for a, k in mono.factors if a not in table)
+            for m, cc in reduce(mul, hit).terms:
                 yield m * rest, c * cc
     return Expr(pieces())
 

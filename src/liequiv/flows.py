@@ -1,46 +1,43 @@
-"""Closed-form one-parameter motions for the built-in generator families.
+"""Finite transformations derived from the prolonged field.
 
-Every built-in family with a closed form moves each coordinate as
+``exponentiate`` prolongs a generator X once and walks every registered
+coordinate c: X(c) = k*c with an integer k scales it, c -> exp(a)^k * c;
+any other coordinate is shifted by its Lie series (Olver, Applications of
+Lie Groups to Differential Equations, sections 1.3 and 2.3)
 
-    c  ->  exp(a)^d(c) * c + shift_c(a, coords)
+    exp(aX) c = c + sum_{n >= 1} a^n/n! X^n(c),
 
-with an integer exponent d(c) and a shift polynomial in the group parameter
-``a``; the scale factor is carried symbolically through the reserved atoms
-``exp(a)`` and ``exp(-a)``, which cancel pairwise inside monomials.  The
-induced motion of the stress-derivative coordinates Pi^{ij}_{kl} is encoded
-from the chain rule through the Pi and gradient-jet maps, never stored
-independently of them.
+which must end within len(space) + 1 terms, each affine in the coordinates.
+A coordinate without a prolonged action (u_tx when xi^t depends on more than
+t) or a series that breaks either rule raises NoClosedFormError naming the
+coordinate.  The scale factors are carried symbolically through the
+reserved atoms ``exp(a)`` and ``exp(-a)``, which cancel pairwise inside
+monomials.
 
 Rotation candidates have no closed form in this exact-rational carrier
-(their flows need cos/sin); they are still covered by ``numeric_flow``,
-which realizes the fully prolonged motion pointwise for floating parameter
-values and backs the finite-difference cross-checks.
+(their flows need cos/sin); ``numeric_flow`` realizes their fully prolonged
+motion pointwise with a hand-written rotation, the independent oracle of
+the finite-difference cross-checks.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 
+from .catalog import rotation_specs
 from .expr import (Atom, Expr, Monomial, ZERO, ONE, as_expr, atoms_of,
-                   coordinate, evaluate, is_zero, replace_atoms)
+                   coordinate, evaluate, is_unknown, is_zero, replace_atoms)
+from .generators import GeneratorSpec, apply_with_trace, prolong
 from .jets import JetRegistry
 
 PARAM = coordinate("a")
 SCALE = coordinate("exp(a)")
 SCALE_INV = coordinate("exp(-a)")
 
-_FAMILY_NAME = re.compile(r"([XY])(\d)|S|T|Z1|Z2")
-_ROTATION_NAME = re.compile(r"^J(\d)(\d)_(naive|tensorial)$")
-
 
 class NoClosedFormError(Exception):
-    """The named generator has no closed-form flow in the exact carrier."""
-
-
-class SingularTransformationError(Exception):
-    """A coordinate map failed to stay invertible."""
+    """The generator has no closed-form flow in the exact carrier."""
 
 
 def scale_power(d: int) -> Expr:
@@ -65,43 +62,36 @@ def _cancel_scale(mono: Monomial) -> Monomial:
 
 
 class FiniteTransformation:
-    """Closed-form group motion of every registered coordinate."""
+    """Closed-form group motion of every registered coordinate.
 
-    def __init__(self, reg: JetRegistry, name: str, scale: dict, shift: dict):
+    Each coordinate is scaled, c -> exp(a)^scale[c] * c, or shifted,
+    c -> c + shift[c], never both; the image table of the moved coordinates
+    is built once, in registry order.
+    """
+
+    def __init__(self, reg: JetRegistry, scale: dict, shift: dict):
         self.registry = reg
-        self.name = name
         self.scale = dict(scale)
         self.shift = {a: as_expr(v) for a, v in shift.items()}
-        for a in self.scale:
-            if self.scale[a] and not is_zero(self.shift.get(a, ZERO)):
-                raise SingularTransformationError(
-                    f"{name}: {a.name} carries both a scale and a shift")
+        self._images = {}
+        for a in reg.space_atoms():
+            if a in self.scale or a in self.shift:
+                img = scale_power(self.scale.get(a, 0)) * a + self.shift.get(a, ZERO)
+                if img != Expr.of(a):
+                    self._images[a] = img
 
     def image(self, a: Atom) -> Expr:
         """The transformed coordinate as an expression over the space plus
         the parameter and scale atoms."""
-        d = self.scale.get(a, 0)
-        out = scale_power(d) * a
-        sh = self.shift.get(a)
-        if sh is not None:
-            out = out + sh
-        return out
+        return self._images.get(a, Expr.of(a))
 
     def images(self) -> tuple:
         """(coordinate, image) pairs for every non-identity coordinate map."""
-        moved = []
-        for a in self.registry.space_atoms():
-            img = self.image(a)
-            if img != Expr.of(a):
-                moved.append((a, img))
-        return tuple(moved)
+        return tuple(self._images.items())
 
     def transform(self, e) -> Expr:
         """Pull an expression through the coordinate maps, scale-reduced."""
-        e = as_expr(e)
-        table = {a: self.image(a) for a in atoms_of(e)
-                 if self.registry.has_name(a.name)}
-        return reduce_scale(replace_atoms(e, table))
+        return reduce_scale(replace_atoms(e, self._images))
 
     def with_parameter(self, value) -> "FiniteTransformation":
         """Shift parts evaluated at an exact rational parameter value; the
@@ -109,90 +99,68 @@ class FiniteTransformation:
         value = Fraction(value)
         shift = {a: replace_atoms(v, {PARAM: Expr.const(value)})
                  for a, v in self.shift.items()}
-        return FiniteTransformation(self.registry, self.name, self.scale, shift)
+        return FiniteTransformation(self.registry, self.scale, shift)
 
 
-def _family(reg: JetRegistry, name: str):
-    """(family, index) of a built-in closed-form family name, or None."""
-    m = _FAMILY_NAME.fullmatch(name)
-    if m is None:
-        return None
-    if m.group(1) is None:
-        return name, 0
-    i = int(m.group(2))
-    lowest = 0 if m.group(1) == "X" else 1
-    return (m.group(1), i) if lowest <= i <= reg.dim else None
+_NO_FLOW = "no closed-form flow in the exact carrier"
 
 
-def _recipe(reg: JetRegistry, family: str, i: int):
-    """(scale, shift) dicts for a family resolved by ``_family``."""
-    rng = range(1, reg.dim + 1)
-    a = Expr.of(PARAM)
-
-    if family == "X":
-        return {}, {reg.independents[i]: a}
-    if family == "S":
-        return {}, {reg.p: a}
-    if family == "Y":
-        shift = {reg.x[i - 1]: a * reg.t, reg.u[i - 1]: a}
-        for k in rng:
-            shift[reg.u_t[k - 1]] = -a * reg.u_x[(k, i)]
-        shift[reg.p_t] = -a * reg.p_x[i - 1]
-        shift[reg.rho_t] = -a * reg.rho_x[i - 1]
-        for k in rng:
-            for l in rng:
-                pair = (min(i, l), max(i, l))
-                shift[reg.u_tx[(k, l)]] = -a * reg.u_xx[(k,) + pair]
-        return {}, shift
-    if family == "T":
-        shift = {reg.pi[(k, k)]: a for k in rng}
-        shift[reg.g] = -a * reg.h
-        return {}, shift
-    if family == "Z1":
-        scale = {}
-        for i in rng:
-            scale[reg.x[i - 1]] = 1
-            scale[reg.u[i - 1]] = 1
-            scale[reg.u_t[i - 1]] = 1
-            scale[reg.p_x[i - 1]] = 1
-            scale[reg.rho_x[i - 1]] = -1
-        scale[reg.p] = 2
-        scale[reg.p_t] = 2
-        for key in reg.u_xx:
-            scale[reg.u_xx[key]] = -1
-        for key in reg.pi:
-            scale[reg.pi[key]] = 2
-        for key in reg.pi_d:
-            scale[reg.pi_d[key]] = 2
-        scale[reg.g] = 2
-        return scale, {}
-    # Z2
-    scale = {reg.rho: 1, reg.p: 1, reg.p_t: 1, reg.rho_t: 1, reg.g: 1}
-    for i in rng:
-        scale[reg.p_x[i - 1]] = 1
-        scale[reg.rho_x[i - 1]] = 1
-    for key in reg.pi:
-        scale[reg.pi[key]] = 1
-    for key in reg.pi_d:
-        scale[reg.pi_d[key]] = 1
-    return scale, {}
+def _weight(xc: Expr, c: Atom):
+    """k when X(c) = k*c for an integer k, else None."""
+    if is_zero(xc):
+        return 0
+    if len(xc.terms) == 1:
+        mono, k = xc.terms[0]
+        if mono.factors == ((c, 1),) and k.denominator == 1:
+            return int(k)
+    return None
 
 
-def has_closed_form(reg: JetRegistry, name: str) -> bool:
-    return _family(reg, name) is not None
+def _is_affine(e: Expr) -> bool:
+    return all(sum(k for a, k in mono.factors if not is_unknown(a)) <= 1
+               for mono, _ in e.terms)
 
 
-def exponentiate(reg: JetRegistry, name: str, param=None) -> FiniteTransformation:
-    """Finite transformation of a built-in family; ``param`` optionally binds
-    the shift parameter to an exact rational."""
-    family = _family(reg, name)
-    if family is None:
-        raise NoClosedFormError(
-            f"no closed-form flow in the exact carrier for {name}")
-    ft = FiniteTransformation(reg, name, *_recipe(reg, *family))
-    if param is not None:
-        ft = ft.with_parameter(param)
-    return ft
+def _lie_series(reg: JetRegistry, pg, c: Atom, bound: int) -> Expr:
+    """sum_{n >= 1} a^n/n! X^n(c), required to end within ``bound`` terms
+    (X^0(c) = c included), each affine in the coordinates."""
+    shift, term, power = ZERO, pg.coefficient(c), Expr.of(PARAM)
+    for n in range(1, bound + 1):
+        if is_zero(term):
+            return shift
+        if n == bound:
+            break
+        if not _is_affine(term):
+            raise NoClosedFormError(
+                f"{_NO_FLOW}: the Lie series of {c.name} leaves the affine "
+                f"terms at order {n}")
+        shift = shift + power * term
+        term = apply_with_trace(reg, pg, term)[0] / (n + 1)
+        power = power * PARAM
+    raise NoClosedFormError(
+        f"{_NO_FLOW}: the Lie series of {c.name} does not end within "
+        f"{bound} terms")
+
+
+def exponentiate(reg: JetRegistry, g: GeneratorSpec,
+                 param=None) -> FiniteTransformation:
+    """The flow exp(aX) of a generator, derived from its prolonged field;
+    ``param`` optionally binds the group parameter to an exact rational."""
+    pg = prolong(reg, g)
+    space = reg.space_atoms()
+    for c in space:
+        if pg.coefficient(c) is None:
+            raise NoClosedFormError(
+                f"{_NO_FLOW}: the prolonged field gives {c.name} no action")
+    scale, shift = {}, {}
+    for c in space:
+        k = _weight(pg.coefficient(c), c)
+        if k is None:
+            shift[c] = _lie_series(reg, pg, c, len(space) + 1)
+        elif k:
+            scale[c] = k
+    ft = FiniteTransformation(reg, scale, shift)
+    return ft if param is None else ft.with_parameter(param)
 
 
 def identity_at_zero(ft: FiniteTransformation) -> bool:
@@ -230,7 +198,7 @@ def composition_is_additive(ft: FiniteTransformation) -> bool:
 # -- pointwise numeric flows ----------------------------------------------
 
 
-def _numeric_from_recipe(reg: JetRegistry, ft: FiniteTransformation):
+def _numeric_closed_form(reg: JetRegistry, ft: FiniteTransformation):
     def flow(point: dict, a: float) -> dict:
         bind = dict(point)
         bind[PARAM] = a
@@ -313,13 +281,17 @@ def _numeric_rotation(reg: JetRegistry, i: int, j: int, tensorial: bool):
     return flow
 
 
-def numeric_flow(reg: JetRegistry, name: str):
-    """Pointwise prolonged flow for any catalog entry, or None."""
-    if has_closed_form(reg, name):
-        return _numeric_from_recipe(reg, exponentiate(reg, name))
-    m = _ROTATION_NAME.match(name)
-    if m:
-        i, j = int(m.group(1)), int(m.group(2))
-        if 1 <= i < j <= reg.dim:
-            return _numeric_rotation(reg, i, j, m.group(3) == "tensorial")
+def numeric_flow(reg: JetRegistry, g: GeneratorSpec):
+    """Pointwise prolonged flow of ``g``: the closed form when
+    ``exponentiate`` finds one, the hand-written flow of a rotation
+    candidate, else None."""
+    try:
+        return _numeric_closed_form(reg, exponentiate(reg, g))
+    except NoClosedFormError:
+        pass
+    for i in range(1, reg.dim + 1):
+        for j in range(i + 1, reg.dim + 1):
+            naive, tensorial = rotation_specs(reg, i, j)
+            if g in (naive, tensorial):
+                return _numeric_rotation(reg, i, j, g == tensorial)
     return None

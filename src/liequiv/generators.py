@@ -10,8 +10,8 @@ restricted to the classical ansatz: xi and eta coefficients live on
 gradient jets and the Pi components; mu^G and mu^H live on (p, rho, G, H).
 Opaque ``?name`` constants are admitted everywhere for ansatz exploration.
 
-Prolongation extends the field to the first-order jets, the spatial
-second-order velocity jets, and the stress-derivative coordinates:
+Prolongation extends the field to the first-order jets, the second-order
+velocity jets, and the stress-derivative coordinates:
 
     zeta^a_w    = D_w(eta^a) - sum_v D_w(xi^v) a_v
     zeta^a_wv   = D_v(zeta^a_w) - sum_z D_v(xi^z) a_wz
@@ -20,7 +20,9 @@ second-order velocity jets, and the stress-derivative coordinates:
 where D_w is the registered total derivative and Dt_kl is the total
 derivative in the element-argument space, realized by the chaining partial
 by u^r_{x^s} (constant on everything that is not a gradient jet or a Pi
-component).
+component).  The mixed jets u_tx take the second formula with w = t and
+v = x_l; its D_{x_l}(xi^t) u_tt term needs the unregistered u_tt, so u_tx
+has a coefficient only for generators whose xi^t depends on t alone.
 
 The directional action of a prolonged field (``apply_with_trace``) treats
 every coordinate of the extended space as independent, as a vector field
@@ -162,10 +164,10 @@ class ProlongedGenerator:
     """A generator together with all prolonged coefficients.
 
     ``coefficient(atom)`` covers the base directions, the first-order jets,
-    the spatial second-order velocity jets and the stress-derivative
-    coordinates; those maps are exposed as ``zeta1``, ``zeta2`` and
-    ``mu_d`` for inspection.  ``first_order_field`` builds one with
-    ``zeta2`` and ``mu_d`` empty.
+    the second-order velocity jets (``u_tx`` only when every D_x(xi^t) is
+    zero) and the stress-derivative coordinates; those maps are exposed as
+    ``zeta1``, ``zeta2`` and ``mu_d`` for inspection.  ``first_order_field``
+    builds one with ``zeta2`` and ``mu_d`` empty.
     """
 
     def __init__(self, reg: JetRegistry, base: GeneratorSpec,
@@ -220,17 +222,20 @@ def prolong(reg: JetRegistry, g: GeneratorSpec) -> ProlongedGenerator:
     dirs = reg.independents
     zeta1, d_xi = first_jet_coefficients(reg, g)
 
-    zeta2 = {}
-    for k in range(1, reg.dim + 1):
-        for l in range(1, reg.dim + 1):
-            for j in range(l, reg.dim + 1):
-                first = zeta1[reg.u_x[(k, l)]]
-                val = total_derivative(first, reg.x[j - 1], reg)
-                for v in dirs:
-                    d = d_xi.get((v, reg.x[j - 1]))
-                    if d is not None:
-                        val = val - d * reg.advance(reg.u_x[(k, l)], v)
-                zeta2[reg.u_xx[(k, l, j)]] = val
+    def second(jet, w):
+        val = total_derivative(zeta1[jet], w, reg)
+        for v in dirs:
+            d = d_xi.get((v, w))
+            if d is not None:
+                val = val - d * reg.advance(jet, v)
+        return val
+
+    zeta2 = {a: second(reg.u_x[(k, l)], reg.x[j - 1])
+             for (k, l, j), a in sorted(reg.u_xx.items())}
+    # the D_x(xi^t) u_tt term of zeta^u_tx needs the unregistered u_tt
+    if not any((reg.t, w) in d_xi for w in reg.x):
+        zeta2.update((a, second(reg.u_t[k - 1], reg.x[l - 1]))
+                     for (k, l), a in sorted(reg.u_tx.items()))
 
     mu_d = {}
     pairs = reg.pi_pairs()

@@ -154,7 +154,7 @@ def test_acceptance_7_prolongation_matches_flows(spaces):
     for dim in (1, 2, 3):
         reg = spaces[dim].reg
         for entry in spaces[dim].catalog:
-            flow = numeric_flow(reg, entry.name)
+            flow = numeric_flow(reg, entry.spec)
             ok = ok and flow is not None
             if flow is None:
                 continue

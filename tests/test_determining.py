@@ -167,9 +167,14 @@ def test_solve_unknowns_rejects_nonlinear(spaces):
             solve_unknowns(d)
 
 
+def _flow(spaces, dim, name):
+    return exponentiate(spaces[dim].reg,
+                        find_entry(spaces[dim].catalog, name).spec)
+
+
 def test_finite_check_translation_factors(spaces):
     system = spaces[3].system
-    fc = finite_check(system, exponentiate(spaces[3].reg, "X1"))
+    fc = finite_check(system, _flow(spaces, 3, "X1"))
     assert fc.passed
     assert all(f.factor == "1" for f in fc.factors)
 
@@ -177,7 +182,7 @@ def test_finite_check_translation_factors(spaces):
 def test_finite_check_scaling_factors(spaces):
     for dim in (1, 2, 3):
         system = spaces[dim].system
-        fc = finite_check(system, exponentiate(spaces[dim].reg, "Z1"))
+        fc = finite_check(system, _flow(spaces, dim, "Z1"))
         assert fc.passed
         factors = {f.equation: f.factor for f in fc.factors}
         assert factors["mass"] == "1"
@@ -185,7 +190,7 @@ def test_finite_check_scaling_factors(spaces):
             assert factors[f"momentum_{i}"] == "exp(a)"
         assert factors["pressure"] == "exp(2*a)"
 
-        fc2 = finite_check(system, exponentiate(spaces[dim].reg, "Z2"))
+        fc2 = finite_check(system, _flow(spaces, dim, "Z2"))
         assert fc2.passed
         assert all(f.factor == "exp(a)" for f in fc2.factors)
 
@@ -193,7 +198,7 @@ def test_finite_check_scaling_factors(spaces):
 def test_finite_check_trace_shift(spaces):
     # relies on Phi -> Phi + a*div(u) cancelling against G -> G - a*H
     system = spaces[2].system
-    fc = finite_check(system, exponentiate(spaces[2].reg, "T"))
+    fc = finite_check(system, _flow(spaces, 2, "T"))
     assert fc.passed
     assert all(f.factor == "1" for f in fc.factors)
 

@@ -1,22 +1,97 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liequiv import flows
-from liequiv.catalog import build_catalog, verified_entries
+from liequiv.catalog import build_catalog, find_entry, verified_entries
+from liequiv.cli import main
+from liequiv.determining import finite_check
 from liequiv.expr import Expr, evaluate
 from liequiv.flows import (PARAM, SCALE, SCALE_INV, NoClosedFormError,
                            composition_is_additive, exponentiate,
-                           has_closed_form, identity_at_zero, numeric_flow,
-                           reduce_scale)
-from liequiv.generators import prolong
+                           identity_at_zero, numeric_flow, reduce_scale,
+                           scale_power)
+from liequiv.generators import combine, make_generator, prolong
+
+
+def _flow(spaces, dim, name, param=None):
+    return exponentiate(spaces[dim].reg,
+                        find_entry(spaces[dim].catalog, name).spec, param)
+
+
+def _dilation(reg):
+    """D = t*d/dt + sum_i x_i*d/dx_i, outside the catalog."""
+    return make_generator(reg, xi_t=Expr.of(reg.t),
+                          xi_x=tuple(Expr.of(a) for a in reg.x))
+
+
+def reference_images(reg, name):
+    """Hand-derived coordinate -> image table of a verified family, written
+    out family by family; the oracle for the flows derived from the
+    prolonged field.  Unlisted coordinates are fixed."""
+    rng = range(1, reg.dim + 1)
+    a = Expr.of(PARAM)
+    family, index = name[0], name[1:]
+    if name == "S":
+        return {reg.p: reg.p + a}
+    if family == "X":
+        c = reg.independents[int(index)]
+        return {c: c + a}
+    if family == "Y":
+        i = int(index)
+        out = {reg.x[i - 1]: reg.x[i - 1] + a * reg.t,
+               reg.u[i - 1]: reg.u[i - 1] + a,
+               reg.p_t: reg.p_t - a * reg.p_x[i - 1],
+               reg.rho_t: reg.rho_t - a * reg.rho_x[i - 1]}
+        for k in rng:
+            out[reg.u_t[k - 1]] = reg.u_t[k - 1] - a * reg.u_x[(k, i)]
+            for l in rng:
+                pair = (min(i, l), max(i, l))
+                out[reg.u_tx[(k, l)]] = (reg.u_tx[(k, l)]
+                                         - a * reg.u_xx[(k,) + pair])
+        return out
+    if name == "T":
+        out = {reg.pi[(k, k)]: reg.pi[(k, k)] + a for k in rng}
+        out[reg.g] = reg.g - a * reg.h
+        return out
+    if name == "Z1":
+        weights = {reg.p: 2, reg.p_t: 2, reg.g: 2}
+        for i in rng:
+            for c in (reg.x[i - 1], reg.u[i - 1], reg.u_t[i - 1],
+                      reg.p_x[i - 1]):
+                weights[c] = 1
+            weights[reg.rho_x[i - 1]] = -1
+        weights.update((c, -1) for c in reg.u_xx.values())
+        weights.update((c, 2) for c in reg.pi.values())
+        weights.update((c, 2) for c in reg.pi_d.values())
+    else:
+        assert name == "Z2"
+        weights = {c: 1 for c in (reg.rho, reg.p, reg.p_t, reg.rho_t, reg.g)}
+        weights.update((c, 1) for c in reg.p_x + reg.rho_x)
+        weights.update((c, 1) for c in reg.pi.values())
+        weights.update((c, 1) for c in reg.pi_d.values())
+    return {c: scale_power(k) * c for c, k in weights.items()}
+
+
+def test_exponentiate_matches_reference_tables(spaces):
+    for dim in (1, 2, 3):
+        reg = spaces[dim].reg
+        for entry in verified_entries(spaces[dim].catalog):
+            ft = exponentiate(reg, entry.spec)
+            want = reference_images(reg, entry.name)
+            for c in reg.space_atoms():
+                assert ft.image(c) == want.get(c, Expr.of(c)), (entry.name, c)
+            assert dict(ft.images()) == want, entry.name
 
 
 def test_time_translation(spaces):
     reg = spaces[1].reg
-    ft = exponentiate(reg, "X0")
+    ft = _flow(spaces, 1, "X0")
     assert ft.image(reg.t) == reg.t + PARAM
     moved = dict(ft.images())
     assert set(moved) == {reg.t}
@@ -24,17 +99,19 @@ def test_time_translation(spaces):
 
 def test_boost_maps(spaces):
     reg = spaces[2].reg
-    ft = exponentiate(reg, "Y1")
+    ft = _flow(spaces, 2, "Y1")
     assert ft.image(reg.x[0]) == reg.x[0] + PARAM * reg.t
     assert ft.image(reg.u[0]) == reg.u[0] + PARAM
     assert ft.image(reg.u_t[1]) == reg.u_t[1] - PARAM * reg.u_x[(2, 1)]
     assert ft.image(reg.p_t) == reg.p_t - PARAM * reg.p_x[0]
     assert ft.image(reg.u_x[(1, 1)]) == Expr.of(reg.u_x[(1, 1)])
+    assert ft.image(reg.u_tx[(2, 2)]) == (reg.u_tx[(2, 2)]
+                                          - PARAM * reg.u_xx[(2, 1, 2)])
 
 
 def test_density_scaling_maps(spaces):
     reg = spaces[2].reg
-    ft = exponentiate(reg, "Z2")
+    ft = _flow(spaces, 2, "Z2")
     e = Expr.of(SCALE)
     assert ft.image(reg.rho) == e * reg.rho
     assert ft.image(reg.p) == e * reg.p
@@ -47,7 +124,7 @@ def test_density_scaling_maps(spaces):
 
 def test_space_scaling_has_inverse_weights(spaces):
     reg = spaces[1].reg
-    ft = exponentiate(reg, "Z1")
+    ft = _flow(spaces, 1, "Z1")
     assert ft.image(reg.rho_x[0]) == SCALE_INV * reg.rho_x[0]
     assert ft.image(reg.u_xx[(1, 1, 1)]) == SCALE_INV * reg.u_xx[(1, 1, 1)]
     assert ft.image(reg.p) == SCALE ** 2 * reg.p
@@ -55,7 +132,7 @@ def test_space_scaling_has_inverse_weights(spaces):
 
 def test_trace_shift_maps(spaces):
     reg = spaces[3].reg
-    ft = exponentiate(reg, "T")
+    ft = _flow(spaces, 3, "T")
     for k in (1, 2, 3):
         assert ft.image(reg.pi[(k, k)]) == reg.pi[(k, k)] + PARAM
     assert ft.image(reg.pi[(1, 2)]) == Expr.of(reg.pi[(1, 2)])
@@ -63,45 +140,139 @@ def test_trace_shift_maps(spaces):
     assert ft.image(reg.pi_d[(1, 1, 1, 1)]) == Expr.of(reg.pi_d[(1, 1, 1, 1)])
 
 
+def test_dilation_flow(spaces):
+    for dim in (1, 2, 3):
+        reg = spaces[dim].reg
+        ft = exponentiate(reg, _dilation(reg))
+        assert ft.image(reg.t) == SCALE * reg.t
+        assert ft.image(reg.u_t[0]) == SCALE_INV * reg.u_t[0]
+        assert ft.image(reg.u_tx[(1, 1)]) == SCALE_INV ** 2 * reg.u_tx[(1, 1)]
+        assert ft.image(reg.pi_d[(1, 1, 1, 1)]) == SCALE * reg.pi_d[(1, 1, 1, 1)]
+        fc = finite_check(spaces[dim].system, ft)
+        assert fc.passed
+        assert all(f.factor == "exp(-a)" for f in fc.factors)
+
+
 def test_no_closed_form(spaces):
     reg = spaces[2].reg
-    with pytest.raises(NoClosedFormError):
-        exponentiate(reg, "J12_naive")
-    with pytest.raises(NoClosedFormError):
-        exponentiate(reg, "Q7")
+    rotation = find_entry(spaces[2].catalog, "J12_naive").spec
+    with pytest.raises(NoClosedFormError, match="Lie series of x1 does not end"):
+        exponentiate(reg, rotation)
+    # u_tx has no action once xi^t depends on x
+    with pytest.raises(NoClosedFormError, match="gives u1_tx1 no action"):
+        exponentiate(reg, make_generator(reg, xi_t=Expr.of(reg.x[0])))
+    with pytest.raises(NoClosedFormError, match="affine"):
+        exponentiate(reg, make_generator(reg, xi_x=(reg.x[0] * reg.x[0], 0)))
+    # weights must be integers: exp(a/2) is outside the carrier
+    half = combine(reg, [(Fraction(1, 2), find_entry(spaces[2].catalog, "Z2").spec)])
+    with pytest.raises(NoClosedFormError, match="Lie series of p does not end"):
+        exponentiate(reg, half)
 
 
-def test_closed_form_names(spaces):
-    reg = spaces[2].reg
+def test_closed_form_names(capsys):
     named = ["X0", "X1", "X2", "S", "Y1", "Y2", "T", "Z1", "Z2"]
-    assert [n for n in named if not has_closed_form(reg, n)] == []
-    unnamed = ["X3", "Y0", "Y3", "Z3", "X12", "x1", "X1\n", " S", "J12_naive", ""]
-    assert [n for n in unnamed if has_closed_form(reg, n)] == []
+    for n in named:
+        assert main(["transform", "--dim", "2", "--gen", n]) == 0, n
+    capsys.readouterr()
+    unnamed = ["X3", "Y0", "Y3", "Z3", "X12", "x1", "X1\n", " S", ""]
+    for n in unnamed:
+        assert main(["transform", "--dim", "2", "--gen", n]) == 2, n
+        assert "unknown generator selector" in capsys.readouterr().err, n
+    assert main(["transform", "--dim", "2", "--gen", "J12_naive"]) == 2
+    assert "Lie series of x1" in capsys.readouterr().err
+    assert main(["transform", "--dim", "2", "--gen", "all-theorem"]) == 2
+    assert "exactly one generator" in capsys.readouterr().err
 
 
-def test_only_exponentiate_builds_a_recipe(spaces, monkeypatch):
-    built = []
-    original = flows._recipe
+def test_transform_takes_any_selector(capsys, tmp_path):
+    for dim in (1, 2, 3):
+        dsl = " + ".join(["t*d/dt"] + [f"x{i}*d/dx{i}" for i in range(1, dim + 1)])
+        path = tmp_path / f"dilation{dim}.dsl"
+        path.write_text(f"D = {dsl}\n", encoding="utf-8")
+        outs = []
+        for sel in (dsl, f"@{path}"):
+            assert main(["transform", "--dim", str(dim), "--gen", sel]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0].replace(dsl, f"@{path}") == outs[1]
+        factors = [line for line in outs[0].splitlines() if ": factor " in line]
+        assert len(factors) == dim + 2
+        assert all(line.endswith(": factor exp(-a)") for line in factors)
+    path = tmp_path / "two.dsl"
+    path.write_text("d/dt\nd/dp\n", encoding="utf-8")
+    assert main(["transform", "--dim", "1", "--gen", f"@{path}"]) == 2
+    assert "exactly one generator, got 2" in capsys.readouterr().err
 
-    def counting(*args):
-        built.append(args[1:])
-        return original(*args)
 
-    monkeypatch.setattr(flows, "_recipe", counting)
+def test_non_affine_series_fails_fast(capsys):
+    gen = ("x1*u1*d/dx1 + x2*u3*d/du1 + x1*x3*d/dx2 + u2*u1*d/dx3 "
+           "+ x1*d/du3")
+    t0 = time.monotonic()
+    code = main(["transform", "--dim", "3", "--gen", gen])
+    elapsed = time.monotonic() - t0
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "no closed-form flow" in err
+    assert elapsed < 1.0
+
+
+def test_build_catalog_prolongs_nothing(spaces, monkeypatch):
+    prolonged = []
+    original = flows.prolong
+
+    def counting(reg, g):
+        prolonged.append(g)
+        return original(reg, g)
+
+    monkeypatch.setattr(flows, "prolong", counting)
     reg = spaces[3].reg
-    build_catalog(3, reg)
-    assert built == []
-    numeric_flow(reg, "Y2")
-    assert built == [("Y", 2)]
+    catalog = build_catalog(3, reg)
+    assert prolonged == []
+    y2 = find_entry(catalog, "Y2").spec
+    numeric_flow(reg, y2)
+    assert prolonged == [y2]
 
 
 def test_identity_at_zero_and_composition(spaces):
     for dim in (1, 2, 3):
         reg = spaces[dim].reg
         for entry in verified_entries(spaces[dim].catalog):
-            ft = exponentiate(reg, entry.name)
+            ft = exponentiate(reg, entry.spec)
             assert identity_at_zero(ft), entry.name
             assert composition_is_additive(ft), entry.name
+
+
+@st.composite
+def algebra_elements(draw):
+    """(dim, [(coefficient, name), ...]): a rational combination of the
+    translations, boosts, S and T, or an integer combination of Z1, Z2 and
+    the dilation D."""
+    dim = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        rng = range(1, dim + 1)
+        pool = (["X0", "S", "T"] + [f"X{i}" for i in rng]
+                + [f"Y{i}" for i in rng])
+        coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    else:
+        pool = ["Z1", "Z2", "D"]
+        coeff = st.integers(-2, 2)
+    picked = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4,
+                           unique=True))
+    return dim, [(draw(coeff), name) for name in picked]
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(algebra_elements())
+def test_combinations_have_flows_that_preserve_the_system(spaces, element):
+    dim, parts = element
+    reg = spaces[dim].reg
+    g = combine(reg, [
+        (c, _dilation(reg) if name == "D"
+         else find_entry(spaces[dim].catalog, name).spec)
+        for c, name in parts])
+    ft = exponentiate(reg, g)
+    assert identity_at_zero(ft)
+    assert composition_is_additive(ft)
+    assert finite_check(spaces[dim].system, ft).passed
 
 
 def test_reduce_scale():
@@ -113,9 +284,9 @@ def test_reduce_scale():
 
 def test_with_parameter(spaces):
     reg = spaces[1].reg
-    ft = exponentiate(reg, "X0", param=Fraction(3, 2))
+    ft = _flow(spaces, 1, "X0", param=Fraction(3, 2))
     assert ft.image(reg.t) == reg.t + Fraction(3, 2)
-    ft2 = exponentiate(reg, "Y1").with_parameter(2)
+    ft2 = _flow(spaces, 1, "Y1").with_parameter(2)
     assert ft2.image(reg.x[0]) == reg.x[0] + 2 * reg.t
 
 
@@ -123,13 +294,15 @@ def test_numeric_flow_exists_for_every_entry(spaces):
     for dim in (1, 2, 3):
         reg = spaces[dim].reg
         for entry in spaces[dim].catalog:
-            assert numeric_flow(reg, entry.name) is not None, entry.name
-    assert numeric_flow(spaces[2].reg, "nope") is None
+            assert numeric_flow(reg, entry.spec) is not None, entry.name
+        assert numeric_flow(reg, _dilation(reg)) is not None
+    reg = spaces[2].reg
+    assert numeric_flow(reg, make_generator(reg, xi_t=Expr.of(reg.x[0]))) is None
 
 
 def test_numeric_rotation_is_a_rotation(spaces):
     reg = spaces[2].reg
-    flow = numeric_flow(reg, "J12_naive")
+    flow = numeric_flow(reg, find_entry(spaces[2].catalog, "J12_naive").spec)
     rnd = random.Random(1)
     point = {a: rnd.uniform(0.5, 1.5) for a in reg.space_atoms()}
     a = 0.3
@@ -150,15 +323,16 @@ def _richardson(flow, point, atom, h=1e-4):
 
 def test_flow_derivative_matches_prolongation(spaces):
     # spot check here; the full sweep runs in the acceptance suite
-    reg = spaces[2].reg
     rnd = random.Random(23)
-    for name in ("Z1", "T", "J12_tensorial"):
-        from liequiv.catalog import find_entry
-        entry = find_entry(spaces[2].catalog, name)
-        pg = prolong(reg, entry.spec)
-        flow = numeric_flow(reg, name)
+    cases = [(2, find_entry(spaces[2].catalog, name).spec)
+             for name in ("Z1", "T", "J12_tensorial")]
+    cases += [(dim, _dilation(spaces[dim].reg)) for dim in (1, 2, 3)]
+    for dim, spec in cases:
+        reg = spaces[dim].reg
+        pg = prolong(reg, spec)
+        flow = numeric_flow(reg, spec)
         point = {a: rnd.uniform(0.6, 1.6) for a in reg.space_atoms()}
         for atom, coeff in pg.coefficients().items():
             want = float(evaluate(coeff, point))
             got = _richardson(flow, point, atom)
-            assert abs(got - want) <= 1e-6 * max(1.0, abs(want)), (name, atom)
+            assert abs(got - want) <= 1e-6 * max(1.0, abs(want)), (dim, atom)

@@ -128,8 +128,11 @@ def test_trace_shift_cancellation(spaces):
 
 
 def test_apply_rejects_unreachable_coordinates(spaces):
+    # D_x(xi^t) != 0 would bring in the unregistered u_tt, so u_tx has no
+    # coefficient
     reg = spaces[1].reg
-    pg = prolong(reg, _spec(spaces, 1, "X0"))
+    pg = prolong(reg, make_generator(reg, xi_t=Expr.of(reg.x[0])))
+    assert reg.u_tx[(1, 1)] not in pg.zeta2
     with pytest.raises(UnknownSymbolError):
         apply_with_trace(reg, pg, Expr.of(reg.u_tx[(1, 1)]))[0]
 
@@ -252,9 +255,10 @@ def to_sympy(e, table):
                        for mono, c in e.terms])
 
 
-def random_generator(reg, rnd):
+def random_generator(reg, rnd, time_only=False):
     # xi and eta^u stay off p and rho: their second prolongation would need
-    # the unregistered jets p_xx and rho_xx (JetOrderError)
+    # the unregistered jets p_xx and rho_xx (JetOrderError); ``time_only``
+    # keeps xi^t on t, which gives the mixed jets u_tx a coefficient
     base = [reg.t, *reg.x, *reg.u, unknown("c1")]
     point = base + [reg.p, reg.rho]
     gradient = [*reg.u_x.values(), *reg.pi.values(), unknown("c2")]
@@ -262,8 +266,9 @@ def random_generator(reg, rnd):
     def coeff(pool):
         return random_expr(rnd, pool, 2) if rnd.random() < 0.8 else Expr()
 
+    xi_t = coeff([reg.t, unknown("c1")] if time_only else base)
     return make_generator(
-        reg, xi_t=coeff(base), xi_x=[coeff(base) for _ in reg.x],
+        reg, xi_t=xi_t, xi_x=[coeff(base) for _ in reg.x],
         eta_u=[coeff(base) for _ in reg.u], eta_p=coeff(point),
         eta_rho=coeff(point), mu_pi=[coeff(gradient) for _ in reg.pi])
 
@@ -274,15 +279,17 @@ def assert_same(got, want, what):
 
 def test_prolongation_matches_sympy(spaces):
     # zeta^a_w = D_w(eta^a) - sum_v D_w(xi^v) a_v with D_w = d/dw on functions
-    # of (t, x); zeta^u_{x_l x_j} = D_{x_j} of zeta^u_{x_l} likewise; the
-    # stress derivatives differentiate through Pi(grad u) in element space
+    # of (t, x); zeta^u_{x_l x_j} = D_{x_j} of zeta^u_{x_l} and
+    # zeta^u_{t x_l} = D_{x_l} of zeta^u_t likewise, the latter only when
+    # xi^t is free of x; the stress derivatives differentiate through
+    # Pi(grad u) in element space
     for dim in (1, 2):
         reg = spaces[dim].reg
         ind, jets = jet_table(reg)
         elem = element_table(reg)
         rnd = random.Random(20 + dim)
-        for _ in range(8):
-            g = random_generator(reg, rnd)
+        for n in range(12):
+            g = random_generator(reg, rnd, time_only=n % 2 == 0)
             pg = prolong(reg, g)
             xi = [to_sympy(c, jets) for c in (g.xi_t,) + g.xi_x]
 
@@ -301,6 +308,13 @@ def test_prolongation_matches_sympy(spaces):
                 first = to_sympy(pg.zeta1[reg.u_x[(k, l)]], jets)
                 assert_same(to_sympy(pg.zeta2[jet], jets),
                             zeta(jets[reg.u_x[(k, l)]], first, ind[j]), jet)
+            time_only = all(sympy.diff(xi[0], w) == 0 for w in ind[1:])
+            for (k, l), jet in reg.u_tx.items():
+                assert (jet in pg.zeta2) == time_only, jet
+                if time_only:
+                    first = to_sympy(pg.zeta1[reg.u_t[k - 1]], jets)
+                    assert_same(to_sympy(pg.zeta2[jet], jets),
+                                zeta(jets[reg.u_t[k - 1]], first, ind[l]), jet)
             for (i, j, k, l), a in reg.pi_d.items():
                 arg = elem[reg.u_x[(k, l)]]
                 mu = to_sympy(g.mu_pi[reg.pi_pairs().index((i, j))], elem)
