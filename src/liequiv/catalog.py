@@ -15,7 +15,9 @@ two readings: ``naive`` leaves the constitutive coordinates fixed, and
 ``tensorial`` conjugates the stress through the infinitesimal rotation,
 delta Pi = Omega Pi - Pi Omega.  Candidates are exploratory; their flows
 need cos/sin, so only the verified entries carry a closed-form flow
-(``has_flow``).
+(``has_flow``, derived from the kind).  Generators given outside the
+catalog, as DSL text, travel as entries of kind ``"user"``, which are
+checked infinitesimally only.
 
 ``structure_constants`` prolongs each entry once per table and brackets
 every pair from those first-order fields.
@@ -34,6 +36,7 @@ from .linsolve import InconsistentSystemError, solve_linear
 
 KIND_VERIFIED = "theorem"
 KIND_CANDIDATE = "rotation-candidate"
+KIND_USER = "user"
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,7 +44,10 @@ class CatalogEntry:
     name: str
     kind: str
     spec: GeneratorSpec
-    has_flow: bool
+
+    @property
+    def has_flow(self) -> bool:
+        return self.kind == KIND_VERIFIED
 
 
 def _unit(dim: int, idx: int) -> tuple:
@@ -49,29 +55,21 @@ def _unit(dim: int, idx: int) -> tuple:
 
 
 def rotation_specs(reg: JetRegistry, i: int, j: int):
-    """(naive, tensorial) rotation generators in the x_i-x_j plane."""
-    dim = reg.dim
-    omega = [[Fraction(0)] * dim for _ in range(dim)]
-    omega[i - 1][j - 1] = Fraction(-1)
-    omega[j - 1][i - 1] = Fraction(1)
+    """(naive, tensorial) rotation generators in the x_i-x_j plane.
 
-    xi_x = tuple(
-        sum((omega[r][c] * Expr.of(reg.x[c]) for c in range(dim)), ZERO)
-        for r in range(dim))
-    eta_u = tuple(
-        sum((omega[r][c] * Expr.of(reg.u[c]) for c in range(dim)), ZERO)
-        for r in range(dim))
+    Omega has two nonzero entries, so (Omega v)_i = -v_j, (Omega v)_j = v_i,
+    and for symmetric Pi delta Pi = Omega Pi - Pi Omega = Omega Pi + (Omega Pi)^T.
+    """
+    def omega(r, v):
+        return -Expr.of(v(j)) if r == i else Expr.of(v(i)) if r == j else ZERO
 
+    rng = range(1, reg.dim + 1)
+    xi_x = tuple(omega(r, lambda m: reg.x[m - 1]) for r in rng)
+    eta_u = tuple(omega(r, lambda m: reg.u[m - 1]) for r in rng)
     naive = make_generator(reg, xi_x=xi_x, eta_u=eta_u)
-
-    mu_pi = []
-    for (r, c) in reg.pi_pairs():
-        val = ZERO
-        for m in range(1, dim + 1):
-            val = val + omega[r - 1][m - 1] * Expr.of(reg.pi_at(m, c))
-            val = val - omega[m - 1][c - 1] * Expr.of(reg.pi_at(r, m))
-        mu_pi.append(val)
-    tensorial = make_generator(reg, xi_x=xi_x, eta_u=eta_u, mu_pi=tuple(mu_pi))
+    mu_pi = tuple(omega(r, lambda m: reg.pi_at(m, c))
+                  + omega(c, lambda m: reg.pi_at(m, r)) for (r, c) in reg.pi_pairs())
+    tensorial = make_generator(reg, xi_x=xi_x, eta_u=eta_u, mu_pi=mu_pi)
     return naive, tensorial
 
 
@@ -84,7 +82,7 @@ def build_catalog(dim: int, reg: JetRegistry) -> tuple:
     entries = []
 
     def add(name, kind, spec):
-        entries.append(CatalogEntry(name, kind, spec, kind == KIND_VERIFIED))
+        entries.append(CatalogEntry(name, kind, spec))
 
     add("X0", KIND_VERIFIED, make_generator(reg, xi_t=1))
     for i in rng:

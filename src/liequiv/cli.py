@@ -13,14 +13,14 @@ import sys
 from fractions import Fraction
 
 from . import report
-from .catalog import build_catalog, find_entry, verified_entries
-from .determining import (check_entry, determining_equations, finite_check,
-                          verify)
+from .catalog import (KIND_USER, CatalogEntry, build_catalog, find_entry,
+                      verified_entries)
+from .determining import check_entry, determining_equations, finite_check
 from .dsl import (DslSyntaxError, UnknownCoordinateError, parse_generator,
                   print_generator)
 from .expr import ExprError
 from .flows import NoClosedFormError, exponentiate
-from .generators import AnsatzError
+from .generators import AnsatzError, prolong
 from .jets import JetOrderError, UnsupportedDimensionError, build_registry
 from .linsolve import InconsistentSystemError
 from .system import build_system
@@ -38,22 +38,21 @@ def _build_parser() -> argparse.ArgumentParser:
                     "balance-law system")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, gen=False, param=False):
+    def common(p, gen=None, param=False):
         p.add_argument("--dim", type=int, required=True, choices=(1, 2, 3))
         if gen:
-            p.add_argument("--gen", required=True,
-                           help="catalog name, all-theorem, all, @file.dsl, "
-                                "or a DSL string")
+            p.add_argument("--gen", required=True, help=gen)
         if param:
             p.add_argument("--param", default=None,
                            help="exact rational group parameter, e.g. 3/2")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", default=None, help="write the report to a file")
 
+    many = "catalog name, all-theorem, all, @file.dsl, or a DSL string"
     common(sub.add_parser("verify", help="check generators infinitesimally "
-                                         "and by finite transformation"), gen=True)
+                                         "and by finite transformation"), gen=many)
     common(sub.add_parser("deteq", help="emit the split determining system"),
-           gen=True)
+           gen=many)
     p = sub.add_parser("bracket", help="Lie brackets over the built-in span")
     common(p)
     p.add_argument("--table", action="store_true",
@@ -62,22 +61,17 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="single bracket, e.g. X0,Y1")
     common(sub.add_parser("transform", help="pull the system back through a "
                                             "finite transformation"),
-           gen=True, param=True)
+           gen="catalog name, a DSL string, or @file.dsl holding one generator",
+           param=True)
     common(sub.add_parser("list", help="print the catalog in DSL syntax"))
     common(sub.add_parser("system-dump", help="print the equations"))
     return parser
 
 
-def _select_generators(args, reg, catalog):
-    """Resolve --gen into a list of (name, kind, spec, entry-or-None)."""
+def _select_generators(args, reg) -> tuple:
+    """Resolve --gen into catalog entries.  DSL strings and @file lines become
+    entries of kind "user"; only a catalog selector builds the catalog."""
     sel = args.gen
-    if sel == "all-theorem":
-        return [(e.name, e.kind, e.spec, e) for e in verified_entries(catalog)]
-    if sel == "all":
-        return [(e.name, e.kind, e.spec, e) for e in catalog]
-    entry = find_entry(catalog, sel)
-    if entry is not None:
-        return [(entry.name, entry.kind, entry.spec, entry)]
     if sel.startswith("@"):
         out = []
         with open(sel[1:], "r", encoding="utf-8") as handle:
@@ -90,13 +84,23 @@ def _select_generators(args, reg, catalog):
                     name = label.strip()
                 else:
                     name, body = f"user_{idx}", line
-                out.append((name, "user", parse_generator(reg, body.strip()), None))
+                out.append(CatalogEntry(name, KIND_USER,
+                                        parse_generator(reg, body.strip())))
         if not out:
             raise ValueError(f"no generators found in {sel[1:]}")
-        return out
-    if "d/d" in sel:
-        return [("user", "user", parse_generator(reg, sel), None)]
-    raise ValueError(f"unknown generator selector: {sel}")
+        return tuple(out)
+    # "0", the zero generator, is the only DSL string without a direction
+    if "d/d" in sel or sel.strip() == "0":
+        return (CatalogEntry("user", KIND_USER, parse_generator(reg, sel)),)
+    catalog = build_catalog(args.dim, reg)
+    if sel == "all-theorem":
+        return verified_entries(catalog)
+    if sel == "all":
+        return catalog
+    entry = find_entry(catalog, sel)
+    if entry is None:
+        raise ValueError(f"unknown generator selector: {sel}")
+    return (entry,)
 
 
 def _emit(args, payload) -> None:
@@ -112,18 +116,13 @@ def _emit(args, payload) -> None:
 def _cmd_verify(args) -> int:
     reg = build_registry(args.dim)
     system = build_system(args.dim, reg)
-    catalog = build_catalog(args.dim, reg)
-    selected = _select_generators(args, reg, catalog)
     results = []
     all_pass = True
-    for name, kind, spec, entry in sorted(selected, key=lambda item: item[0]):
-        if entry is not None:
-            verdict = check_entry(system, entry)
-        else:
-            verdict = verify(system, spec, name)
+    for entry in sorted(_select_generators(args, reg), key=lambda e: e.name):
+        verdict = check_entry(system, entry)
         ok = verdict.zero and verdict.agreement is not False
         all_pass = all_pass and ok
-        results.append(report.verdict_payload(verdict, kind))
+        results.append(report.verdict_payload(verdict, entry.kind))
     payload = report.skeleton("verify", args.dim)
     payload["results"] = results
     payload["status"] = "pass" if all_pass else "fail"
@@ -134,12 +133,10 @@ def _cmd_verify(args) -> int:
 def _cmd_deteq(args) -> int:
     reg = build_registry(args.dim)
     system = build_system(args.dim, reg)
-    catalog = build_catalog(args.dim, reg)
-    selected = _select_generators(args, reg, catalog)
     payload = report.skeleton("deteq", args.dim)
     payload["results"] = [
-        report.determining_payload(determining_equations(system, spec, name))
-        for name, _, spec, _ in sorted(selected, key=lambda item: item[0])]
+        report.determining_payload(determining_equations(system, e.spec, e.name))
+        for e in sorted(_select_generators(args, reg), key=lambda e: e.name)]
     payload["status"] = "ok"
     _emit(args, payload)
     return 0
@@ -201,11 +198,11 @@ def _cmd_transform(args) -> int:
             param = Fraction(args.param)
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"--param must be an exact rational, got {args.param!r}")
-    selected = _select_generators(args, reg, build_catalog(args.dim, reg))
+    selected = _select_generators(args, reg)
     if len(selected) != 1:
         raise ValueError(f"transform needs exactly one generator, "
                          f"got {len(selected)} from {args.gen}")
-    ft = exponentiate(reg, selected[0][2], param)
+    ft = exponentiate(prolong(reg, selected[0].spec), param)
     result = finite_check(system, ft)
     payload = report.skeleton("transform", args.dim)
     payload["generator"] = args.gen

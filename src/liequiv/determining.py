@@ -11,21 +11,26 @@ coefficients.
 
 A generator is an equivalence symmetry exactly when every split coefficient
 is the zero expression; the first nonzero entry in canonical order is kept
-as a witness.  For catalog entries with a closed-form flow the same statement
-is cross-checked finitely: the pullback of each equation must equal a nonzero
-factor, constant over the space, times the equation.
+as a witness.  ``check_entry`` is the one verdict routine: for catalog
+entries with a closed-form flow it exponentiates the field the determining
+equations were built with and cross-checks the statement finitely: the
+pullback of each equation must equal a nonzero factor, constant over the
+space, times the equation.  ``verify`` is ``check_entry`` of a ``"user"``
+entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .catalog import KIND_USER, CatalogEntry
 from .expr import (Expr, ZERO, atoms_of, collect, evaluate, is_unknown,
                    is_zero)
 from .flows import (SCALE, SCALE_INV, FiniteTransformation, exponentiate,
                     reduce_scale)
-from .generators import GeneratorSpec, apply_with_trace, prolong
+from .generators import (GeneratorSpec, ProlongedGenerator, apply_with_trace,
+                         prolong)
 from .jets import JetRegistry
 from .linsolve import solve_linear
 from .system import BalanceSystem, restrict_to_manifold
@@ -53,6 +58,8 @@ class DeterminingSystem:
     generator: str
     parametric: tuple
     splits: tuple
+    # the field the residuals were taken with, kept for the finite route
+    prolonged: ProlongedGenerator = field(compare=False, repr=False)
 
     def coefficients(self) -> tuple:
         return tuple(c for s in self.splits for _, c in s.terms)
@@ -77,7 +84,7 @@ def determining_equations(system: BalanceSystem, g: GeneratorSpec,
         restricted, power = restrict_to_manifold(residual, system)
         buckets = {} if is_zero(restricted) else collect(restricted, parametric)
         splits.append(EquationSplit(eq_name, power, tuple(buckets.items())))
-    return DeterminingSystem(reg.dim, name, parametric, tuple(splits))
+    return DeterminingSystem(reg.dim, name, parametric, tuple(splits), pg)
 
 
 @dataclass(frozen=True)
@@ -110,24 +117,6 @@ class Verdict:
     equations: tuple
     finite: FiniteCheckResult | None
     agreement: bool | None
-
-
-def verify(system: BalanceSystem, g: GeneratorSpec,
-           name: str = "generator") -> Verdict:
-    dsys = determining_equations(system, g, name)
-    eq_verdicts = []
-    all_zero = True
-    for split in dsys.splits:
-        if split.terms:
-            all_zero = False
-            mono, coeff = split.terms[0]
-            eq_verdicts.append(EquationVerdict(
-                split.equation, "nonzero", split.rho_power,
-                str(mono), str(coeff)))
-        else:
-            eq_verdicts.append(EquationVerdict(
-                split.equation, "zero", split.rho_power, None, None))
-    return Verdict(name, all_zero, tuple(eq_verdicts), None, None)
 
 
 def _factor_string(coeff: Fraction, k: int) -> str:
@@ -170,16 +159,31 @@ def finite_check(system: BalanceSystem, ft: FiniteTransformation) -> FiniteCheck
     return FiniteCheckResult(all(f.ok for f in factors), tuple(factors))
 
 
-def check_entry(system: BalanceSystem, entry) -> Verdict:
-    """Infinitesimal verdict plus, when a closed-form flow exists, the finite
-    cross-check and the agreement flag between the two routes."""
-    base = verify(system, entry.spec, entry.name)
+def check_entry(system: BalanceSystem, entry: CatalogEntry) -> Verdict:
+    """Infinitesimal verdict plus, when the entry has a closed-form flow, the
+    finite cross-check and the agreement flag between the two routes; the
+    flow is exponentiated from the field the determining equations used."""
+    dsys = determining_equations(system, entry.spec, entry.name)
+    eqs = []
+    for split in dsys.splits:
+        if split.terms:
+            mono, coeff = split.terms[0]
+            eqs.append(EquationVerdict(split.equation, "nonzero",
+                                       split.rho_power, str(mono), str(coeff)))
+        else:
+            eqs.append(EquationVerdict(split.equation, "zero",
+                                       split.rho_power, None, None))
+    zero = all(ev.status == "zero" for ev in eqs)
     if not entry.has_flow:
-        return base
-    ft = exponentiate(system.registry, entry.spec)
-    fin = finite_check(system, ft)
-    return Verdict(base.generator, base.zero, base.equations, fin,
-                   base.zero == fin.passed)
+        return Verdict(entry.name, zero, tuple(eqs), None, None)
+    fin = finite_check(system, exponentiate(dsys.prolonged))
+    return Verdict(entry.name, zero, tuple(eqs), fin, zero == fin.passed)
+
+
+def verify(system: BalanceSystem, g: GeneratorSpec,
+           name: str = "generator") -> Verdict:
+    """``check_entry`` of ``g`` as a user entry: the infinitesimal verdict."""
+    return check_entry(system, CatalogEntry(name, KIND_USER, g))
 
 
 def witness_is_sound(system: BalanceSystem, verdict: Verdict, seed: int = 7,

@@ -1,6 +1,7 @@
 """Finite transformations derived from the prolonged field.
 
-``exponentiate`` prolongs a generator X once and walks every registered
+``exponentiate`` takes a prolonged field X, as ``prolong`` builds it and
+``DeterminingSystem.prolonged`` keeps it, and walks every registered
 coordinate c: X(c) = k*c with an integer k scales it, c -> exp(a)^k * c;
 any other coordinate is shifted by its Lie series (Olver, Applications of
 Lie Groups to Differential Equations, sections 1.3 and 2.3)
@@ -28,7 +29,8 @@ from fractions import Fraction
 from .catalog import rotation_specs
 from .expr import (Atom, Expr, Monomial, ZERO, ONE, as_expr, atoms_of,
                    coordinate, evaluate, is_unknown, is_zero, replace_atoms)
-from .generators import GeneratorSpec, apply_with_trace, prolong
+from .generators import (GeneratorSpec, ProlongedGenerator, apply_with_trace,
+                         prolong)
 from .jets import JetRegistry
 
 PARAM = coordinate("a")
@@ -142,11 +144,10 @@ def _lie_series(reg: JetRegistry, pg, c: Atom, bound: int) -> Expr:
         f"{bound} terms")
 
 
-def exponentiate(reg: JetRegistry, g: GeneratorSpec,
-                 param=None) -> FiniteTransformation:
-    """The flow exp(aX) of a generator, derived from its prolonged field;
-    ``param`` optionally binds the group parameter to an exact rational."""
-    pg = prolong(reg, g)
+def exponentiate(pg: ProlongedGenerator, param=None) -> FiniteTransformation:
+    """The flow exp(aX) of a prolonged field; ``param`` optionally binds the
+    group parameter to an exact rational."""
+    reg = pg.registry
     space = reg.space_atoms()
     for c in space:
         if pg.coefficient(c) is None:
@@ -286,7 +287,7 @@ def numeric_flow(reg: JetRegistry, g: GeneratorSpec):
     ``exponentiate`` finds one, the hand-written flow of a rotation
     candidate, else None."""
     try:
-        return _numeric_closed_form(reg, exponentiate(reg, g))
+        return _numeric_closed_form(reg, exponentiate(prolong(reg, g)))
     except NoClosedFormError:
         pass
     for i in range(1, reg.dim + 1):

@@ -74,11 +74,6 @@ class GeneratorSpec:
     mu_g: Expr
     mu_h: Expr
 
-    def is_trivial(self) -> bool:
-        coeffs = ((self.xi_t, self.eta_p, self.eta_rho, self.mu_g, self.mu_h)
-                  + self.xi_x + self.eta_u + self.mu_pi)
-        return all(is_zero(c) for c in coeffs)
-
 
 def _check_atoms(coeff: Expr, allowed: set, slot: str):
     for a in atoms_of(coeff):

@@ -5,7 +5,7 @@ import pytest
 
 from liequiv import generators
 from liequiv.catalog import (build_catalog, candidate_entries,
-                             decompose_in_span, find_entry,
+                             decompose_in_span, find_entry, rotation_specs,
                              structure_constants, verified_entries)
 from liequiv.determining import verify
 from liequiv.expr import Expr
@@ -41,6 +41,32 @@ def test_flows_only_on_verified_entries(spaces):
     for dim in (2, 3):
         for entry in spaces[dim].catalog:
             assert entry.has_flow == (entry.kind == "theorem")
+
+
+def test_rotation_specs_match_dense_omega_products(spaces):
+    """Omega v and delta Pi = Omega Pi - Pi Omega as full matrix products."""
+    for dim in (2, 3):
+        reg = spaces[dim].reg
+        rng = range(1, dim + 1)
+        for i in rng:
+            for j in range(i + 1, dim + 1):
+                omega = {(i, j): -1, (j, i): 1}
+
+                def w(r, m):
+                    return omega.get((r, m), 0)
+
+                def times(vec):
+                    return tuple(sum((w(r, m) * Expr.of(vec[m - 1]) for m in rng),
+                                     Expr()) for r in rng)
+
+                mu_pi = tuple(
+                    sum((w(r, m) * Expr.of(reg.pi_at(m, c))
+                         - w(m, c) * Expr.of(reg.pi_at(r, m)) for m in rng), Expr())
+                    for (r, c) in reg.pi_pairs())
+                xi_x, eta_u = times(reg.x), times(reg.u)
+                assert rotation_specs(reg, i, j) == (
+                    make_generator(reg, xi_x=xi_x, eta_u=eta_u),
+                    make_generator(reg, xi_x=xi_x, eta_u=eta_u, mu_pi=mu_pi))
 
 
 def test_structure_table_matches_hand_values(spaces):

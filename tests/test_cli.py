@@ -1,5 +1,9 @@
 import json
+import sys
+from types import SimpleNamespace
 
+from liequiv import cli, generators
+from liequiv.catalog import CatalogEntry
 from liequiv.cli import main
 
 
@@ -167,3 +171,59 @@ def test_reports_are_byte_identical(tmp_path, capsys):
         assert code == 0
         capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_verify_prolongs_each_entry_once(monkeypatch, capsys):
+    original = generators.prolong
+    calls = []
+
+    def counting(reg, g):
+        calls.append(g)
+        return original(reg, g)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("liequiv") and getattr(mod, "prolong", None) is original:
+            monkeypatch.setattr(mod, "prolong", counting)
+    assert run(capsys, "verify", "--dim", "3", "--gen", "all-theorem")[0] == 0
+    assert len(calls) == 11
+
+
+def test_selectors_resolve_to_catalog_entries(spaces, tmp_path):
+    path = tmp_path / "gens.dsl"
+    path.write_text("boost = t*d/dx1 + d/du1\nz = 0\n", encoding="utf-8")
+    user = ("t*d/dx1 + d/du1", "0", f"@{path}")
+    for sel in ("all", "all-theorem", "X0", "J12_naive") + user:
+        entries = cli._select_generators(SimpleNamespace(gen=sel, dim=2),
+                                         spaces[2].reg)
+        assert isinstance(entries, tuple) and entries, sel
+        assert all(isinstance(e, CatalogEntry) for e in entries), sel
+        if sel in user:
+            assert all(e.kind == "user" and not e.has_flow for e in entries)
+
+
+def test_dsl_and_file_selectors_build_no_catalog(tmp_path, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("build_catalog called")
+
+    monkeypatch.setattr(cli, "build_catalog", refuse)
+    path = tmp_path / "boost.dsl"
+    path.write_text("# one boost\nt*d/dx1 + d/du1\n", encoding="utf-8")
+    for sel in ("t*d/dx1 + d/du1", f"@{path}"):
+        for cmd in ("verify", "deteq", "transform"):
+            assert run(capsys, cmd, "--dim", "2", "--gen", sel)[0] == 0, (cmd, sel)
+
+
+def test_zero_generator_selector(capsys):
+    for dim in ("1", "3"):
+        for cmd in ("verify", "deteq", "transform"):
+            code, _, err = run(capsys, cmd, "--dim", dim, "--gen", "0")
+            assert (code, err) == (0, ""), (cmd, dim)
+
+
+def test_transform_help_lists_only_single_generators(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "200")
+    _, verify_help, _ = run(capsys, "verify", "--help")
+    _, transform_help, _ = run(capsys, "transform", "--help")
+    assert "all-theorem, all, @file.dsl" in verify_help
+    assert "all-theorem" not in transform_help
+    assert "@file.dsl holding one generator" in transform_help

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from liequiv.catalog import find_entry
+from liequiv.catalog import CatalogEntry, find_entry
 from liequiv.determining import (check_entry, determining_equations,
                                  finite_check, parametric_atoms, recompose,
                                  solve_unknowns, verify, witness_is_sound)
@@ -168,8 +168,8 @@ def test_solve_unknowns_rejects_nonlinear(spaces):
 
 
 def _flow(spaces, dim, name):
-    return exponentiate(spaces[dim].reg,
-                        find_entry(spaces[dim].catalog, name).spec)
+    reg = spaces[dim].reg
+    return exponentiate(prolong(reg, find_entry(spaces[dim].catalog, name).spec))
 
 
 def test_finite_check_translation_factors(spaces):
@@ -211,6 +211,19 @@ def test_infinitesimal_and_finite_routes_agree(spaces):
                 assert v.agreement is True, entry.name
             else:
                 assert v.finite is None and v.agreement is None
+
+
+def test_verify_is_check_entry_of_a_user_entry(spaces):
+    system = spaces[2].system
+    for entry in spaces[2].catalog:
+        user = CatalogEntry(entry.name, "user", entry.spec)
+        assert not user.has_flow
+        plain = check_entry(system, user)
+        assert plain == verify(system, entry.spec, entry.name)
+        assert plain.finite is None and plain.agreement is None
+        full = check_entry(system, entry)
+        assert (full.zero, full.equations) == (plain.zero, plain.equations)
+        assert (full.finite is not None) == entry.has_flow
 
 
 def test_verdicts_serialize_deterministically(spaces):

@@ -20,8 +20,9 @@ from liequiv.generators import combine, make_generator, prolong
 
 
 def _flow(spaces, dim, name, param=None):
-    return exponentiate(spaces[dim].reg,
-                        find_entry(spaces[dim].catalog, name).spec, param)
+    reg = spaces[dim].reg
+    return exponentiate(prolong(reg, find_entry(spaces[dim].catalog, name).spec),
+                        param)
 
 
 def _dilation(reg):
@@ -82,7 +83,7 @@ def test_exponentiate_matches_reference_tables(spaces):
     for dim in (1, 2, 3):
         reg = spaces[dim].reg
         for entry in verified_entries(spaces[dim].catalog):
-            ft = exponentiate(reg, entry.spec)
+            ft = exponentiate(prolong(reg, entry.spec))
             want = reference_images(reg, entry.name)
             for c in reg.space_atoms():
                 assert ft.image(c) == want.get(c, Expr.of(c)), (entry.name, c)
@@ -143,7 +144,7 @@ def test_trace_shift_maps(spaces):
 def test_dilation_flow(spaces):
     for dim in (1, 2, 3):
         reg = spaces[dim].reg
-        ft = exponentiate(reg, _dilation(reg))
+        ft = exponentiate(prolong(reg, _dilation(reg)))
         assert ft.image(reg.t) == SCALE * reg.t
         assert ft.image(reg.u_t[0]) == SCALE_INV * reg.u_t[0]
         assert ft.image(reg.u_tx[(1, 1)]) == SCALE_INV ** 2 * reg.u_tx[(1, 1)]
@@ -157,16 +158,17 @@ def test_no_closed_form(spaces):
     reg = spaces[2].reg
     rotation = find_entry(spaces[2].catalog, "J12_naive").spec
     with pytest.raises(NoClosedFormError, match="Lie series of x1 does not end"):
-        exponentiate(reg, rotation)
+        exponentiate(prolong(reg, rotation))
     # u_tx has no action once xi^t depends on x
     with pytest.raises(NoClosedFormError, match="gives u1_tx1 no action"):
-        exponentiate(reg, make_generator(reg, xi_t=Expr.of(reg.x[0])))
+        exponentiate(prolong(reg, make_generator(reg, xi_t=Expr.of(reg.x[0]))))
     with pytest.raises(NoClosedFormError, match="affine"):
-        exponentiate(reg, make_generator(reg, xi_x=(reg.x[0] * reg.x[0], 0)))
+        exponentiate(prolong(
+            reg, make_generator(reg, xi_x=(reg.x[0] * reg.x[0], 0))))
     # weights must be integers: exp(a/2) is outside the carrier
     half = combine(reg, [(Fraction(1, 2), find_entry(spaces[2].catalog, "Z2").spec)])
     with pytest.raises(NoClosedFormError, match="Lie series of p does not end"):
-        exponentiate(reg, half)
+        exponentiate(prolong(reg, half))
 
 
 def test_closed_form_names(capsys):
@@ -236,7 +238,7 @@ def test_identity_at_zero_and_composition(spaces):
     for dim in (1, 2, 3):
         reg = spaces[dim].reg
         for entry in verified_entries(spaces[dim].catalog):
-            ft = exponentiate(reg, entry.spec)
+            ft = exponentiate(prolong(reg, entry.spec))
             assert identity_at_zero(ft), entry.name
             assert composition_is_additive(ft), entry.name
 
@@ -269,7 +271,7 @@ def test_combinations_have_flows_that_preserve_the_system(spaces, element):
         (c, _dilation(reg) if name == "D"
          else find_entry(spaces[dim].catalog, name).spec)
         for c, name in parts])
-    ft = exponentiate(reg, g)
+    ft = exponentiate(prolong(reg, g))
     assert identity_at_zero(ft)
     assert composition_is_additive(ft)
     assert finite_check(spaces[dim].system, ft).passed
