@@ -26,10 +26,13 @@ has a coefficient only for generators whose xi^t depends on t alone.
 
 The directional action of a prolonged field (``apply_with_trace``) treats
 every coordinate of the extended space as independent, as a vector field
-must; the constitutive argument declarations play no role there.  It is the
-only derivation in the engine: the invariance residual is the action of the
-full prolongation on an equation, and the Lie bracket is the bracket of the
-prolonged fields, whose base components
+must; the constitutive argument declarations play no role there.  It makes
+one pass over the terms of its input, differentiating each factor whose
+coordinate has a nonzero coefficient, and normalizes each per-coordinate
+contribution and the total once.  It is the only derivation in the engine:
+the invariance residual is the action of the full prolongation on an
+equation, and the Lie bracket is the bracket of the prolonged fields, whose
+base components
 
     [X1, X2]^a = X1(c2^a) - X2(c1^a)
 
@@ -47,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .expr import (Atom, Expr, ZERO, as_expr, atoms_of, diff_atom,
+from .expr import (Atom, Expr, Monomial, ZERO, as_expr, atoms_of,
                    diff_partial, is_unknown, is_zero, UnknownSymbolError)
 from .jets import JetRegistry, total_derivative
 
@@ -232,18 +235,24 @@ def prolong(reg: JetRegistry, g: GeneratorSpec) -> ProlongedGenerator:
         zeta2.update((a, second(reg.u_t[k - 1], reg.x[l - 1]))
                      for (k, l), a in sorted(reg.u_tx.items()))
 
-    mu_d = {}
-    pairs = reg.pi_pairs()
+    # d zeta^{u_r}_{x_s} / d u^k_{x_l} does not depend on the stress pair
     grad_keys = sorted(reg.u_x)
-    for (i, j), mu in zip(pairs, g.mu_pi):
-        for (k, l) in grad_keys:
-            arg = reg.u_x[(k, l)]
-            val = diff_partial(mu, arg)
-            for (r, s) in grad_keys:
-                d = diff_partial(zeta1[reg.u_x[(r, s)]], arg)
-                if not is_zero(d):
-                    val = val - reg.pi_d[(i, j, r, s)] * d
-            mu_d[reg.pi_d[(i, j, k, l)]] = val
+    d_zeta = {}
+    for kl in grad_keys:
+        for rs in grad_keys:
+            d = diff_partial(zeta1[reg.u_x[rs]], reg.u_x[kl])
+            if not is_zero(d):
+                d_zeta[(kl, rs)] = d
+
+    mu_d = {}
+    for (i, j), mu in zip(reg.pi_pairs(), g.mu_pi):
+        for kl in grad_keys:
+            val = diff_partial(mu, reg.u_x[kl])
+            for rs in grad_keys:
+                d = d_zeta.get((kl, rs))
+                if d is not None:
+                    val = val - reg.pi_d[(i, j) + rs] * d
+            mu_d[reg.pi_d[(i, j) + kl]] = val
 
     return ProlongedGenerator(reg, g, zeta1, zeta2, mu_d)
 
@@ -254,10 +263,16 @@ def apply_with_trace(reg: JetRegistry, pg: ProlongedGenerator, e) -> tuple:
     Returns (total, trace) where trace is the tuple of (coordinate, term)
     pairs, in canonical coordinate order, before any cross-coordinate
     cancellation; summing the trace normalizes to the total.
+
+    One pass over the terms of ``e``: each factor ``a**k`` whose coefficient
+    ``c`` is nonzero contributes ``k * rest * c``, with ``rest`` the monomial
+    less one power of ``a``.  Every trace entry and the total are each
+    normalized once, from these pairs.  The coordinates are checked first,
+    in canonical order, so the first one without a coefficient is the one
+    named by ``UnknownSymbolError``.
     """
     e = as_expr(e)
-    total = ZERO
-    trace = []
+    coeffs = {}
     for a in atoms_of(e):
         if is_unknown(a):
             continue
@@ -265,13 +280,27 @@ def apply_with_trace(reg: JetRegistry, pg: ProlongedGenerator, e) -> tuple:
         if c is None:
             raise UnknownSymbolError(
                 f"no prolonged action is defined for {a.name}")
-        if is_zero(c):
-            continue
-        term = c * diff_atom(e, a)
-        if not is_zero(term):
-            trace.append((a, term))
-            total = total + term
-    return total, tuple(trace)
+        if c.terms:
+            coeffs[a] = c.terms
+    if not coeffs:
+        return ZERO, ()
+    pieces = {a: [] for a in coeffs}
+    for mono, c in e.terms:
+        factors = mono.factors
+        for idx, (a, k) in enumerate(factors):
+            c_terms = coeffs.get(a)
+            if c_terms is None:
+                continue
+            # a zero exponent is dropped by the Monomial normal form
+            rest = factors[:idx] + ((a, k - 1),) + factors[idx + 1:]
+            kc = k * c
+            pieces[a].extend((Monomial(rest + m2.factors), kc * c2)
+                             for m2, c2 in c_terms)
+    trace = tuple((a, Expr(p)) for a, p in pieces.items())
+    trace = tuple(item for item in trace if item[1].terms)
+    if len(trace) == 1:
+        return trace[0][1], trace
+    return Expr(pair for p in pieces.values() for pair in p), trace
 
 
 def first_order_field(reg: JetRegistry, g: GeneratorSpec) -> ProlongedGenerator:

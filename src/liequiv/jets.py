@@ -18,8 +18,9 @@ share.
 
 from __future__ import annotations
 
-from .expr import (Atom, Expr, UnknownSymbolError, as_expr, coordinate,
-                   derivative_of, diff_partial, function_symbol, is_zero)
+from .expr import (Atom, Expr, Monomial, UnknownSymbolError, as_expr,
+                   coordinate, derivative_of, diff_partial, function_symbol,
+                   is_zero)
 
 
 class UnsupportedDimensionError(Exception):
@@ -164,9 +165,11 @@ def total_derivative(e, w: Atom, reg: JetRegistry) -> Expr:
     e.g. D_{x^j} Pi^{ij} = sum_kl Pi^{ij}_{kl} u^k_{x^l x^j}, fall out of the
     same rule.  The chain runs only through the coordinates the input depends
     on (its coordinates and the declared arguments of its function atoms),
-    in registry order; every other partial is structurally zero.  An input
-    already containing second-order jets (or needing an unregistered advance
-    such as a second derivative of p) raises JetOrderError.
+    in registry order; every other partial is structurally zero.  The chain
+    terms are gathered as (monomial, coefficient) pairs and the result is
+    normalized once, with the explicit partial.  An input already containing
+    second-order jets (or needing an unregistered advance such as a second
+    derivative of p) raises JetOrderError.
     """
     e = as_expr(e)
     if w not in reg.independents:
@@ -174,6 +177,7 @@ def total_derivative(e, w: Atom, reg: JetRegistry) -> Expr:
     deps = {n for mono, _ in e.terms for a, _ in mono.factors
             for n in a.args or (a.name,)}
     out = diff_partial(e, w)
+    chain = []
     for c in reg._chain:
         if c.name not in deps:
             continue
@@ -185,5 +189,7 @@ def total_derivative(e, w: Atom, reg: JetRegistry) -> Expr:
             raise JetOrderError(
                 f"d/d{w.name} of an expression depending on {c.name} "
                 "leaves the registered jet space")
-        out = out + d * a
-    return out
+        chain.extend((Monomial(m.factors + ((a, 1),)), k) for m, k in d.terms)
+    if not chain:
+        return out
+    return Expr(out.terms + tuple(chain))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 
 from . import __version__
+from .catalog import KIND_USER
 from .determining import DeterminingSystem, Verdict
 
 TOOL = "liequiv"
@@ -110,6 +111,8 @@ def _verdict_lines(entry: dict) -> list:
         factors = ", ".join(f"{k}: {v}" for k, v in fin["factors"].items())
         lines.append(f"  finite: {fin['status']} ({factors})")
         lines.append(f"  agreement: {entry['agreement']}")
+    elif entry["kind"] == KIND_USER:
+        lines.append("  finite: not run for user generators (see transform)")
     else:
         lines.append("  finite: no closed-form flow in the exact carrier")
     return lines

@@ -227,3 +227,17 @@ def test_transform_help_lists_only_single_generators(monkeypatch, capsys):
     assert "all-theorem, all, @file.dsl" in verify_help
     assert "all-theorem" not in transform_help
     assert "@file.dsl holding one generator" in transform_help
+
+
+def test_finite_line_names_why_there_is_no_finite_check(capsys):
+    # a user generator is checked infinitesimally only; transform runs its
+    # flow.  A rotation candidate has no closed-form flow.
+    for gen in ("t*d/dx1 + d/du1", "0"):
+        code, out, _ = run(capsys, "verify", "--dim", "2", "--gen", gen)
+        assert code == 0
+        assert "  finite: not run for user generators (see transform)\n" in out
+        assert "closed-form" not in out
+        assert run(capsys, "transform", "--dim", "2", "--gen", gen)[0] == 0
+    code, out, _ = run(capsys, "verify", "--dim", "2", "--gen", "J12_tensorial")
+    assert "  finite: no closed-form flow in the exact carrier\n" in out
+    assert "not run" not in out

@@ -1,17 +1,22 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from liequiv.catalog import find_entry
+from liequiv import generators
+from liequiv.catalog import build_catalog, find_entry
 from liequiv.dsl import parse_generator, print_generator
-from liequiv.expr import Expr, UnknownSymbolError, diff_atom, is_zero, unknown
+from liequiv.expr import (Expr, UnknownSymbolError, atoms_of, diff_atom,
+                          is_unknown, is_zero, unknown)
 from liequiv.generators import (AnsatzError, apply_with_trace, bracket,
                                 base_coefficients, combine, make_generator,
                                 prolong)
-from liequiv.jets import total_derivative
+from liequiv.jets import build_registry, total_derivative
 
 from conftest import random_expr
 
@@ -94,6 +99,23 @@ def test_second_prolongation_is_symmetric_in_the_pair(spaces):
                 if not is_zero(d):
                     val = val - d * reg.advance(reg.u_x[(k, 2)], v)
             assert val == pg.zeta2[reg.u_xx[(k, 1, 2)]]
+
+
+def test_prolong_differentiates_each_first_jet_coefficient_once(spaces, monkeypatch):
+    # d zeta^{u_r}_{x_s} / d u^k_{x_l} is shared by every stress pair: one
+    # call per (kl, rs), plus one d mu / d u^k_{x_l} per stress pair and kl
+    reg = spaces[3].reg
+    calls = []
+    original = generators.diff_partial
+
+    def counting(e, v):
+        calls.append(v)
+        return original(e, v)
+
+    monkeypatch.setattr(generators, "diff_partial", counting)
+    prolong(reg, _spec(spaces, 3, "J12_tensorial"))
+    grad = len(reg.u_x)
+    assert len(calls) == grad * grad + len(reg.pi_pairs()) * grad == 81 + 54
 
 
 def test_apply_autonomous_translation(spaces):
@@ -323,3 +345,97 @@ def test_prolongation_matches_sympy(spaces):
                     * sympy.diff(to_sympy(pg.zeta1[reg.u_x[(r, s)]], elem), arg)
                     for (r, s) in reg.u_x)
                 assert_same(to_sympy(pg.mu_d[a], elem), want, a)
+
+
+# -- the one-pass action against its definition --------------------------------
+
+
+REGISTRIES = {dim: build_registry(dim) for dim in (1, 2, 3)}
+CATALOGS = {dim: build_catalog(dim, reg) for dim, reg in REGISTRIES.items()}
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def reference_action(pg, e):
+    """The action by its definition: sum over the atoms a of ``e`` of
+    coefficient(a) * d e / d a, one ``diff_atom`` per atom."""
+    trace = []
+    for a in atoms_of(e):
+        if is_unknown(a):
+            continue
+        c = pg.coefficient(a)
+        if c is None:
+            raise UnknownSymbolError(
+                f"no prolonged action is defined for {a.name}")
+        term = c * diff_atom(e, a)
+        if not is_zero(term):
+            trace.append((a, term))
+    return sum((term for _, term in trace), Expr()), tuple(trace)
+
+
+@st.composite
+def combinations_of_entries(draw, dim):
+    """[(c, spec), ...]: a rational combination of catalog entries, rotation
+    candidates included."""
+    entries = draw(st.lists(st.sampled_from(CATALOGS[dim]), min_size=1,
+                            max_size=4, unique_by=lambda e: e.name))
+    return [(draw(RATIONALS.filter(bool)), e.spec) for e in entries]
+
+
+@st.composite
+def actions(draw):
+    """(dim, generator, polynomial): the generator is a combination of
+    catalog entries, plus x_i*d/dt when drawn (then u_tx has no
+    coefficient); the polynomial is over every registered coordinate,
+    Pi, G, H and ?constants, plus a u_tx term when drawn."""
+    dim = draw(st.integers(1, 3))
+    reg = REGISTRIES[dim]
+    parts = draw(combinations_of_entries(dim))
+    if draw(st.booleans()):
+        xi_t = Expr.of(draw(st.sampled_from(reg.x)))
+        parts.append((1, make_generator(reg, xi_t=xi_t)))
+    pool = list(reg.space_atoms()) + [unknown("a"), unknown("b2")]
+    e = Expr()
+    factors = st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 3)),
+                       max_size=3)
+    for c, fs in draw(st.lists(st.tuples(RATIONALS, factors), min_size=1,
+                               max_size=4)):
+        term = Expr.const(c)
+        for a, k in fs:
+            term = term * a ** k
+        e = e + term
+    if draw(st.booleans()):
+        e = e + draw(st.sampled_from(list(reg.u_tx.values())))
+    return dim, combine(reg, parts), e
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(actions())
+def test_apply_matches_the_definition(case):
+    dim, g, e = case
+    reg = REGISTRIES[dim]
+    pg = prolong(reg, g)
+    try:
+        want_total, want_trace = reference_action(pg, e)
+    except UnknownSymbolError as err:
+        with pytest.raises(UnknownSymbolError, match=re.escape(str(err))):
+            apply_with_trace(reg, pg, e)
+        return
+    total, trace = apply_with_trace(reg, pg, e)
+    assert [a for a, _ in trace] == [a for a, _ in want_trace]
+    for (a, got), (_, want) in zip(trace, want_trace):
+        assert got == want, a
+    assert total == want_total
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.integers(1, 3).flatmap(
+    lambda dim: st.tuples(st.just(dim), combinations_of_entries(dim))))
+def test_action_on_the_system_is_linear_in_the_generator(spaces, case):
+    dim, parts = case
+    reg, system = spaces[dim].reg, spaces[dim].system
+    mixed = prolong(reg, combine(reg, parts))
+    singles = [(c, prolong(reg, g)) for c, g in parts]
+    for name, eq in system.equations():
+        want = sum((c * apply_with_trace(reg, pg, eq)[0] for c, pg in singles),
+                   Expr())
+        assert apply_with_trace(reg, mixed, eq)[0] == want, name
