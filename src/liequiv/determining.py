@@ -4,10 +4,10 @@ The invariance residual of a generator on an equation is the directional
 derivative of the equation under the prolonged field, restricted to the
 solution manifold (principal time derivatives eliminated, rho denominators
 cleared) and split by monomials in the parametric coordinates: the spatial
-second-order velocity jets, the first-order spatial jets of u, p and rho,
-and the constitutive coordinates Pi^{ij}, Pi^{ij}_{kl}, G, H.  Everything in
-t, x, u, p, rho (and any opaque ?constants) stays inside the split
-coefficients.
+and mixed (u_tx) second-order velocity jets, the first-order spatial jets
+of u, p and rho, and the constitutive coordinates Pi^{ij}, Pi^{ij}_{kl}, G,
+H.  Everything in t, x, u, p, rho (and any opaque ?constants) stays inside
+the split coefficients.
 
 A generator is an equivalence symmetry exactly when every split coefficient
 is the zero expression; the first nonzero entry in canonical order is kept
@@ -37,7 +37,14 @@ from .system import BalanceSystem, restrict_to_manifold
 
 
 def parametric_atoms(reg: JetRegistry) -> tuple:
-    atoms = list(reg.u_xx.values())
+    """The coordinates the restricted residual is split on.
+
+    These are the jets left free on the system manifold in J^2, plus the
+    constitutive coordinates.  The mixed jets u_tx are among them: the
+    system fixes u_t, but u_tx only through D_x of the momentum equation,
+    which is third order, so in J^2 nothing constrains them.
+    """
+    atoms = list(reg.u_xx.values()) + list(reg.u_tx.values())
     atoms += list(reg.u_x.values())
     atoms += list(reg.p_x) + list(reg.rho_x)
     atoms += list(reg.pi.values()) + list(reg.pi_d.values())

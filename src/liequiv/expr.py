@@ -19,8 +19,20 @@ runs and platforms.
 
 The normal-form rule lives in one routine, ``_normal_form``: it adds
 (item, number) pairs with equal items, drops zero sums and sorts by the
-items' ``.key``.  Every ``Monomial.factors`` (atoms with exponents) and
-every ``Expr.terms`` (monomials with coefficients) is built through it.
+items' ``.key``.  Every ``Expr.terms`` (monomials with coefficients) is
+built through it, and so is every ``Monomial.factors`` (atoms with
+exponents) except where ``Monomial._trusted`` takes a factor tuple that is
+canonical already: a run cut from a canonical factor tuple, that is, a
+subsequence of one, which stays sorted with distinct atoms and positive
+exponents.  ``collect`` cuts each monomial into such a parametric run and
+a remaining run.
+
+An atom's key is ``(rank, name)``.  A monomial's key is flat, the atom keys
+and exponents in factor order, ``(rank1, name1, e1, rank2, name2, e2, ...)``;
+it holds only strings and ints, so the cyclic garbage collector untracks
+it, and it sorts exactly as the nested ``((rank1, name1), e1), ...`` sequence
+would, since the fields of every factor sit at the same positions.  Atoms
+and monomials are immutable and compute their hash once, at construction.
 
 Division and negative or fractional exponents are deliberately unsupported;
 callers that need a denominator clear it explicitly.
@@ -70,7 +82,7 @@ class Atom:
     and the sorted multiset of differentiation arguments.
     """
 
-    __slots__ = ("kind", "name", "args", "base", "wrt", "key")
+    __slots__ = ("kind", "name", "args", "base", "wrt", "key", "_hash")
 
     def __init__(self, kind: str, name: str, args: tuple = (), base: str = "",
                  wrt: tuple = ()):
@@ -80,12 +92,17 @@ class Atom:
         self.base = base
         self.wrt = tuple(wrt)
         self.key = (_KIND_RANK[kind], name)
+        self._hash = hash(self.key)
 
     def __eq__(self, other):
-        return isinstance(other, Atom) and self.key == other.key
+        return self is other or (isinstance(other, Atom) and self.key == other.key)
 
     def __hash__(self):
-        return hash(self.key)
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes: unpickling rehashes
+        return Atom, (self.kind, self.name, self.args, self.base, self.wrt)
 
     def __lt__(self, other):
         return self.key < other.key
@@ -175,15 +192,34 @@ def _normal_form(pairs) -> tuple:
 class Monomial:
     """Product of atoms with positive integer exponents; the empty product is 1."""
 
-    __slots__ = ("factors", "key")
+    __slots__ = ("factors", "key", "_hash")
 
     def __init__(self, factors: Iterable = ()):
         factors = tuple(factors)
         for a, e in factors:
             if not isinstance(e, int) or e < 0:
                 raise UnsupportedFormError(f"unsupported exponent {e!r} on {a!r}")
-        self.factors = _normal_form(factors)
-        self.key = tuple((a.key, e) for a, e in self.factors)
+        self._set(_normal_form(factors))
+
+    @classmethod
+    def _trusted(cls, factors: tuple) -> "Monomial":
+        """The monomial of ``factors``, taken as they are.
+
+        Precondition: ``factors`` is a run cut from a canonical factor tuple
+        (a subsequence of some ``Monomial.factors``), so it is canonical too.
+        """
+        m = cls.__new__(cls)
+        m._set(factors)
+        return m
+
+    def _set(self, factors: tuple):
+        key = []
+        for a, e in factors:
+            key += a.key
+            key.append(e)
+        self.factors = factors
+        self.key = tuple(key)
+        self._hash = hash(self.key)
 
     def is_one(self) -> bool:
         return not self.factors
@@ -198,6 +234,10 @@ class Monomial:
         return 0
 
     def __mul__(self, other: "Monomial") -> "Monomial":
+        if not other.factors:
+            return self
+        if not self.factors:
+            return other
         return Monomial(self.factors + other.factors)
 
     def __pow__(self, n: int) -> "Monomial":
@@ -214,10 +254,13 @@ class Monomial:
         return Monomial((a, e - theirs.get(a, 0)) for a, e in self.factors)
 
     def __eq__(self, other):
-        return isinstance(other, Monomial) and self.key == other.key
+        return self is other or (isinstance(other, Monomial) and self.key == other.key)
 
     def __hash__(self):
-        return hash(self.key)
+        return self._hash
+
+    def __reduce__(self):
+        return Monomial, (self.factors,)
 
     def __lt__(self, other):
         return self.key < other.key
@@ -457,9 +500,11 @@ def collect(e, parametric) -> dict:
     buckets = {}
     for mono, c in as_expr(e).terms:
         par, rest = [], []
-        for a, k in mono.factors:
-            (par if a in pset else rest).append((a, k))
-        buckets.setdefault(Monomial(par), []).append((Monomial(rest), c))
+        for f in mono.factors:
+            (par if f[0] in pset else rest).append(f)
+        # both runs are cut from a canonical factor tuple
+        buckets.setdefault(Monomial._trusted(tuple(par)), []).append(
+            (Monomial._trusted(tuple(rest)), c))
     # distinct terms stay distinct after the split, so no bucket sums to zero
     return {key: Expr(buckets[key]) for key in sorted(buckets, key=lambda m: m.key)}
 

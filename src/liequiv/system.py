@@ -119,7 +119,9 @@ def restrict_to_manifold(e, system: BalanceSystem) -> tuple:
     Returns (restricted expression, rho power used).  The power is the
     maximal total degree of the momentum principal derivatives after the
     polynomial rho_t / p_t bindings have been substituted, which is the
-    minimal uniform multiplier keeping the result polynomial.
+    minimal uniform multiplier keeping the result polynomial.  Terms that
+    share a u_t exponent pattern share one product of the u_t numerators,
+    built once per call.
     """
     reg = system.registry
     pm = system.principal
@@ -133,20 +135,35 @@ def restrict_to_manifold(e, system: BalanceSystem) -> tuple:
     if power == 0:
         return e, 0
 
+    # prod_i u_t_num[i]**k_i for each u_t exponent pattern ((i, k_i), ...)
+    numerators = {}
+
     def cleared():
         for mono, c in e.terms:
             rest = []
-            num = ONE
+            pattern = []
             deg = 0
             for a, k in mono.factors:
                 i = u_t_index.get(a)
                 if i is None:
                     rest.append((a, k))
                 else:
-                    num = num * pm.u_t_num[i] ** k
+                    pattern.append((i, k))
                     deg += k
+            pattern = tuple(pattern)
+            num = numerators.get(pattern)
+            if num is None:
+                num = numerators[pattern] = _numerator_product(pm.u_t_num, pattern)
             rest.append((reg.rho, power - deg))
             factor = Monomial(rest)
             for m, cn in num.terms:
                 yield m * factor, c * cn
     return Expr(cleared()), power
+
+
+def _numerator_product(u_t_num: tuple, pattern: tuple) -> Expr:
+    """prod u_t_num[i]**k over the (i, k) of a u_t exponent pattern."""
+    num = ONE
+    for i, k in pattern:
+        num = num * u_t_num[i] ** k
+    return num

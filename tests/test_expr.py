@@ -6,12 +6,12 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liequiv.expr import (COORD, FUNC, CyclicSubstitutionError, Expr,
-                          MissingBindingError, Monomial, UnknownSymbolError,
-                          UnsupportedFormError, as_expr, atoms_of, collect,
-                          coordinate, derivative_of, diff_atom, diff_partial,
-                          evaluate, function_symbol, is_zero, replace_atoms,
-                          substitute, unknown)
+from liequiv.expr import (COORD, FUNC, MONO_ONE, Atom, CyclicSubstitutionError,
+                          Expr, MissingBindingError, Monomial,
+                          UnknownSymbolError, UnsupportedFormError, as_expr,
+                          atoms_of, collect, coordinate, derivative_of,
+                          diff_atom, diff_partial, evaluate, function_symbol,
+                          is_zero, replace_atoms, substitute, unknown)
 
 from conftest import random_expr
 
@@ -379,3 +379,77 @@ def collect_one(e, sym, parametric, pick):
 @given(trees())
 def test_normal_form_matches_sympy(tree):
     evaluate_tree(tree)
+
+
+# -- flat monomial keys and the trusted constructor ----------------------------
+
+# names that are prefixes of one another, and one name under two kinds, so
+# that ties on the rank or the name are decided by the next key field
+KEY_ATOMS = NF_ATOMS + [coordinate("u1"), coordinate("u1_x1x1"),
+                        coordinate("G"), Atom(FUNC, "u1")]
+
+
+def nested_key(m: Monomial) -> tuple:
+    """The monomial key before the flat one: one (atom key, exponent) pair
+    per factor."""
+    return tuple((a.key, e) for a, e in m.factors)
+
+
+monomials = st.lists(
+    st.tuples(st.sampled_from(KEY_ATOMS), st.integers(0, 3)), max_size=5
+).map(Monomial)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.lists(monomials, min_size=1, max_size=12),
+       st.sets(st.sampled_from(KEY_ATOMS), min_size=1, max_size=6),
+       st.lists(st.fractions(max_denominator=5).filter(bool), min_size=12,
+                max_size=12))
+def test_flat_key_and_trusted_constructor(monos, parametric, coeffs):
+    by_flat = sorted(monos, key=lambda m: m.key)
+    assert [nested_key(m) for m in by_flat] == sorted(map(nested_key, monos))
+    for m1 in monos:
+        assert m1 * MONO_ONE is m1
+        assert MONO_ONE * m1 is m1 or m1.is_one()
+        for m2 in monos:
+            assert (m1.key < m2.key) == (nested_key(m1) < nested_key(m2))
+            assert (m1 == m2) == (m1.key == m2.key) == (m1.factors == m2.factors)
+            if m1 == m2:
+                assert hash(m1) == hash(m2)
+
+    def assert_canonical(m):
+        rebuilt = Monomial(m.factors)  # through _normal_form
+        assert (m.factors, m.key, hash(m)) == (rebuilt.factors, rebuilt.key,
+                                               hash(rebuilt))
+
+    buckets = collect(Expr(zip(monos, coeffs)), parametric)
+    for par, coeff in buckets.items():
+        assert_canonical(par)
+        for rest, _ in coeff.terms:
+            assert_canonical(rest)
+
+
+def test_pickled_atoms_and_monomials_hash_in_a_new_process():
+    """The cached hashes of string keys are per process; an unpickled atom
+    or monomial must still find its equal in a dict built by that process."""
+    import pickle
+    import subprocess
+    import sys
+
+    e = 3 * Expr.of(derivative_of(G, "rho")) * u1_x1 ** 2 + p
+    script = (
+        "import pickle, sys\n"
+        "from liequiv.expr import Atom, Monomial\n"
+        "e = pickle.loads(sys.stdin.buffer.read())\n"
+        "monos = {Monomial(m.factors) for m, _ in e.terms}\n"
+        "assert all(m in monos for m, _ in e.terms)\n"
+        "atoms = [a for m, _ in e.terms for a in m.atoms()]\n"
+        "fresh = {Atom(a.kind, a.name) for a in atoms}\n"
+        "assert all(a in fresh for a in atoms)\n")
+    for seed in ("1", "2"):
+        done = subprocess.run([sys.executable, "-c", script],
+                              input=pickle.dumps(e), capture_output=True,
+                              env={"PYTHONHASHSEED": seed,
+                                   "PYTHONPATH": ":".join(sys.path)},
+                              timeout=60)
+        assert done.returncode == 0, done.stderr.decode()

@@ -1,6 +1,12 @@
-import pytest
+from collections import Counter
 
-from liequiv.expr import (Expr, Monomial, atoms_of, is_zero, replace_atoms)
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from liequiv import system as system_module
+from liequiv.expr import (ONE, Expr, Monomial, atoms_of, is_zero, replace_atoms,
+                          substitute, unknown)
 from liequiv.jets import build_registry
 from liequiv.system import build_system, restrict_to_manifold
 
@@ -161,3 +167,92 @@ def test_momentum_components_swap(spaces, dim):
             assert swapped == system.momentum[j - 1]
             assert replace_atoms(system.mass, table) == system.mass
             assert replace_atoms(system.pressure, table) == system.pressure
+
+
+def restrict_reference(e, system):
+    """The per-term clearing: each term rebuilds its product of u_t
+    numerators from ONE."""
+    reg = system.registry
+    pm = system.principal
+    e = substitute(e, {reg.rho_t: pm.rho_t, reg.p_t: pm.p_t})
+    u_t_index = {a: i for i, a in enumerate(reg.u_t)}
+    power = max((sum(k for a, k in mono.factors if a in u_t_index)
+                 for mono, _ in e.terms), default=0)
+    if power == 0:
+        return e, 0
+    pieces = []
+    for mono, c in e.terms:
+        rest, num, deg = [], ONE, 0
+        for a, k in mono.factors:
+            i = u_t_index.get(a)
+            if i is None:
+                rest.append((a, k))
+            else:
+                num = num * pm.u_t_num[i] ** k
+                deg += k
+        rest.append((reg.rho, power - deg))
+        factor = Monomial(rest)
+        pieces.extend((m * factor, c * cn) for m, cn in num.terms)
+    return Expr(pieces), power
+
+
+SYSTEMS = {dim: build_system(dim, build_registry(dim)) for dim in (1, 2, 3)}
+
+
+@st.composite
+def residuals(draw):
+    """(system, polynomial) with u_t powers, rho_t, p_t, rational
+    coefficients and parametric atoms (jets, Pi, Pi_d, G, H) next to ?
+    constants."""
+    system = SYSTEMS[draw(st.integers(1, 3))]
+    reg = system.registry
+    others = ([reg.t, reg.p, reg.rho, reg.g, reg.h, unknown("c1"),
+               unknown("c2")]
+              + list(reg.x) + list(reg.u) + list(reg.p_x) + list(reg.rho_x)
+              + list(reg.u_x.values()) + list(reg.u_xx.values())
+              + list(reg.u_tx.values()) + list(reg.pi.values())
+              + list(reg.pi_d.values()))
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        # total degree up to 3 in the u_t, as u1_t**3 or u1_t**2*u2_t; up
+        # to 2 at N = 3, where one cube of a 31-term numerator takes 0.3 s
+        factors = [(a, 1) for a in draw(st.lists(
+            st.sampled_from(reg.u_t), max_size=3 if reg.dim < 3 else 2))]
+        factors += [(draw(st.sampled_from(others)), draw(st.integers(1, 2)))
+                    for _ in range(draw(st.integers(0, 3)))]
+        # at most one rho_t or p_t: their bindings have up to 15 terms
+        factors += [(a, 1) for a in draw(st.lists(
+            st.sampled_from([reg.rho_t, reg.p_t]), max_size=1))]
+        terms.append((Monomial(factors),
+                      draw(st.fractions(max_denominator=6).filter(bool))))
+    return system, Expr(terms)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(residuals())
+def test_restrict_matches_per_term_clearing(case):
+    system, e = case
+    assert restrict_to_manifold(e, system) == restrict_reference(e, system)
+
+
+def test_restrict_builds_each_numerator_product_once(monkeypatch):
+    calls = Counter()
+    build = system_module._numerator_product
+
+    def counting(u_t_num, pattern):
+        calls[pattern] += 1
+        return build(u_t_num, pattern)
+
+    monkeypatch.setattr(system_module, "_numerator_product", counting)
+    system = SYSTEMS[2]
+    reg = system.registry
+    u1_t, u2_t = reg.u_t
+    e = (u1_t * reg.p + 3 * u1_t * reg.g + u1_t ** 2 * u2_t * reg.h
+         + u1_t ** 2 * u2_t * reg.rho + reg.rho_t * u2_t ** 2 + reg.p_t + reg.g)
+    patterns = {((0, 1),), ((0, 2), (1, 1)), ((1, 2),), ()}
+    for calls_so_far in (1, 2):
+        restrict_to_manifold(e, system)
+        assert calls == Counter({p: calls_so_far for p in patterns})
+    calls.clear()
+    restrict_to_manifold(reg.rho_t * reg.g + reg.p_t, system)
+    assert not calls
