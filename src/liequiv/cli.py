@@ -13,14 +13,15 @@ import sys
 from fractions import Fraction
 
 from . import report
-from .catalog import (KIND_USER, CatalogEntry, build_catalog, find_entry,
+from .catalog import (KIND_USER, CatalogEntry, build_catalog,
+                      decompose_in_span, find_entry, structure_constants,
                       verified_entries)
 from .determining import check_entry, determining_equations, finite_check
 from .dsl import (DslSyntaxError, UnknownCoordinateError, parse_generator,
                   print_generator)
 from .expr import ExprError
 from .flows import NoClosedFormError, exponentiate
-from .generators import AnsatzError, prolong
+from .generators import AnsatzError, bracket, prolong
 from .jets import JetOrderError, UnsupportedDimensionError, build_registry
 from .linsolve import InconsistentSystemError
 from .system import build_system
@@ -103,42 +104,21 @@ def _select_generators(args, reg) -> tuple:
     return (entry,)
 
 
-def _emit(args, payload) -> None:
-    text = (report.render_json(payload) if args.format == "json"
-            else report.render_text(payload))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _cmd_verify(args) -> int:
-    reg = build_registry(args.dim)
+def _cmd_verify(args, reg, payload) -> int:
     system = build_system(args.dim, reg)
-    results = []
-    all_pass = True
-    for entry in sorted(_select_generators(args, reg), key=lambda e: e.name):
-        verdict = check_entry(system, entry)
-        ok = verdict.zero and verdict.agreement is not False
-        all_pass = all_pass and ok
-        results.append(report.verdict_payload(verdict, entry.kind))
-    payload = report.skeleton("verify", args.dim)
-    payload["results"] = results
+    verdicts = [check_entry(system, entry) for entry in
+                sorted(_select_generators(args, reg), key=lambda e: e.name)]
+    all_pass = all(v.zero and v.agreement is not False for v in verdicts)
+    payload["results"] = [report.verdict_payload(v) for v in verdicts]
     payload["status"] = "pass" if all_pass else "fail"
-    _emit(args, payload)
     return 0 if all_pass else 1
 
 
-def _cmd_deteq(args) -> int:
-    reg = build_registry(args.dim)
+def _cmd_deteq(args, reg, payload) -> int:
     system = build_system(args.dim, reg)
-    payload = report.skeleton("deteq", args.dim)
     payload["results"] = [
         report.determining_payload(determining_equations(system, e.spec, e.name))
         for e in sorted(_select_generators(args, reg), key=lambda e: e.name)]
-    payload["status"] = "ok"
-    _emit(args, payload)
     return 0
 
 
@@ -157,13 +137,8 @@ def _combo_string(combo: dict) -> str:
     return " + ".join(parts).replace("+ -", "- ")
 
 
-def _cmd_bracket(args) -> int:
-    from .catalog import decompose_in_span, structure_constants
-    from .generators import bracket
-    reg = build_registry(args.dim)
-    catalog = build_catalog(args.dim, reg)
-    entries = verified_entries(catalog)
-    payload = report.skeleton("bracket", args.dim)
+def _cmd_bracket(args, reg, payload) -> int:
+    entries = verified_entries(build_catalog(args.dim, reg))
     if args.pair:
         left, _, right = args.pair.partition(",")
         right = right.strip()
@@ -183,13 +158,10 @@ def _cmd_bracket(args) -> int:
         payload["table"] = [
             [_combo_string(table.cell(n1, n2)) for n2 in table.names]
             for n1 in table.names]
-    payload["status"] = "ok"
-    _emit(args, payload)
     return 0
 
 
-def _cmd_transform(args) -> int:
-    reg = build_registry(args.dim)
+def _cmd_transform(args, reg, payload) -> int:
     system = build_system(args.dim, reg)
     if args.param is None:
         param = None
@@ -204,43 +176,32 @@ def _cmd_transform(args) -> int:
                          f"got {len(selected)} from {args.gen}")
     ft = exponentiate(prolong(reg, selected[0].spec), param)
     result = finite_check(system, ft)
-    payload = report.skeleton("transform", args.dim)
     payload["generator"] = args.gen
     payload["parameter"] = "a" if param is None else str(param)
     payload["maps"] = [{"coordinate": a.name, "image": str(img)}
                        for a, img in ft.images()]
     payload["equations"] = [
         {"equation": f.equation,
-         "factor": f.factor if f.ok else "none (not form-invariant)",
+         "factor": ("none (not form-invariant)" if f.factor is None
+                    else f.factor),
          "image": str(f.pullback)}
         for f in result.factors]
-    payload["status"] = "ok"
-    _emit(args, payload)
     return 0
 
 
-def _cmd_list(args) -> int:
-    reg = build_registry(args.dim)
-    catalog = build_catalog(args.dim, reg)
-    payload = report.skeleton("list", args.dim)
+def _cmd_list(args, reg, payload) -> int:
     payload["entries"] = [
         {"name": e.name, "kind": e.kind, "has_flow": e.has_flow,
          "dsl": print_generator(reg, e.spec)}
-        for e in catalog]
-    payload["status"] = "ok"
-    _emit(args, payload)
+        for e in build_catalog(args.dim, reg)]
     return 0
 
 
-def _cmd_system_dump(args) -> int:
-    reg = build_registry(args.dim)
+def _cmd_system_dump(args, reg, payload) -> int:
     system = build_system(args.dim, reg)
-    payload = report.skeleton("system-dump", args.dim)
     payload["equations"] = [{"name": name, "expression": str(eq)}
                             for name, eq in system.equations()]
     payload["dissipation"] = str(system.dissipation)
-    payload["status"] = "ok"
-    _emit(args, payload)
     return 0
 
 
@@ -275,6 +236,8 @@ def _join_negative_params(argv: list) -> list:
 
 
 def main(argv=None) -> int:
+    """Parse, let the command's handler fill the report skeleton and choose
+    the exit code, then render and write the report once."""
     parser = _build_parser()
     argv = _join_negative_params(sys.argv[1:] if argv is None else list(argv))
     try:
@@ -282,7 +245,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        reg = build_registry(args.dim)
+        payload = report.skeleton(args.command, args.dim)
+        code = _HANDLERS[args.command](args, reg, payload)
+        payload.setdefault("status", "ok")  # verify sets pass or fail
+        text = (report.render_json(payload) if args.format == "json"
+                else report.render_text(payload))
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except _INPUT_ERRORS as exc:
         sys.stderr.write(f"liequiv: error: {exc}\n")
         return 2

@@ -10,17 +10,20 @@ H.  Everything in t, x, u, p, rho (and any opaque ?constants) stays inside
 the split coefficients.
 
 A generator is an equivalence symmetry exactly when every split coefficient
-is the zero expression; the first nonzero entry in canonical order is kept
-as a witness.  ``check_entry`` is the one verdict routine: for catalog
-entries with a closed-form flow it exponentiates the field the determining
-equations were built with and cross-checks the statement finitely: the
-pullback of each equation must equal a nonzero factor, constant over the
-space, times the equation.  ``verify`` is ``check_entry`` of a ``"user"``
-entry.
+is the zero expression.  ``check_entry`` is the one verdict routine; its
+``Verdict`` keeps the ``EquationSplit``s it was decided from, so an
+equation's witness is the first term of its split in canonical order, as an
+expression.  ``check_entry`` makes no witness strings: ``report`` prints
+them.  For catalog entries with a closed-form flow it exponentiates the
+field the determining equations were built with and cross-checks the
+statement finitely: the pullback of each equation must equal a nonzero
+factor, constant over the space, times the equation.  ``verify`` is
+``check_entry`` of a ``"user"`` entry.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -95,19 +98,9 @@ def determining_equations(system: BalanceSystem, g: GeneratorSpec,
 
 
 @dataclass(frozen=True)
-class EquationVerdict:
-    equation: str
-    status: str  # "zero" | "nonzero"
-    rho_power: int
-    witness_monomial: str | None
-    witness_coefficient: str | None
-
-
-@dataclass(frozen=True)
 class FiniteFactor:
     equation: str
-    factor: str | None
-    ok: bool
+    factor: str | None  # None: the pullback is no constant multiple
     pullback: Expr  # the equation pulled back through the transformation
 
 
@@ -120,8 +113,9 @@ class FiniteCheckResult:
 @dataclass(frozen=True)
 class Verdict:
     generator: str
-    zero: bool
-    equations: tuple
+    kind: str
+    zero: bool  # no split has a term
+    equations: tuple  # the EquationSplits of determining_equations
     finite: FiniteCheckResult | None
     agreement: bool | None
 
@@ -162,8 +156,9 @@ def finite_check(system: BalanceSystem, ft: FiniteTransformation) -> FiniteCheck
                 k = q.exponent(SCALE) - q.exponent(SCALE_INV)
                 found = _factor_string(c / lead_coeff, k)
                 break
-        factors.append(FiniteFactor(eq_name, found, found is not None, pullback))
-    return FiniteCheckResult(all(f.ok for f in factors), tuple(factors))
+        factors.append(FiniteFactor(eq_name, found, pullback))
+    return FiniteCheckResult(all(f.factor is not None for f in factors),
+                             tuple(factors))
 
 
 def check_entry(system: BalanceSystem, entry: CatalogEntry) -> Verdict:
@@ -171,20 +166,12 @@ def check_entry(system: BalanceSystem, entry: CatalogEntry) -> Verdict:
     finite cross-check and the agreement flag between the two routes; the
     flow is exponentiated from the field the determining equations used."""
     dsys = determining_equations(system, entry.spec, entry.name)
-    eqs = []
-    for split in dsys.splits:
-        if split.terms:
-            mono, coeff = split.terms[0]
-            eqs.append(EquationVerdict(split.equation, "nonzero",
-                                       split.rho_power, str(mono), str(coeff)))
-        else:
-            eqs.append(EquationVerdict(split.equation, "zero",
-                                       split.rho_power, None, None))
-    zero = all(ev.status == "zero" for ev in eqs)
+    zero = not any(s.terms for s in dsys.splits)
     if not entry.has_flow:
-        return Verdict(entry.name, zero, tuple(eqs), None, None)
+        return Verdict(entry.name, entry.kind, zero, dsys.splits, None, None)
     fin = finite_check(system, exponentiate(dsys.prolonged))
-    return Verdict(entry.name, zero, tuple(eqs), fin, zero == fin.passed)
+    return Verdict(entry.name, entry.kind, zero, dsys.splits, fin,
+                   zero == fin.passed)
 
 
 def verify(system: BalanceSystem, g: GeneratorSpec,
@@ -193,20 +180,15 @@ def verify(system: BalanceSystem, g: GeneratorSpec,
     return check_entry(system, CatalogEntry(name, KIND_USER, g))
 
 
-def witness_is_sound(system: BalanceSystem, verdict: Verdict, seed: int = 7,
-                     draws: int = 5) -> bool:
-    """The recorded witness coefficient evaluates to a nonzero rational for
-    at least one of ``draws`` seeded random rational points."""
-    import random
-
-    from .dsl import parse_expr
-
-    reg = system.registry
+def witness_is_sound(verdict: Verdict, seed: int = 7, draws: int = 5) -> bool:
+    """Every witness coefficient (the first term of a nonzero split)
+    evaluates to a nonzero rational at one of ``draws`` seeded random
+    rational points."""
     rng = random.Random(seed)
-    for ev in verdict.equations:
-        if ev.status != "nonzero":
+    for split in verdict.equations:
+        if not split.terms:
             continue
-        coeff = parse_expr(reg, ev.witness_coefficient)
+        coeff = split.terms[0][1]
         hit = False
         for _ in range(draws):
             point = {a: Fraction(rng.randint(1, 19), rng.randint(1, 7))

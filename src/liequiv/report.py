@@ -6,6 +6,10 @@ serialize to byte-identical JSON.  Every report embeds the adopted-
 assumptions block; the two modeling choices it records travel with every
 number this tool prints.  The JSON shapes are documented in
 docs/report_schema.json and frozen by golden-file tests.
+
+This is the one place witness text is made: a verdict keeps the split
+determining equations it was decided from, and an equation's witness is the
+first term of its split, printed by the same rule as every ``deteq`` term.
 """
 
 from __future__ import annotations
@@ -43,19 +47,16 @@ def skeleton(command: str, dim: int) -> dict:
     }
 
 
-def verdict_payload(v: Verdict, kind: str) -> dict:
-    eqs = []
-    for ev in v.equations:
-        witness = None
-        if ev.status == "nonzero":
-            witness = {"monomial": ev.witness_monomial,
-                       "coefficient": ev.witness_coefficient}
-        eqs.append({
-            "equation": ev.equation,
-            "status": ev.status,
-            "rho_power": ev.rho_power,
-            "witness": witness,
-        })
+def _term(mono, coeff) -> dict:
+    return {"monomial": str(mono), "coefficient": str(coeff)}
+
+
+def verdict_payload(v: Verdict) -> dict:
+    eqs = [{"equation": s.equation,
+            "status": "nonzero" if s.terms else "zero",
+            "rho_power": s.rho_power,
+            "witness": _term(*s.terms[0]) if s.terms else None}
+           for s in v.equations]
     if v.finite is None:
         finite = {"available": False, "status": None, "factors": None}
     else:
@@ -66,7 +67,7 @@ def verdict_payload(v: Verdict, kind: str) -> dict:
         }
     return {
         "generator": v.generator,
-        "kind": kind,
+        "kind": v.kind,
         "infinitesimal": {
             "status": "zero" if v.zero else "nonzero",
             "equations": eqs,
@@ -84,8 +85,7 @@ def determining_payload(d: DeterminingSystem) -> dict:
             {
                 "equation": s.equation,
                 "rho_power": s.rho_power,
-                "terms": [{"monomial": str(m), "coefficient": str(c)}
-                          for m, c in s.terms],
+                "terms": [_term(m, c) for m, c in s.terms],
             }
             for s in d.splits
         ],

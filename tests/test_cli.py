@@ -241,3 +241,24 @@ def test_finite_line_names_why_there_is_no_finite_check(capsys):
     code, out, _ = run(capsys, "verify", "--dim", "2", "--gen", "J12_tensorial")
     assert "  finite: no closed-form flow in the exact carrier\n" in out
     assert "not run" not in out
+
+
+def test_failing_verify_writes_the_full_report_to_out(tmp_path, capsys):
+    target = tmp_path / "report.txt"
+    code, out, err = run(capsys, "verify", "--dim", "2", "--gen", "J12_naive",
+                         "--out", str(target))
+    assert (code, out, err) == (1, "", "")
+    text = target.read_text(encoding="utf-8")
+    assert "; witness Pi11_d_u1x1*u1_x1x2 -> rho\n" in text
+    assert text.endswith("status: fail\n")
+    assert run(capsys, "verify", "--dim", "2", "--gen", "J12_naive") == (1, text, "")
+
+
+def test_out_in_a_missing_directory_exits_2(tmp_path, capsys):
+    for argv in (("verify", "--dim", "2", "--gen", "J12_naive"),
+                 ("list", "--dim", "1")):
+        code, out, err = run(capsys, *argv, "--out",
+                             str(tmp_path / "missing" / "report.txt"))
+        assert (code, out) == (2, "")
+        assert err.startswith("liequiv: error:")
+    assert not (tmp_path / "missing").exists()

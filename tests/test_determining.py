@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liequiv.catalog import CatalogEntry, find_entry
 from liequiv.determining import (check_entry, determining_equations,
@@ -8,7 +10,8 @@ from liequiv.determining import (check_entry, determining_equations,
                                  solve_unknowns, verify, witness_is_sound)
 from liequiv.expr import ZERO, Expr, atoms_of, is_unknown, substitute, unknown
 from liequiv.flows import exponentiate
-from liequiv.generators import apply_with_trace, make_generator, prolong
+from liequiv.generators import (apply_with_trace, bracket, combine,
+                                make_generator, prolong)
 from liequiv.report import verdict_payload
 from liequiv.system import restrict_to_manifold
 
@@ -41,10 +44,10 @@ def test_naive_rotation_fails_with_stress_witness(spaces):
     entry = find_entry(spaces[2].catalog, "J12_naive")
     v = verify(system, entry.spec, entry.name)
     assert not v.zero
-    momentum = [ev for ev in v.equations if ev.equation.startswith("momentum")]
-    bad = [ev for ev in momentum if ev.status == "nonzero"]
-    assert bad and all("Pi" in ev.witness_monomial for ev in bad)
-    assert witness_is_sound(system, v)
+    momentum = [s for s in v.equations if s.equation.startswith("momentum")]
+    bad = [s for s in momentum if s.terms]
+    assert bad and all("Pi" in str(s.terms[0][0]) for s in bad)
+    assert witness_is_sound(v)
     # hand check of the first momentum_1 witness term: the second-jet
     # coefficient zeta^{u1}_{x1x1} = -u2_x1x1 - 2*u1_x1x2 hits
     # -Pi11_d_u1x1, giving +2; the induced stress-derivative coefficient
@@ -52,8 +55,9 @@ def test_naive_rotation_fails_with_stress_witness(spaces):
     # rho clearing of the momentum equation.
     first = bad[0]
     assert first.equation == "momentum_1"
-    assert first.witness_monomial == "Pi11_d_u1x1*u1_x1x2"
-    assert first.witness_coefficient == "rho"
+    mono, coeff = first.terms[0]
+    assert str(mono) == "Pi11_d_u1x1*u1_x1x2"
+    assert coeff == Expr.of(system.registry.rho)
 
 
 def test_determining_system_reconstructs_residual(spaces):
@@ -240,8 +244,8 @@ def test_verify_is_check_entry_of_a_user_entry(spaces):
 
 def test_verdicts_serialize_deterministically(spaces):
     entry = find_entry(spaces[2].catalog, "J12_naive")
-    one = verdict_payload(check_entry(spaces[2].system, entry), entry.kind)
-    two = verdict_payload(check_entry(spaces[2].system, entry), entry.kind)
+    one = verdict_payload(check_entry(spaces[2].system, entry))
+    two = verdict_payload(check_entry(spaces[2].system, entry))
     assert json.dumps(one) == json.dumps(two)
 
 
@@ -252,10 +256,40 @@ def test_batch_verification_fans_out(spaces):
 
     system = spaces[2].system
     catalog = spaces[2].catalog
-    sequential = {e.name: verdict_payload(check_entry(system, e), e.kind)
+    sequential = {e.name: verdict_payload(check_entry(system, e))
                   for e in catalog}
     with ThreadPoolExecutor(max_workers=4) as pool:
         parallel = dict(pool.map(
-            lambda e: (e.name, verdict_payload(check_entry(system, e), e.kind)),
+            lambda e: (e.name, verdict_payload(check_entry(system, e))),
             catalog))
     assert parallel == sequential
+
+
+@st.composite
+def bracket_pairs(draw):
+    """(dim, left, right): two rational combinations, as lists of
+    (coefficient, name), of the verified entries and the tensorial
+    rotations."""
+    dim = draw(st.sampled_from((2, 3)))
+    rng = range(1, dim + 1)
+    pool = (["X0", "S", "T", "Z1", "Z2"] + [f"X{i}" for i in rng]
+            + [f"Y{i}" for i in rng]
+            + [f"J{i}{j}_tensorial" for i in rng for j in rng if i < j])
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+    def side():
+        names = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3,
+                              unique=True))
+        return [(draw(coeff), name) for name in names]
+
+    return dim, side(), side()
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(bracket_pairs())
+def test_brackets_of_symmetries_are_symmetries(spaces, pair):
+    dim, left, right = pair
+    reg, catalog = spaces[dim].reg, spaces[dim].catalog
+    g1, g2 = (combine(reg, [(c, find_entry(catalog, n).spec) for c, n in side])
+              for side in (left, right))
+    assert verify(spaces[dim].system, bracket(reg, g1, g2)).zero

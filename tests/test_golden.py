@@ -28,6 +28,13 @@ def _run_to_bytes(tmp_path, argv):
      ["list", "--dim", "2", "--format", "text"], 0),
     ("bracket_dim1.json",
      ["bracket", "--dim", "1", "--table", "--format", "json"], 0),
+    # nonzero witnesses, a zero tensorial verdict and the theorem factors
+    ("verify_dim2_all.txt",
+     ["verify", "--dim", "2", "--gen", "all", "--format", "text"], 1),
+    ("verify_dim1_user.json",
+     ["verify", "--dim", "1", "--gen", "x1*d/dt", "--format", "json"], 1),
+    ("transform_dim1_xscale.txt",
+     ["transform", "--dim", "1", "--gen", "x1*d/dx1", "--format", "text"], 0),
 ])
 def test_reports_match_goldens(tmp_path, golden, argv, expect_code):
     code, got = _run_to_bytes(tmp_path, argv)
