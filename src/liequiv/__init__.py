@@ -5,8 +5,7 @@ Pi(grad u) and state functions G(p, rho), H(p, rho)."""
 __version__ = "0.1.0"
 
 from .expr import (Atom, Expr, Monomial, as_expr, atoms_of, collect,
-                   diff_atom, diff_partial, evaluate, is_zero, replace_atoms,
-                   substitute)
+                   diff_partial, evaluate, is_zero, replace_atoms, substitute)
 from .jets import JetRegistry, build_registry, total_derivative
 from .system import BalanceSystem, build_system, restrict_to_manifold
 from .generators import (GeneratorSpec, ProlongedGenerator, apply_with_trace,
@@ -22,8 +21,7 @@ from .dsl import parse_expr, parse_generator, print_generator
 
 __all__ = [
     "Atom", "Expr", "Monomial", "as_expr", "atoms_of", "collect",
-    "diff_atom", "diff_partial", "evaluate", "is_zero", "replace_atoms",
-    "substitute",
+    "diff_partial", "evaluate", "is_zero", "replace_atoms", "substitute",
     "JetRegistry", "build_registry", "total_derivative",
     "BalanceSystem", "build_system", "restrict_to_manifold",
     "GeneratorSpec", "ProlongedGenerator", "apply_with_trace", "bracket",

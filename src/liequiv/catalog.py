@@ -19,8 +19,9 @@ need cos/sin, so only the verified entries carry a closed-form flow
 catalog, as DSL text, travel as entries of kind ``"user"``, which are
 checked infinitesimally only.
 
-``structure_constants`` prolongs each entry once per table and brackets
-every pair from those first-order fields.
+``structure_constants`` prolongs each entry and builds its feature vector
+once per table, brackets every pair from those first-order fields, and
+decomposes each bracket with the routine behind ``decompose_in_span``.
 """
 
 from __future__ import annotations
@@ -155,35 +156,48 @@ class StructureTable:
         return self.combos.get((n1, n2), {})
 
 
-def decompose_in_span(reg: JetRegistry, g: GeneratorSpec, entries) -> dict | None:
-    """Exact coefficients expressing ``g`` over the entries, or None."""
-    vectors = {e.name: _feature_vector(reg, e.spec) for e in entries}
-    target = _feature_vector(reg, g)
-    features = sorted(set(target) | {f for v in vectors.values() for f in v})
-    equations = []
-    for f in features:
-        row = {e.name: vectors[e.name].get(f, Fraction(0)) for e in entries
-               if vectors[e.name].get(f)}
-        equations.append((row, target.get(f, Fraction(0))))
+def _span_rows(reg: JetRegistry, entries) -> dict:
+    """The entries as the columns of a sparse matrix: feature -> {name:
+    coefficient}, one feature vector per entry."""
+    rows = {}
+    for e in entries:
+        for f, c in _feature_vector(reg, e.spec).items():
+            rows.setdefault(f, {})[e.name] = c
+    return rows
+
+
+def _solve_in_span(rows: dict, names, target: dict) -> dict | None:
+    """Exact coefficients over ``names`` of the feature vector ``target`` in
+    the span whose ``_span_rows`` are ``rows``, or None."""
+    equations = [(rows.get(f, {}), target.get(f, Fraction(0)))
+                 for f in sorted(rows.keys() | target.keys())]
     try:
-        solution, _ = solve_linear(equations, [e.name for e in entries])
+        solution, _ = solve_linear(equations, names)
     except InconsistentSystemError:
         return None
     return {n: c for n, c in solution.items() if c}
 
 
+def decompose_in_span(reg: JetRegistry, g: GeneratorSpec, entries) -> dict | None:
+    """Exact coefficients expressing ``g`` over the entries, or None."""
+    return _solve_in_span(_span_rows(reg, entries), [e.name for e in entries],
+                          _feature_vector(reg, g))
+
+
 def structure_constants(reg: JetRegistry, entries) -> StructureTable:
     """All pairwise brackets expressed over the entries themselves; each
-    entry is prolonged once, and every pair goes through ``bracket_fields``."""
+    entry is prolonged once and gives one feature vector per table, and
+    every pair goes through ``bracket_fields``."""
     names = tuple(e.name for e in entries)
     fields = [first_order_field(reg, e.spec) for e in entries]
+    rows = _span_rows(reg, entries)
     combos = {}
     failures = []
     for a in range(len(names)):
         for b in range(a + 1, len(names)):
             n1, n2 = names[a], names[b]
             br = bracket_fields(reg, fields[a], fields[b])
-            combo = decompose_in_span(reg, br, entries)
+            combo = _solve_in_span(rows, names, _feature_vector(reg, br))
             if combo is None:
                 failures.append((n1, n2))
                 continue

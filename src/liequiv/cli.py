@@ -56,10 +56,12 @@ def _build_parser() -> argparse.ArgumentParser:
            gen=many)
     p = sub.add_parser("bracket", help="Lie brackets over the built-in span")
     common(p)
-    p.add_argument("--table", action="store_true",
-                   help="full table over the verified entries")
-    p.add_argument("--pair", default=None, metavar="A,B",
-                   help="single bracket, e.g. X0,Y1")
+    shape = p.add_mutually_exclusive_group()
+    shape.add_argument("--table", action="store_true",
+                       help="full table over the verified entries (the "
+                            "default)")
+    shape.add_argument("--pair", default=None, metavar="A,B",
+                       help="single bracket, e.g. X0,Y1")
     common(sub.add_parser("transform", help="pull the system back through a "
                                             "finite transformation"),
            gen="catalog name, a DSL string, or @file.dsl holding one generator",

@@ -23,13 +23,11 @@ factor, constant over the space, times the equation.  ``verify`` is
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .catalog import KIND_USER, CatalogEntry
-from .expr import (Expr, ZERO, atoms_of, collect, evaluate, is_unknown,
-                   is_zero)
+from .expr import Expr, ZERO, atoms_of, collect, is_unknown, is_zero
 from .flows import (SCALE, SCALE_INV, FiniteTransformation, exponentiate,
                     reduce_scale)
 from .generators import (GeneratorSpec, ProlongedGenerator, apply_with_trace,
@@ -178,27 +176,6 @@ def verify(system: BalanceSystem, g: GeneratorSpec,
            name: str = "generator") -> Verdict:
     """``check_entry`` of ``g`` as a user entry: the infinitesimal verdict."""
     return check_entry(system, CatalogEntry(name, KIND_USER, g))
-
-
-def witness_is_sound(verdict: Verdict, seed: int = 7, draws: int = 5) -> bool:
-    """Every witness coefficient (the first term of a nonzero split)
-    evaluates to a nonzero rational at one of ``draws`` seeded random
-    rational points."""
-    rng = random.Random(seed)
-    for split in verdict.equations:
-        if not split.terms:
-            continue
-        coeff = split.terms[0][1]
-        hit = False
-        for _ in range(draws):
-            point = {a: Fraction(rng.randint(1, 19), rng.randint(1, 7))
-                     for a in atoms_of(coeff)}
-            if evaluate(coeff, point) != 0:
-                hit = True
-                break
-        if not hit:
-            return False
-    return True
 
 
 def solve_unknowns(dsys: DeterminingSystem) -> dict:

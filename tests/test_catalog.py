@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from liequiv import generators
+from liequiv import catalog, generators
 from liequiv.catalog import (build_catalog, candidate_entries,
                              decompose_in_span, find_entry, rotation_specs,
                              structure_constants, verified_entries)
@@ -119,6 +119,24 @@ def test_table_prolongs_each_entry_once(spaces, monkeypatch):
     structure_constants(reg, entries)
     assert len(entries) == 11
     assert prolonged == Counter(id(e.spec) for e in entries)
+
+
+def test_table_builds_each_feature_vector_once(spaces, monkeypatch):
+    reg = spaces[3].reg
+    entries = verified_entries(spaces[3].catalog)
+    built = Counter()
+    original = catalog._feature_vector
+
+    def counting(reg, g):
+        built[id(g)] += 1
+        return original(reg, g)
+
+    monkeypatch.setattr(catalog, "_feature_vector", counting)
+    structure_constants(reg, entries)
+    assert len(entries) == 11
+    assert [built[id(e.spec)] for e in entries] == [1] * 11
+    # and one for each of the 55 brackets
+    assert sum(built.values()) == 11 + 55
 
 
 def test_decompose_detects_outside_span(spaces):

@@ -76,6 +76,16 @@ def test_bracket_pair(capsys):
     assert payload["value"] == "2*S"
 
 
+def test_bracket_table_is_the_default_and_excludes_pair(capsys):
+    default = run(capsys, "bracket", "--dim", "2")
+    assert default[0] == 0
+    assert default == run(capsys, "bracket", "--dim", "2", "--table")
+    code, out, err = run(capsys, "bracket", "--dim", "2", "--table",
+                         "--pair", "S,Z1")
+    assert code == 2 and not out
+    assert "not allowed with argument" in err
+
+
 def test_deteq_reports_split_system(capsys):
     code, out, _ = run(capsys, "deteq", "--dim", "1", "--gen",
                        "x1*d/dx1 + u1*d/du1 + ?a*p*d/dp + ?b*Pi11*d/dPi11 + ?c*G*d/dG",

@@ -5,17 +5,24 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liequiv import linsolve
 from liequiv.linsolve import InconsistentSystemError, solve_linear
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
-scales = rationals.filter(bool)
+# entries whose integer forms are large: the lcm of up to four denominators
+# near 10**6 times numerators near 10**12
+wide_rationals = st.builds(Fraction, st.integers(-10**12, 10**12),
+                           st.integers(1, 10**6))
+# int-only systems: the solution must still be Fractions
+ints = st.integers(-10**12, 10**12)
 
 
 @st.composite
-def systems(draw):
-    """(equations, variables) of a random sparse rational system, with
-    duplicate, rescaled and all-zero rows mixed in and some variables that
-    occur in no row."""
+def systems(draw, rationals=rationals):
+    """(equations, variables) of a random sparse system with entries drawn
+    from ``rationals``, with duplicate, rescaled and all-zero rows mixed in
+    and some variables that occur in no row."""
+    scales = rationals.filter(bool)
     n = draw(st.integers(1, 6))
     unused = draw(st.integers(0, 2))
     variables = draw(st.permutations([f"v{i}" for i in range(n + unused)]))
@@ -23,7 +30,7 @@ def systems(draw):
                                          max_size=3), max_size=8))
     if draw(st.booleans()):
         point = draw(st.lists(rationals, min_size=n, max_size=n))
-        rhs = [sum((c * point[k] for k, c in row.items()), Fraction(0))
+        rhs = [sum((c * point[k] for k, c in row.items()), 0)
                for row in rows]
     else:
         rhs = draw(st.lists(rationals, min_size=len(rows), max_size=len(rows)))
@@ -34,7 +41,7 @@ def systems(draw):
     for kind, at, s in draw(st.lists(injected, max_size=4)):
         if kind == "zero":
             equations.insert(at % (len(equations) + 1),
-                             ({f"v{at % n}": Fraction(0)}, Fraction(0)))
+                             ({f"v{at % n}": 0}, 0))
         elif equations:
             coeffs, b = equations[at % len(equations)]
             s = s if kind == "scale" else 1
@@ -54,8 +61,8 @@ def sympy_system(equations, variables):
     return a, a.row_join(b)
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
-@given(systems())
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.one_of(systems(), systems(wide_rationals), systems(ints)))
 def test_matches_sympy_rref(system):
     equations, variables = system
     a, augmented = sympy_system(equations, variables)
@@ -71,6 +78,7 @@ def test_matches_sympy_rref(system):
         assert solution[variables[k]] == Fraction(str(reduced[r, -1]))
     for v in free:
         assert solution[v] == 0
+    assert all(type(c) is Fraction for c in solution.values())
     for coeffs, b in equations:
         assert sum((c * solution[v] for v, c in coeffs.items()), Fraction(0)) == b
 
@@ -98,6 +106,23 @@ def test_lone_zero_equals_one():
         solve_linear([({}, 1)], ["a"])
     with pytest.raises(InconsistentSystemError):
         solve_linear([({"a": 0}, Fraction(1))], ["a"])
+
+
+def test_rows_equal_up_to_a_fraction_scale_are_one_row(monkeypatch):
+    reduced = []
+    original = linsolve._reduce
+
+    def counting(row, rhs, pivots):
+        reduced.append(dict(row))
+        return original(row, rhs, pivots)
+
+    monkeypatch.setattr(linsolve, "_reduce", counting)
+    as_ints = ({"a": 2, "b": -4}, 6)
+    scaled = ({"a": Fraction(-2, 3), "b": Fraction(4, 3)}, Fraction(-2))
+    solution, free = solve_linear([as_ints, scaled], ["a", "b"])
+    assert reduced == [{0: 1, 1: -2}]
+    assert solution == {"a": Fraction(3), "b": Fraction(0)} and free == ["b"]
+    assert all(type(c) is Fraction for c in solution.values())
 
 
 def test_one_by_one():
