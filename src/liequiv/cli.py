@@ -124,21 +124,6 @@ def _cmd_deteq(args, reg, payload) -> int:
     return 0
 
 
-def _combo_string(combo: dict) -> str:
-    if not combo:
-        return "0"
-    parts = []
-    for name in sorted(combo):
-        c = combo[name]
-        if c == 1:
-            parts.append(name)
-        elif c == -1:
-            parts.append(f"-{name}")
-        else:
-            parts.append(f"{c}*{name}")
-    return " + ".join(parts).replace("+ -", "- ")
-
-
 def _cmd_bracket(args, reg, payload) -> int:
     entries = verified_entries(build_catalog(args.dim, reg))
     if args.pair:
@@ -147,19 +132,12 @@ def _cmd_bracket(args, reg, payload) -> int:
         specs = {e.name: e.spec for e in entries}
         if left not in specs or right not in specs:
             raise ValueError(f"--pair must name two verified entries, got {args.pair}")
-        # A bracket outside the span prints 0, as its table cell does.
         combo = decompose_in_span(
             reg, bracket(reg, specs[left], specs[right]), entries)
-        payload["left"] = left
-        payload["right"] = right
-        payload["value"] = _combo_string(combo or {})
+        payload.update(report.bracket_pair_payload(left, right, combo))
     else:
-        table = structure_constants(reg, entries)
-        payload["basis"] = list(table.names)
-        payload["closed"] = table.closed
-        payload["table"] = [
-            [_combo_string(table.cell(n1, n2)) for n2 in table.names]
-            for n1 in table.names]
+        payload.update(report.bracket_table_payload(
+            structure_constants(reg, entries)))
     return 0
 
 
@@ -177,17 +155,8 @@ def _cmd_transform(args, reg, payload) -> int:
         raise ValueError(f"transform needs exactly one generator, "
                          f"got {len(selected)} from {args.gen}")
     ft = exponentiate(prolong(reg, selected[0].spec), param)
-    result = finite_check(system, ft)
-    payload["generator"] = args.gen
-    payload["parameter"] = "a" if param is None else str(param)
-    payload["maps"] = [{"coordinate": a.name, "image": str(img)}
-                       for a, img in ft.images()]
-    payload["equations"] = [
-        {"equation": f.equation,
-         "factor": ("none (not form-invariant)" if f.factor is None
-                    else f.factor),
-         "image": str(f.pullback)}
-        for f in result.factors]
+    payload.update(report.transform_payload(args.gen, param, ft,
+                                            finite_check(system, ft)))
     return 0
 
 

@@ -13,12 +13,14 @@ A generator is an equivalence symmetry exactly when every split coefficient
 is the zero expression.  ``check_entry`` is the one verdict routine; its
 ``Verdict`` keeps the ``EquationSplit``s it was decided from, so an
 equation's witness is the first term of its split in canonical order, as an
-expression.  ``check_entry`` makes no witness strings: ``report`` prints
-them.  For catalog entries with a closed-form flow it exponentiates the
-field the determining equations were built with and cross-checks the
+expression.  For catalog entries with a closed-form flow it exponentiates
+the field the determining equations were built with and cross-checks the
 statement finitely: the pullback of each equation must equal a nonzero
-factor, constant over the space, times the equation.  ``verify`` is
+factor, constant over the space, times the equation.  That factor is kept
+exact, as the pair (c, k) meaning c*exp(a)^k.  ``verify`` is
 ``check_entry`` of a ``"user"`` entry.
+
+This module makes no text: witnesses and factors are printed by ``report``.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ def determining_equations(system: BalanceSystem, g: GeneratorSpec,
 @dataclass(frozen=True)
 class FiniteFactor:
     equation: str
-    factor: str | None  # None: the pullback is no constant multiple
+    factor: tuple | None  # (Fraction c, int k): c*exp(a)^k; None: no multiple
     pullback: Expr  # the equation pulled back through the transformation
 
 
@@ -116,22 +118,6 @@ class Verdict:
     equations: tuple  # the EquationSplits of determining_equations
     finite: FiniteCheckResult | None
     agreement: bool | None
-
-
-def _factor_string(coeff: Fraction, k: int) -> str:
-    if k == 0:
-        exp_part = ""
-    elif k == 1:
-        exp_part = "exp(a)"
-    elif k == -1:
-        exp_part = "exp(-a)"
-    else:
-        exp_part = f"exp({k}*a)"
-    if not exp_part:
-        return str(coeff)
-    if coeff == 1:
-        return exp_part
-    return f"{coeff}*{exp_part}"
 
 
 def finite_check(system: BalanceSystem, ft: FiniteTransformation) -> FiniteCheckResult:
@@ -152,7 +138,7 @@ def finite_check(system: BalanceSystem, ft: FiniteTransformation) -> FiniteCheck
             lam = Expr(((q, c / lead_coeff),))
             if reduce_scale(lam * eq) == pullback:
                 k = q.exponent(SCALE) - q.exponent(SCALE_INV)
-                found = _factor_string(c / lead_coeff, k)
+                found = (c / lead_coeff, k)
                 break
         factors.append(FiniteFactor(eq_name, found, pullback))
     return FiniteCheckResult(all(f.factor is not None for f in factors),

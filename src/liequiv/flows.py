@@ -13,7 +13,9 @@ A coordinate without a prolonged action (u_tx when xi^t depends on more than
 t) or a series that breaks either rule raises NoClosedFormError naming the
 coordinate.  The scale factors are carried symbolically through the
 reserved atoms ``exp(a)`` and ``exp(-a)``, which cancel pairwise inside
-monomials.
+monomials.  A flow holds one table, the image of each coordinate it moves,
+in registry order.  An exact rational group parameter is bound inside the
+series, and a shift that vanishes there leaves its coordinate out.
 
 Rotation candidates have no closed form in this exact-rational carrier
 (their flows need cos/sin); ``numeric_flow`` realizes their fully prolonged
@@ -66,21 +68,14 @@ def _cancel_scale(mono: Monomial) -> Monomial:
 class FiniteTransformation:
     """Closed-form group motion of every registered coordinate.
 
-    Each coordinate is scaled, c -> exp(a)^scale[c] * c, or shifted,
-    c -> c + shift[c], never both; the image table of the moved coordinates
-    is built once, in registry order.
+    ``images`` maps each moved coordinate, in registry order, to its image:
+    exp(a)^k * c for a scaled coordinate, c + shift for a shifted one, never
+    both.  Every other coordinate is fixed.
     """
 
-    def __init__(self, reg: JetRegistry, scale: dict, shift: dict):
+    def __init__(self, reg: JetRegistry, images: dict):
         self.registry = reg
-        self.scale = dict(scale)
-        self.shift = {a: as_expr(v) for a, v in shift.items()}
-        self._images = {}
-        for a in reg.space_atoms():
-            if a in self.scale or a in self.shift:
-                img = scale_power(self.scale.get(a, 0)) * a + self.shift.get(a, ZERO)
-                if img != Expr.of(a):
-                    self._images[a] = img
+        self._images = images
 
     def image(self, a: Atom) -> Expr:
         """The transformed coordinate as an expression over the space plus
@@ -94,14 +89,6 @@ class FiniteTransformation:
     def transform(self, e) -> Expr:
         """Pull an expression through the coordinate maps, scale-reduced."""
         return reduce_scale(replace_atoms(e, self._images))
-
-    def with_parameter(self, value) -> "FiniteTransformation":
-        """Shift parts evaluated at an exact rational parameter value; the
-        scale factors stay symbolic powers of exp(a)."""
-        value = Fraction(value)
-        shift = {a: replace_atoms(v, {PARAM: Expr.const(value)})
-                 for a, v in self.shift.items()}
-        return FiniteTransformation(self.registry, self.scale, shift)
 
 
 _NO_FLOW = "no closed-form flow in the exact carrier"
@@ -123,10 +110,11 @@ def _is_affine(e: Expr) -> bool:
                for mono, _ in e.terms)
 
 
-def _lie_series(reg: JetRegistry, pg, c: Atom, bound: int) -> Expr:
+def _lie_series(reg: JetRegistry, pg, c: Atom, bound: int, a: Expr) -> Expr:
     """sum_{n >= 1} a^n/n! X^n(c), required to end within ``bound`` terms
-    (X^0(c) = c included), each affine in the coordinates."""
-    shift, term, power = ZERO, pg.coefficient(c), Expr.of(PARAM)
+    (X^0(c) = c included), each affine in the coordinates; ``a`` is the
+    parameter atom or its bound value."""
+    shift, term, power = ZERO, pg.coefficient(c), a
     for n in range(1, bound + 1):
         if is_zero(term):
             return shift
@@ -138,7 +126,7 @@ def _lie_series(reg: JetRegistry, pg, c: Atom, bound: int) -> Expr:
                 f"terms at order {n}")
         shift = shift + power * term
         term = apply_with_trace(reg, pg, term)[0] / (n + 1)
-        power = power * PARAM
+        power = power * a
     raise NoClosedFormError(
         f"{_NO_FLOW}: the Lie series of {c.name} does not end within "
         f"{bound} terms")
@@ -153,15 +141,17 @@ def exponentiate(pg: ProlongedGenerator, param=None) -> FiniteTransformation:
         if pg.coefficient(c) is None:
             raise NoClosedFormError(
                 f"{_NO_FLOW}: the prolonged field gives {c.name} no action")
-    scale, shift = {}, {}
+    a = Expr.of(PARAM) if param is None else Expr.const(Fraction(param))
+    images = {}
     for c in space:
         k = _weight(pg.coefficient(c), c)
         if k is None:
-            shift[c] = _lie_series(reg, pg, c, len(space) + 1)
+            shift = _lie_series(reg, pg, c, len(space) + 1, a)
+            if not is_zero(shift):
+                images[c] = c + shift
         elif k:
-            scale[c] = k
-    ft = FiniteTransformation(reg, scale, shift)
-    return ft if param is None else ft.with_parameter(param)
+            images[c] = scale_power(k) * c
+    return FiniteTransformation(reg, images)
 
 
 def identity_at_zero(ft: FiniteTransformation) -> bool:
@@ -179,12 +169,16 @@ def composition_is_additive(ft: FiniteTransformation) -> bool:
     Scaled coordinates compose through exp(a1)^d exp(a2)^d = exp(a1+a2)^d by
     construction (no coordinate carries both scale and shift), so the content
     of the check is the shift identity
-    shift(a1) + shift(a2)[coords -> flow_a1(coords)] == shift(a1 + a2).
+    shift(a1) + shift(a2)[coords -> flow_a1(coords)] == shift(a1 + a2),
+    each shift read as image - c from an image free of the scale atoms.
     """
     a1 = coordinate("a:first")
     a2 = coordinate("a:second")
     reg = ft.registry
-    for c, sh in ft.shift.items():
+    for c, img in ft.images():
+        if {SCALE, SCALE_INV}.intersection(atoms_of(img)):
+            continue
+        sh = img - c
         first = replace_atoms(sh, {PARAM: Expr.of(a1)})
         second = replace_atoms(sh, {PARAM: Expr.of(a2)})
         moved = {z: replace_atoms(ft.image(z), {PARAM: Expr.of(a1)})

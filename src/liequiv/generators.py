@@ -41,8 +41,9 @@ jet beyond the velocity gradient.  ``bracket`` and the structure-constant
 table both take it through ``bracket_fields``; the table prolongs each
 entry once.  ``base_coefficients`` and
 ``from_coefficients`` convert between a generator and its ordered map
-direction -> coefficient; everything else reads the coefficient slots
-through that map.
+direction -> coefficient.  A prolonged field is that map extended by every
+prolonged coordinate, one table that ``prolong`` and ``first_order_field``
+build and every reader, the brackets included, reads through ``coefficient``.
 """
 
 from __future__ import annotations
@@ -130,20 +131,17 @@ def combine(reg: JetRegistry, parts) -> GeneratorSpec:
     return from_coefficients(reg, acc)
 
 
+def _base_directions(reg: JetRegistry) -> tuple:
+    """The unprolonged directions in slot order."""
+    return ((reg.t,) + reg.x + reg.u + (reg.p, reg.rho)
+            + tuple(reg.pi[pair] for pair in reg.pi_pairs()) + (reg.g, reg.h))
+
+
 def base_coefficients(reg: JetRegistry, g: GeneratorSpec) -> dict:
     """Ordered map coordinate -> coefficient over the unprolonged directions."""
-    out = {reg.t: g.xi_t}
-    for i in range(reg.dim):
-        out[reg.x[i]] = g.xi_x[i]
-    for k in range(reg.dim):
-        out[reg.u[k]] = g.eta_u[k]
-    out[reg.p] = g.eta_p
-    out[reg.rho] = g.eta_rho
-    for pair, c in zip(reg.pi_pairs(), g.mu_pi):
-        out[reg.pi[pair]] = c
-    out[reg.g] = g.mu_g
-    out[reg.h] = g.mu_h
-    return out
+    return dict(zip(_base_directions(reg),
+                    (g.xi_t,) + g.xi_x + g.eta_u + (g.eta_p, g.eta_rho)
+                    + g.mu_pi + (g.mu_g, g.mu_h)))
 
 
 def from_coefficients(reg: JetRegistry, table: dict) -> GeneratorSpec:
@@ -159,26 +157,18 @@ def from_coefficients(reg: JetRegistry, table: dict) -> GeneratorSpec:
 
 
 class ProlongedGenerator:
-    """A generator together with all prolonged coefficients.
+    """A generator together with all prolonged coefficients, in one table.
 
     ``coefficient(atom)`` covers the base directions, the first-order jets,
     the second-order velocity jets (``u_tx`` only when every D_x(xi^t) is
-    zero) and the stress-derivative coordinates; those maps are exposed as
-    ``zeta1``, ``zeta2`` and ``mu_d`` for inspection.  ``first_order_field``
-    builds one with ``zeta2`` and ``mu_d`` empty.
+    zero) and the stress-derivative coordinates, and is None for a
+    coordinate without an action.  ``first_order_field`` builds one that
+    stops at the first-order jets.
     """
 
-    def __init__(self, reg: JetRegistry, base: GeneratorSpec,
-                 zeta1: dict, zeta2: dict, mu_d: dict):
+    def __init__(self, reg: JetRegistry, base: GeneratorSpec, table: dict):
         self.registry = reg
         self.base = base
-        self.zeta1 = zeta1
-        self.zeta2 = zeta2
-        self.mu_d = mu_d
-        table = base_coefficients(reg, base)
-        table.update(zeta1)
-        table.update(zeta2)
-        table.update(mu_d)
         self._table = table
 
     def coefficient(self, a: Atom):
@@ -191,8 +181,9 @@ class ProlongedGenerator:
 def first_jet_coefficients(reg: JetRegistry, g: GeneratorSpec) -> tuple:
     """First-prolongation coefficients for every first-order jet.
 
-    Returns (zeta1, d_xi): zeta1 maps each first-order jet to its
-    coefficient, d_xi maps (v, w) to the nonzero total derivatives D_w(xi^v).
+    Returns (table, d_xi): table maps each base direction and first-order jet
+    to its coefficient, d_xi maps (v, w) to the nonzero total derivatives
+    D_w(xi^v).
     """
     dirs = reg.independents
     d_xi = {}
@@ -202,7 +193,7 @@ def first_jet_coefficients(reg: JetRegistry, g: GeneratorSpec) -> tuple:
             if not is_zero(d):
                 d_xi[(v, w)] = d
 
-    zeta1 = {}
+    table = base_coefficients(reg, g)
     for alpha, eta in zip(reg.u + (reg.p, reg.rho),
                           g.eta_u + (g.eta_p, g.eta_rho)):
         for w in dirs:
@@ -211,28 +202,28 @@ def first_jet_coefficients(reg: JetRegistry, g: GeneratorSpec) -> tuple:
                 d = d_xi.get((v, w))
                 if d is not None:
                     val = val - d * reg.advance(alpha, v)
-            zeta1[reg.advance(alpha, w)] = val
-    return zeta1, d_xi
+            table[reg.advance(alpha, w)] = val
+    return table, d_xi
 
 
 def prolong(reg: JetRegistry, g: GeneratorSpec) -> ProlongedGenerator:
     validate_ansatz(reg, g)
     dirs = reg.independents
-    zeta1, d_xi = first_jet_coefficients(reg, g)
+    table, d_xi = first_jet_coefficients(reg, g)
 
     def second(jet, w):
-        val = total_derivative(zeta1[jet], w, reg)
+        val = total_derivative(table[jet], w, reg)
         for v in dirs:
             d = d_xi.get((v, w))
             if d is not None:
                 val = val - d * reg.advance(jet, v)
         return val
 
-    zeta2 = {a: second(reg.u_x[(k, l)], reg.x[j - 1])
-             for (k, l, j), a in sorted(reg.u_xx.items())}
+    table.update((a, second(reg.u_x[(k, l)], reg.x[j - 1]))
+                 for (k, l, j), a in sorted(reg.u_xx.items()))
     # the D_x(xi^t) u_tt term of zeta^u_tx needs the unregistered u_tt
     if not any((reg.t, w) in d_xi for w in reg.x):
-        zeta2.update((a, second(reg.u_t[k - 1], reg.x[l - 1]))
+        table.update((a, second(reg.u_t[k - 1], reg.x[l - 1]))
                      for (k, l), a in sorted(reg.u_tx.items()))
 
     # d zeta^{u_r}_{x_s} / d u^k_{x_l} does not depend on the stress pair
@@ -240,11 +231,10 @@ def prolong(reg: JetRegistry, g: GeneratorSpec) -> ProlongedGenerator:
     d_zeta = {}
     for kl in grad_keys:
         for rs in grad_keys:
-            d = diff_partial(zeta1[reg.u_x[rs]], reg.u_x[kl])
+            d = diff_partial(table[reg.u_x[rs]], reg.u_x[kl])
             if not is_zero(d):
                 d_zeta[(kl, rs)] = d
 
-    mu_d = {}
     for (i, j), mu in zip(reg.pi_pairs(), g.mu_pi):
         for kl in grad_keys:
             val = diff_partial(mu, reg.u_x[kl])
@@ -252,9 +242,9 @@ def prolong(reg: JetRegistry, g: GeneratorSpec) -> ProlongedGenerator:
                 d = d_zeta.get((kl, rs))
                 if d is not None:
                     val = val - reg.pi_d[(i, j) + rs] * d
-            mu_d[reg.pi_d[(i, j) + kl]] = val
+            table[reg.pi_d[(i, j) + kl]] = val
 
-    return ProlongedGenerator(reg, g, zeta1, zeta2, mu_d)
+    return ProlongedGenerator(reg, g, table)
 
 
 def apply_with_trace(reg: JetRegistry, pg: ProlongedGenerator, e) -> tuple:
@@ -304,18 +294,18 @@ def apply_with_trace(reg: JetRegistry, pg: ProlongedGenerator, e) -> tuple:
 
 
 def first_order_field(reg: JetRegistry, g: GeneratorSpec) -> ProlongedGenerator:
-    """The first prolongation of ``g``, with ``zeta2`` and ``mu_d`` empty."""
+    """The first prolongation of ``g``: base directions and first-order jets."""
     validate_ansatz(reg, g)
-    return ProlongedGenerator(reg, g, first_jet_coefficients(reg, g)[0], {}, {})
+    return ProlongedGenerator(reg, g, first_jet_coefficients(reg, g)[0])
 
 
 def bracket_fields(reg: JetRegistry, p1: ProlongedGenerator,
                    p2: ProlongedGenerator) -> GeneratorSpec:
     """[X1, X2] on the base directions from two first-order fields."""
-    c1, c2 = base_coefficients(reg, p1.base), base_coefficients(reg, p2.base)
     return from_coefficients(reg, {
-        a: apply_with_trace(reg, p1, c2[a])[0] - apply_with_trace(reg, p2, c1[a])[0]
-        for a in c1})
+        a: (apply_with_trace(reg, p1, p2.coefficient(a))[0]
+            - apply_with_trace(reg, p2, p1.coefficient(a))[0])
+        for a in _base_directions(reg)})
 
 
 def bracket(reg: JetRegistry, g1: GeneratorSpec, g2: GeneratorSpec) -> GeneratorSpec:

@@ -66,10 +66,6 @@ class JetRegistry:
         self.g = function_symbol("G", ("p", "rho"))
         self.h = function_symbol("H", ("p", "rho"))
 
-        self.n = dim + 1
-        self.m = dim + 2
-        self.a_count = len(self.pi) + len(self.pi_d) + 2
-
         self._space = (
             (self.t,) + self.x + self.u + (self.p, self.rho)
             + self.u_t + tuple(self.u_x[k] for k in sorted(self.u_x))
@@ -149,7 +145,7 @@ class JetRegistry:
         return self._advance.get((c, w))
 
     def counts(self) -> tuple:
-        return (self.n, self.m, self.a_count)
+        return (self.dim + 1, self.dim + 2, len(self.pi) + len(self.pi_d) + 2)
 
 
 def build_registry(dim: int) -> JetRegistry:

@@ -7,9 +7,13 @@ assumptions block; the two modeling choices it records travel with every
 number this tool prints.  The JSON shapes are documented in
 docs/report_schema.json and frozen by golden-file tests.
 
-This is the one place witness text is made: a verdict keeps the split
+This module makes the text of every report; expressions and generators
+print themselves (``str``, ``print_generator``).  A verdict keeps the split
 determining equations it was decided from, and an equation's witness is the
 first term of its split, printed by the same rule as every ``deteq`` term.
+A finite factor arrives exact, as (c, k) for c*exp(a)^k, and a bracket as a
+map name -> rational coefficient; both are printed here, as is the
+"not form-invariant" note of ``transform``.
 """
 
 from __future__ import annotations
@@ -17,8 +21,9 @@ from __future__ import annotations
 import json
 
 from . import __version__
-from .catalog import KIND_USER
-from .determining import DeterminingSystem, Verdict
+from .catalog import KIND_USER, StructureTable
+from .determining import DeterminingSystem, FiniteCheckResult, Verdict
+from .flows import FiniteTransformation
 
 TOOL = "liequiv"
 
@@ -51,6 +56,39 @@ def _term(mono, coeff) -> dict:
     return {"monomial": str(mono), "coefficient": str(coeff)}
 
 
+def _factor_string(factor) -> str | None:
+    """c*exp(a)^k from the exact pair (c, k); None stays None."""
+    if factor is None:
+        return None
+    coeff, k = factor
+    if k == 0:
+        return str(coeff)
+    if k == 1:
+        exp_part = "exp(a)"
+    elif k == -1:
+        exp_part = "exp(-a)"
+    else:
+        exp_part = f"exp({k}*a)"
+    if coeff == 1:
+        return exp_part
+    return f"{coeff}*{exp_part}"
+
+
+def _combo_string(combo: dict) -> str:
+    if not combo:
+        return "0"
+    parts = []
+    for name in sorted(combo):
+        c = combo[name]
+        if c == 1:
+            parts.append(name)
+        elif c == -1:
+            parts.append(f"-{name}")
+        else:
+            parts.append(f"{c}*{name}")
+    return " + ".join(parts).replace("+ -", "- ")
+
+
 def verdict_payload(v: Verdict) -> dict:
     eqs = [{"equation": s.equation,
             "status": "nonzero" if s.terms else "zero",
@@ -63,7 +101,8 @@ def verdict_payload(v: Verdict) -> dict:
         finite = {
             "available": True,
             "status": "pass" if v.finite.passed else "fail",
-            "factors": {f.equation: f.factor for f in v.finite.factors},
+            "factors": {f.equation: _factor_string(f.factor)
+                        for f in v.finite.factors},
         }
     return {
         "generator": v.generator,
@@ -89,6 +128,36 @@ def determining_payload(d: DeterminingSystem) -> dict:
             }
             for s in d.splits
         ],
+    }
+
+
+def bracket_pair_payload(left: str, right: str, combo) -> dict:
+    """One bracket; a bracket outside the span (None) prints 0, as its table
+    cell does."""
+    return {"left": left, "right": right, "value": _combo_string(combo)}
+
+
+def bracket_table_payload(table: StructureTable) -> dict:
+    return {
+        "basis": list(table.names),
+        "closed": table.closed,
+        "table": [[_combo_string(table.cell(n1, n2)) for n2 in table.names]
+                  for n1 in table.names],
+    }
+
+
+def transform_payload(generator: str, param, ft: FiniteTransformation,
+                      result: FiniteCheckResult) -> dict:
+    return {
+        "generator": generator,
+        "parameter": "a" if param is None else str(param),
+        "maps": [{"coordinate": a.name, "image": str(img)}
+                 for a, img in ft.images()],
+        "equations": [
+            {"equation": f.equation,
+             "factor": _factor_string(f.factor) or "none (not form-invariant)",
+             "image": str(f.pullback)}
+            for f in result.factors],
     }
 
 

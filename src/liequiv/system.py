@@ -24,8 +24,9 @@ class PrincipalMap:
     """Solutions of the system for the principal time derivatives.
 
     rho_t and p_t are bound to polynomial expressions; each u^i_t is bound to
-    numerator(i) / rho with the numerator stored polynomial.  The map is
-    triangular: no binding contains a principal derivative.
+    numerator(i) / rho, the numerator rho*u^i_t - momentum_i stored
+    polynomial.  The map is triangular: no binding contains a principal
+    derivative.
     """
 
     def __init__(self, reg: JetRegistry, rho_t: Expr, p_t: Expr, u_t_num: tuple):
@@ -80,17 +81,11 @@ def build_system(dim: int, reg: JetRegistry) -> BalanceSystem:
         mass = mass + reg.u[i - 1] * reg.rho_x[i - 1] + reg.rho * reg.u_x[(i, i)]
 
     momentum = []
-    stress_div = []
     for i in rng:
-        div_i = ZERO
+        eq = reg.rho * reg.u_t[i - 1] + reg.p_x[i - 1]
         for j in rng:
-            div_i = div_i + total_derivative(Expr.of(reg.pi_at(i, j)),
-                                             reg.x[j - 1], reg)
-        stress_div.append(div_i)
-        eq = reg.rho * reg.u_t[i - 1]
-        for j in rng:
-            eq = eq + reg.rho * reg.u[j - 1] * reg.u_x[(i, j)]
-        eq = eq - div_i + reg.p_x[i - 1]
+            eq = (eq + reg.rho * reg.u[j - 1] * reg.u_x[(i, j)]
+                  - total_derivative(Expr.of(reg.pi_at(i, j)), reg.x[j - 1], reg))
         momentum.append(eq)
 
     phi = dissipation_function(reg)
@@ -104,10 +99,7 @@ def build_system(dim: int, reg: JetRegistry) -> BalanceSystem:
 
     rho_t_sol = as_expr(reg.rho_t) - mass
     p_t_sol = as_expr(reg.p_t) - pressure
-    u_t_num = tuple(
-        stress_div[i - 1] - reg.p_x[i - 1]
-        - sum((reg.rho * reg.u[j - 1] * reg.u_x[(i, j)] for j in rng), ZERO)
-        for i in rng)
+    u_t_num = tuple(reg.rho * u_t - eq for u_t, eq in zip(reg.u_t, momentum))
     principal = PrincipalMap(reg, rho_t_sol, p_t_sol, u_t_num)
 
     return BalanceSystem(reg, mass, tuple(momentum), pressure, phi, principal)

@@ -1,10 +1,15 @@
 import json
 import sys
+from fractions import Fraction
 from types import SimpleNamespace
 
-from liequiv import cli, generators
-from liequiv.catalog import CatalogEntry
+from liequiv import cli, generators, report
+from liequiv.catalog import CatalogEntry, find_entry
 from liequiv.cli import main
+from liequiv.determining import FiniteCheckResult, FiniteFactor, Verdict
+from liequiv.expr import Expr
+from liequiv.flows import exponentiate
+from liequiv.generators import prolong
 
 
 def run(capsys, *argv):
@@ -272,3 +277,32 @@ def test_out_in_a_missing_directory_exits_2(tmp_path, capsys):
         assert (code, out) == (2, "")
         assert err.startswith("liequiv: error:")
     assert not (tmp_path / "missing").exists()
+
+
+def test_factor_text(spaces):
+    # report prints the exact pair (c, k) as c*exp(a)^k; no golden reaches
+    # c != 1, and a missing factor is text in transform, null in verify JSON
+    one, neg, half = Fraction(1), Fraction(-1), Fraction(3, 2)
+    cases = {
+        (one, 0): "1", (one, 1): "exp(a)", (one, -1): "exp(-a)",
+        (one, 2): "exp(2*a)", (one, -3): "exp(-3*a)",
+        (neg, 0): "-1", (neg, 1): "-1*exp(a)", (neg, -1): "-1*exp(-a)",
+        (neg, 2): "-1*exp(2*a)", (neg, -3): "-1*exp(-3*a)",
+        (half, 0): "3/2", (half, 1): "3/2*exp(a)", (half, -1): "3/2*exp(-a)",
+        (half, 2): "3/2*exp(2*a)", (half, -3): "3/2*exp(-3*a)",
+        None: None,
+    }
+    factors = tuple(FiniteFactor(f"eq{n}", factor, Expr())
+                    for n, factor in enumerate(cases))
+    fc = FiniteCheckResult(False, factors)
+    reg = spaces[1].reg
+    ft = exponentiate(prolong(reg, find_entry(spaces[1].catalog, "X0").spec))
+    transform = report.transform_payload("X0", None, ft, fc)
+    verdict = report.render_json(report.verdict_payload(
+        Verdict("X0", "theorem", True, (), fc, False)))
+    verify_factors = json.loads(verdict)["finite"]["factors"]
+    for f, entry, want in zip(factors, transform["equations"], cases.values()):
+        assert entry["equation"] == f.equation
+        assert entry["factor"] == (want or "none (not form-invariant)"), f
+        assert verify_factors[f.equation] == want, f
+    assert f'"{factors[-1].equation}": null' in verdict

@@ -11,7 +11,7 @@ from liequiv import flows
 from liequiv.catalog import build_catalog, find_entry, verified_entries
 from liequiv.cli import main
 from liequiv.determining import finite_check
-from liequiv.expr import Expr, evaluate
+from liequiv.expr import Expr, atoms_of, evaluate, replace_atoms
 from liequiv.flows import (PARAM, SCALE, SCALE_INV, NoClosedFormError,
                            composition_is_additive, exponentiate,
                            identity_at_zero, numeric_flow, reduce_scale,
@@ -151,7 +151,7 @@ def test_dilation_flow(spaces):
         assert ft.image(reg.pi_d[(1, 1, 1, 1)]) == SCALE * reg.pi_d[(1, 1, 1, 1)]
         fc = finite_check(spaces[dim].system, ft)
         assert fc.passed
-        assert all(f.factor == "exp(-a)" for f in fc.factors)
+        assert all(f.factor == (1, -1) for f in fc.factors)
 
 
 def test_no_closed_form(spaces):
@@ -288,8 +288,26 @@ def test_with_parameter(spaces):
     reg = spaces[1].reg
     ft = _flow(spaces, 1, "X0", param=Fraction(3, 2))
     assert ft.image(reg.t) == reg.t + Fraction(3, 2)
-    ft2 = _flow(spaces, 1, "Y1").with_parameter(2)
-    assert ft2.image(reg.x[0]) == reg.x[0] + 2 * reg.t
+    assert dict(_flow(spaces, 1, "Y1", param=0).images()) == {}
+    # the parameter is bound inside the series: each shifted image is the
+    # unbound one at a = param, scaled images keep their symbolic factor, and
+    # an image that becomes the identity is left out
+    for dim in (1, 2, 3):
+        for entry in verified_entries(spaces[dim].catalog):
+            unbound = _flow(spaces, dim, entry.name)
+            for param in (0, Fraction(3, 2), -2):
+                bound = dict(_flow(spaces, dim, entry.name, param).images())
+                want = {}
+                for c, img in unbound.images():
+                    if {SCALE, SCALE_INV}.intersection(atoms_of(img)):
+                        want[c] = img
+                        continue
+                    at = replace_atoms(img, {PARAM: Expr.const(param)})
+                    if at != Expr.of(c):
+                        want[c] = at
+                assert bound == want, (dim, entry.name, param)
+                assert list(bound) == [c for c, _ in unbound.images()
+                                       if c in bound]
 
 
 def test_numeric_flow_exists_for_every_entry(spaces):
