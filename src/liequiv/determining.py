@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .catalog import KIND_USER, CatalogEntry
-from .expr import Expr, ZERO, atoms_of, collect, is_unknown, is_zero
+from .expr import Expr, ZERO, collect, is_unknown, is_zero
 from .flows import (SCALE, SCALE_INV, FiniteTransformation, exponentiate,
                     reduce_scale)
 from .generators import (GeneratorSpec, ProlongedGenerator, apply_with_trace,
@@ -176,8 +176,7 @@ def solve_unknowns(dsys: DeterminingSystem) -> dict:
     occurs in no split coefficient is reported neither in ``solution`` nor in
     ``free`` (ROADMAP open item 1).
     """
-    unknowns = sorted(
-        {a for c in dsys.coefficients() for a in atoms_of(c) if is_unknown(a)})
+    unknowns = set()
     equations = []
     for coeff in dsys.coefficients():
         groups = {}
@@ -203,8 +202,9 @@ def solve_unknowns(dsys: DeterminingSystem) -> dict:
                 row[1][0] += c
             else:
                 row[0][var] = row[0].get(var, Fraction(0)) + c
+                unknowns.add(var)
         for coeffs, const in groups.values():
             equations.append((coeffs, -const[0]))
-    solution, free = solve_linear(equations, unknowns)
+    solution, free = solve_linear(equations, sorted(unknowns))
     return {"solution": solution, "free": free}
 

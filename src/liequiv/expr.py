@@ -19,13 +19,23 @@ runs and platforms.
 
 The normal-form rule lives in one routine, ``_normal_form``: it adds
 (item, number) pairs with equal items, drops zero sums and sorts by the
-items' ``.key``.  Every ``Expr.terms`` (monomials with coefficients) is
-built through it, and so is every ``Monomial.factors`` (atoms with
-exponents) except where ``Monomial._trusted`` takes a factor tuple that is
-canonical already: a run cut from a canonical factor tuple, that is, a
-subsequence of one, which stays sorted with distinct atoms and positive
-exponents.  ``collect`` cuts each monomial into such a parametric run and
-a remaining run.
+items' ``.key``.  It builds every ``Expr.terms`` (monomials with
+coefficients) and every ``Monomial.factors`` (atoms with exponents) made
+from arbitrary input.  Operands that are canonical already skip it:
+
+* ``_merge`` combines two canonical tuples in one linear pass and gives the
+  tuple ``_normal_form`` gives for their concatenation.  It serves the
+  monomial product and the sum and difference of expressions.
+* Negation and scaling by a constant keep the order of the terms.  A
+  product with a one-term expression ``c1*m1`` makes monomials ``m*m1``
+  that never coincide, so they are sorted but never merged.  Every other
+  product of expressions goes through ``_normal_form``.
+* ``Monomial._trusted`` and ``Expr._trusted`` take a tuple that is
+  canonical as it stands: sorted by key, with distinct items and nonzero
+  numbers (positive int exponents, nonzero ``Fraction`` coefficients).  A
+  run cut from a canonical tuple qualifies; ``collect`` cuts each monomial
+  into a parametric and a remaining run.  So does a single term, which
+  ``Expr.of`` and ``Expr.const`` build.
 
 An atom's key is ``(rank, name)``.  A monomial's key is flat, the atom keys
 and exponents in factor order, ``(rank1, name1, e1, rank2, name2, e2, ...)``;
@@ -179,14 +189,44 @@ def derivative_of(a: Atom, arg: str) -> Atom:
     return Atom(DERIV, _derivative_name(base, wrt), args=args, base=base, wrt=wrt)
 
 
+def _first_key(pair):
+    return pair[0].key
+
+
 def _normal_form(pairs) -> tuple:
     """Sum the numbers of equal items, drop zero sums, sort by item key."""
     acc = {}
     for item, n in pairs:
         prev = acc.get(item)
         acc[item] = n if prev is None else prev + n
-    return tuple(sorted(filter(itemgetter(1), acc.items()),
-                        key=lambda pair: pair[0].key))
+    return tuple(sorted(filter(itemgetter(1), acc.items()), key=_first_key))
+
+
+def _merge(a: tuple, b: tuple) -> tuple:
+    """``_normal_form(a + b)`` for canonical ``a`` and ``b``, in one pass."""
+    if not a:
+        return b
+    if not b:
+        return a
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        pa, pb = a[i], b[j]
+        ka, kb = pa[0].key, pb[0].key
+        if ka < kb:
+            out.append(pa)
+            i += 1
+        elif kb < ka:
+            out.append(pb)
+            j += 1
+        else:
+            n = pa[1] + pb[1]
+            if n:
+                out.append((pa[0], n))
+            i += 1
+            j += 1
+    return (*out, *a[i:], *b[j:])
 
 
 class Monomial:
@@ -205,8 +245,9 @@ class Monomial:
     def _trusted(cls, factors: tuple) -> "Monomial":
         """The monomial of ``factors``, taken as they are.
 
-        Precondition: ``factors`` is a run cut from a canonical factor tuple
-        (a subsequence of some ``Monomial.factors``), so it is canonical too.
+        Precondition: ``factors`` is canonical, sorted by atom key with
+        distinct atoms and positive int exponents, such as a run cut from
+        some ``Monomial.factors``.
         """
         m = cls.__new__(cls)
         m._set(factors)
@@ -238,7 +279,7 @@ class Monomial:
             return self
         if not self.factors:
             return other
-        return Monomial(self.factors + other.factors)
+        return Monomial._trusted(_merge(self.factors, other.factors))
 
     def __pow__(self, n: int) -> "Monomial":
         if not isinstance(n, int) or n < 0:
@@ -292,23 +333,35 @@ class Expr:
         self.terms = _normal_form(
             (mono, c if type(c) is Fraction else Fraction(c)) for mono, c in terms)
 
+    @classmethod
+    def _trusted(cls, terms: tuple) -> "Expr":
+        """The expression of ``terms``, taken as they are.
+
+        Precondition: ``terms`` is canonical, sorted by monomial key with
+        distinct monomials and nonzero ``Fraction`` coefficients.
+        """
+        e = cls.__new__(cls)
+        e.terms = terms
+        return e
+
     @staticmethod
     def of(a: Atom) -> "Expr":
-        return Expr(((Monomial(((a, 1),)), 1),))
+        return Expr._trusted(((Monomial._trusted(((a, 1),)), Fraction(1)),))
 
     @staticmethod
     def const(c) -> "Expr":
-        return Expr(((MONO_ONE, c),))
+        c = c if type(c) is Fraction else Fraction(c)
+        return Expr._trusted(((MONO_ONE, c),) if c else ())
 
     # -- ring operators -------------------------------------------------
 
     def __add__(self, other):
-        return Expr(self.terms + as_expr(other).terms)
+        return Expr._trusted(_merge(self.terms, as_expr(other).terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Expr((m, -c) for m, c in self.terms)
+        return Expr._trusted(tuple((m, -c) for m, c in self.terms))
 
     def __sub__(self, other):
         return self + (-as_expr(other))
@@ -317,9 +370,21 @@ class Expr:
         return as_expr(other) + (-self)
 
     def __mul__(self, other):
-        other = as_expr(other)
-        return Expr((m1 * m2, c1 * c2)
-                    for m1, c1 in self.terms for m2, c2 in other.terms)
+        a, b = self.terms, as_expr(other).terms
+        if len(b) == 1:
+            (m2, c2), = b
+            if m2.is_one():
+                return Expr._trusted(tuple((m1, c1 * c2) for m1, c1 in a))
+            products = ((m1 * m2, c1 * c2) for m1, c1 in a)
+        elif len(a) == 1:
+            (m1, c1), = a
+            if m1.is_one():
+                return Expr._trusted(tuple((m2, c1 * c2) for m2, c2 in b))
+            products = ((m1 * m2, c1 * c2) for m2, c2 in b)
+        else:
+            return Expr((m1 * m2, c1 * c2) for m1, c1 in a for m2, c2 in b)
+        # products by one monomial never coincide: sort, nothing to merge
+        return Expr._trusted(tuple(sorted(products, key=_first_key)))
 
     __rmul__ = __mul__
 

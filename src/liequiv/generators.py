@@ -166,9 +166,8 @@ class ProlongedGenerator:
     stops at the first-order jets.
     """
 
-    def __init__(self, reg: JetRegistry, base: GeneratorSpec, table: dict):
+    def __init__(self, reg: JetRegistry, table: dict):
         self.registry = reg
-        self.base = base
         self._table = table
 
     def coefficient(self, a: Atom):
@@ -244,7 +243,7 @@ def prolong(reg: JetRegistry, g: GeneratorSpec) -> ProlongedGenerator:
                     val = val - reg.pi_d[(i, j) + rs] * d
             table[reg.pi_d[(i, j) + kl]] = val
 
-    return ProlongedGenerator(reg, g, table)
+    return ProlongedGenerator(reg, table)
 
 
 def apply_with_trace(reg: JetRegistry, pg: ProlongedGenerator, e) -> tuple:
@@ -281,11 +280,12 @@ def apply_with_trace(reg: JetRegistry, pg: ProlongedGenerator, e) -> tuple:
             c_terms = coeffs.get(a)
             if c_terms is None:
                 continue
-            # a zero exponent is dropped by the Monomial normal form
-            rest = factors[:idx] + ((a, k - 1),) + factors[idx + 1:]
+            # the factors less one power of a: still canonical
+            rest = Monomial._trusted(
+                factors[:idx] + ((a, k - 1),) + factors[idx + 1:] if k > 1
+                else factors[:idx] + factors[idx + 1:])
             kc = k * c
-            pieces[a].extend((Monomial(rest + m2.factors), kc * c2)
-                             for m2, c2 in c_terms)
+            pieces[a].extend((rest * m2, kc * c2) for m2, c2 in c_terms)
     trace = tuple((a, Expr(p)) for a, p in pieces.items())
     trace = tuple(item for item in trace if item[1].terms)
     if len(trace) == 1:
@@ -296,7 +296,7 @@ def apply_with_trace(reg: JetRegistry, pg: ProlongedGenerator, e) -> tuple:
 def first_order_field(reg: JetRegistry, g: GeneratorSpec) -> ProlongedGenerator:
     """The first prolongation of ``g``: base directions and first-order jets."""
     validate_ansatz(reg, g)
-    return ProlongedGenerator(reg, g, first_jet_coefficients(reg, g)[0])
+    return ProlongedGenerator(reg, first_jet_coefficients(reg, g)[0])
 
 
 def bracket_fields(reg: JetRegistry, p1: ProlongedGenerator,

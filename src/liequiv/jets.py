@@ -185,7 +185,8 @@ def total_derivative(e, w: Atom, reg: JetRegistry) -> Expr:
             raise JetOrderError(
                 f"d/d{w.name} of an expression depending on {c.name} "
                 "leaves the registered jet space")
-        chain.extend((Monomial(m.factors + ((a, 1),)), k) for m, k in d.terms)
+        am = Monomial(((a, 1),))
+        chain.extend((m * am, k) for m, k in d.terms)
     if not chain:
         return out
     return Expr(out.terms + tuple(chain))

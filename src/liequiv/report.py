@@ -26,6 +26,7 @@ from .determining import DeterminingSystem, FiniteCheckResult, Verdict
 from .flows import FiniteTransformation
 
 TOOL = "liequiv"
+_NO_FACTOR = "none (not form-invariant)"
 
 ASSUMPTIONS = {
     "pressure_equation": (
@@ -155,7 +156,7 @@ def transform_payload(generator: str, param, ft: FiniteTransformation,
                  for a, img in ft.images()],
         "equations": [
             {"equation": f.equation,
-             "factor": _factor_string(f.factor) or "none (not form-invariant)",
+             "factor": _factor_string(f.factor) or _NO_FACTOR,
              "image": str(f.pullback)}
             for f in result.factors],
     }
@@ -177,7 +178,8 @@ def _verdict_lines(entry: dict) -> list:
         lines.append(detail)
     fin = entry["finite"]
     if fin["available"]:
-        factors = ", ".join(f"{k}: {v}" for k, v in fin["factors"].items())
+        factors = ", ".join(f"{k}: {v or _NO_FACTOR}"
+                            for k, v in fin["factors"].items())
         lines.append(f"  finite: {fin['status']} ({factors})")
         lines.append(f"  agreement: {entry['agreement']}")
     elif entry["kind"] == KIND_USER:

@@ -129,6 +129,7 @@ def restrict_to_manifold(e, system: BalanceSystem) -> tuple:
 
     # prod_i u_t_num[i]**k_i for each u_t exponent pattern ((i, k_i), ...)
     numerators = {}
+    rho_powers = [Monomial(((reg.rho, n),)) for n in range(power + 1)]
 
     def cleared():
         for mono, c in e.terms:
@@ -146,8 +147,8 @@ def restrict_to_manifold(e, system: BalanceSystem) -> tuple:
             num = numerators.get(pattern)
             if num is None:
                 num = numerators[pattern] = _numerator_product(pm.u_t_num, pattern)
-            rest.append((reg.rho, power - deg))
-            factor = Monomial(rest)
+            # the u_t-free run of a canonical monomial is canonical
+            factor = Monomial._trusted(tuple(rest)) * rho_powers[power - deg]
             for m, cn in num.terms:
                 yield m * factor, c * cn
     return Expr(cleared()), power

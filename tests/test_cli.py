@@ -306,3 +306,19 @@ def test_factor_text(spaces):
         assert entry["factor"] == (want or "none (not form-invariant)"), f
         assert verify_factors[f.equation] == want, f
     assert f'"{factors[-1].equation}": null' in verdict
+
+
+def test_missing_factor_in_verify_text():
+    # verify text prints a missing factor as transform does; JSON keeps null
+    fc = FiniteCheckResult(False, (FiniteFactor("mass", None, Expr()),
+                                   FiniteFactor("pressure", (Fraction(1), 2),
+                                                Expr())))
+    payload = report.skeleton("verify", 1)
+    payload["results"] = [report.verdict_payload(
+        Verdict("X0", "theorem", True, (), fc, False))]
+    payload["status"] = "fail"
+    text = report.render_text(payload)
+    assert ("  finite: fail (mass: none (not form-invariant), "
+            "pressure: exp(2*a))\n") in text
+    assert "None" not in text
+    assert payload["results"][0]["finite"]["factors"]["mass"] is None

@@ -6,12 +6,13 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liequiv.expr import (COORD, FUNC, MONO_ONE, Atom, CyclicSubstitutionError,
-                          Expr, MissingBindingError, Monomial,
-                          UnknownSymbolError, UnsupportedFormError, as_expr,
-                          atoms_of, collect, coordinate, derivative_of,
-                          diff_atom, diff_partial, evaluate, function_symbol,
-                          is_zero, replace_atoms, substitute, unknown)
+from liequiv.expr import (COORD, FUNC, MONO_ONE, ZERO, Atom,
+                          CyclicSubstitutionError, Expr, MissingBindingError,
+                          Monomial, UnknownSymbolError, UnsupportedFormError,
+                          as_expr, atoms_of, collect, coordinate,
+                          derivative_of, diff_atom, diff_partial, evaluate,
+                          function_symbol, is_zero, replace_atoms, substitute,
+                          unknown)
 
 from conftest import random_expr
 
@@ -427,6 +428,59 @@ def test_flat_key_and_trusted_constructor(monos, parametric, coeffs):
         assert_canonical(par)
         for rest, _ in coeff.terms:
             assert_canonical(rest)
+
+
+term_coefficients = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2),
+                                     Fraction(-2), Fraction(1, 2), Fraction(3)])
+# few monomials over many draws, so that sums share and cancel terms
+expressions = st.lists(st.tuples(monomials, term_coefficients),
+                       max_size=6).map(Expr)
+
+
+def assert_same(got: Expr, want: Expr):
+    assert got.terms == want.terms
+    assert [(m.factors, m.key, hash(m)) for m, _ in got.terms] == \
+        [(m.factors, m.key, hash(m)) for m, _ in want.terms]
+    assert_normal_form(got)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(monomials, monomials, expressions, expressions,
+       st.tuples(monomials, term_coefficients), term_coefficients)
+def test_merges_match_normal_form(m1, m2, a, b, one, k):
+    """Every operator that merges or sorts canonical operands gives what
+    _normal_form gives for the concatenated or cross-product pairs."""
+    product = m1 * m2
+    rebuilt = Monomial(m1.factors + m2.factors)
+    assert (product.factors, product.key, hash(product)) == \
+        (rebuilt.factors, rebuilt.key, hash(rebuilt))
+    assert all(type(e) is int and e > 0 for _, e in product.factors)
+
+    def cross(x, y):
+        return Expr((Monomial(p1.factors + p2.factors), c1 * c2)
+                    for p1, c1 in x.terms for p2, c2 in y.terms)
+
+    def negated(x):
+        return tuple((m, -c) for m, c in x.terms)
+
+    # every other monomial of a, with coefficient k, so that some sums cancel
+    shared = Expr(tuple((m, k) for m, _ in a.terms[::2]) + b.terms)
+    for y in (b, shared):
+        assert_same(a + y, Expr(a.terms + y.terms))
+        assert_same(a - y, Expr(a.terms + negated(y)))
+    assert_same(a - a, ZERO)
+    assert_same(-a, Expr(negated(a)))
+    assert_same(a * b, cross(a, b))
+    one, const = Expr((one,)), Expr.const(k)
+    for x, y in ((a, one), (one, a), (a, const), (const, a), (one, const)):
+        assert_same(x * y, cross(x, y))
+    assert_same(a * k, cross(a, const))
+    assert_same(k * a, cross(const, a))
+    assert_same(k - a, Expr(const.terms + negated(a)))
+    for atom, _ in m1.factors:
+        assert_same(Expr.of(atom), Expr(((Monomial(((atom, 1),)), 1),)))
+    for n in (k, 0, 3, Fraction(0)):
+        assert_same(Expr.const(n), Expr(((MONO_ONE, n),)))
 
 
 def test_pickled_atoms_and_monomials_hash_in_a_new_process():

@@ -35,6 +35,9 @@ def _run_to_bytes(tmp_path, argv):
      ["verify", "--dim", "1", "--gen", "x1*d/dt", "--format", "json"], 1),
     ("transform_dim1_xscale.txt",
      ["transform", "--dim", "1", "--gen", "x1*d/dx1", "--format", "text"], 0),
+    # the largest expressions: canonical term order of the N = 3 witnesses
+    ("verify_dim3_all.txt",
+     ["verify", "--dim", "3", "--gen", "all", "--format", "text"], 1),
 ])
 def test_reports_match_goldens(tmp_path, golden, argv, expect_code):
     code, got = _run_to_bytes(tmp_path, argv)
