@@ -20,20 +20,20 @@ catalog, as DSL text, travel as entries of kind ``"user"``, which are
 checked infinitesimally only.
 
 ``structure_constants`` prolongs each entry and builds its feature vector
-once per table, brackets every pair from those first-order fields, and
-decomposes each bracket with the routine behind ``decompose_in_span``.
+once per table, reduces the span of those vectors once, brackets every pair
+from the first-order fields, and expresses each bracket over the span with
+one reduction of its own row, the same two steps as ``decompose_in_span``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .expr import Expr, ZERO
-from .generators import (GeneratorSpec, bracket_fields, first_order_field,
-                         make_generator)
+from .generators import (GeneratorSpec, base_coefficients, bracket_fields,
+                         first_order_field, make_generator)
 from .jets import JetRegistry, UnsupportedDimensionError
-from .linsolve import InconsistentSystemError, solve_linear
+from .linsolve import express, span_basis
 
 KIND_VERIFIED = "theorem"
 KIND_CANDIDATE = "rotation-candidate"
@@ -137,7 +137,6 @@ def find_entry(catalog, name: str):
 
 
 def _feature_vector(reg: JetRegistry, g: GeneratorSpec) -> dict:
-    from .generators import base_coefficients
     vec = {}
     for direction, coeff in base_coefficients(reg, g).items():
         for mono, c in coeff.terms:
@@ -156,32 +155,17 @@ class StructureTable:
         return self.combos.get((n1, n2), {})
 
 
-def _span_rows(reg: JetRegistry, entries) -> dict:
-    """The entries as the columns of a sparse matrix: feature -> {name:
-    coefficient}, one feature vector per entry."""
-    rows = {}
-    for e in entries:
-        for f, c in _feature_vector(reg, e.spec).items():
-            rows.setdefault(f, {})[e.name] = c
-    return rows
-
-
-def _solve_in_span(rows: dict, names, target: dict) -> dict | None:
+def _express(basis, names, target: dict) -> dict | None:
     """Exact coefficients over ``names`` of the feature vector ``target`` in
-    the span whose ``_span_rows`` are ``rows``, or None."""
-    equations = [(rows.get(f, {}), target.get(f, Fraction(0)))
-                 for f in sorted(rows.keys() | target.keys())]
-    try:
-        solution, _ = solve_linear(equations, names)
-    except InconsistentSystemError:
-        return None
-    return {n: c for n, c in solution.items() if c}
+    the span reduced to ``basis``, or None."""
+    combo = express(basis, target)
+    return None if combo is None else {names[i]: c for i, c in combo.items()}
 
 
 def decompose_in_span(reg: JetRegistry, g: GeneratorSpec, entries) -> dict | None:
     """Exact coefficients expressing ``g`` over the entries, or None."""
-    return _solve_in_span(_span_rows(reg, entries), [e.name for e in entries],
-                          _feature_vector(reg, g))
+    basis = span_basis([_feature_vector(reg, e.spec) for e in entries])
+    return _express(basis, [e.name for e in entries], _feature_vector(reg, g))
 
 
 def structure_constants(reg: JetRegistry, entries) -> StructureTable:
@@ -190,14 +174,14 @@ def structure_constants(reg: JetRegistry, entries) -> StructureTable:
     every pair goes through ``bracket_fields``."""
     names = tuple(e.name for e in entries)
     fields = [first_order_field(reg, e.spec) for e in entries]
-    rows = _span_rows(reg, entries)
+    basis = span_basis([_feature_vector(reg, e.spec) for e in entries])
     combos = {}
     failures = []
     for a in range(len(names)):
         for b in range(a + 1, len(names)):
             n1, n2 = names[a], names[b]
             br = bracket_fields(reg, fields[a], fields[b])
-            combo = _solve_in_span(rows, names, _feature_vector(reg, br))
+            combo = _express(basis, names, _feature_vector(reg, br))
             if combo is None:
                 failures.append((n1, n2))
                 continue

@@ -128,7 +128,7 @@ def _cmd_bracket(args, reg, payload) -> int:
     entries = verified_entries(build_catalog(args.dim, reg))
     if args.pair:
         left, _, right = args.pair.partition(",")
-        right = right.strip()
+        left, right = left.strip(), right.strip()
         specs = {e.name: e.spec for e in entries}
         if left not in specs or right not in specs:
             raise ValueError(f"--pair must name two verified entries, got {args.pair}")

@@ -17,6 +17,22 @@ the pivot set, the ``free`` list and the solution do not depend on the order
 or the repetition of the input rows.  Only back-substitution, from the
 highest pivot down with every free variable at 0, works in ``Fraction``.
 (The fraction-free method: Bareiss 1968, Math. Comp. 22.)
+
+``span_basis`` and ``express`` decompose many targets over one span with the
+same routine.  Each vector ``{feature: rational}`` becomes an integer row
+whose feature columns come first, followed by one identity column per input
+vector, set in the vector's own row only; reduction then leaves in the
+identity columns of every pivot row the integer combination of input
+vectors it came from.  A vector whose features reduce to zero against the
+earlier ones lies in their span and becomes no pivot, so the pivots are the
+leftmost independent vectors, the pivot columns of the reduced row-echelon
+form of the transposed system.  A target row gets one marker column past
+the identity columns, holding 1 before the row is scaled to integers, and
+is reduced once: if no feature column is left, the marker entry ``m`` and
+the identity entries ``c_i`` say ``m * target + sum_i c_i * vector_i = 0``,
+so the coefficient of vector ``i`` is ``-c_i / m``.  A dependent vector never
+enters a pivot row and gets coefficient 0, just as ``solve_linear`` gives
+each free variable the value 0, so both routines return the same solution.
 """
 
 from __future__ import annotations
@@ -45,10 +61,7 @@ def solve_linear(equations, variables):
     pivots = {}  # column -> (its primitive row without the column, rhs, lead)
     seen = set()
     for coeff, rhs in equations:
-        den = lcm(rhs.denominator, *[c.denominator for c in coeff.values()])
-        row = {index[v]: c.numerator * (den // c.denominator)
-               for v, c in coeff.items() if c}
-        rhs = rhs.numerator * (den // rhs.denominator)
+        row, rhs = _integer_row(coeff, index, rhs)
         if row:
             rhs = _make_primitive(row, rhs)
             key = (frozenset(row.items()), rhs)
@@ -77,6 +90,57 @@ def solve_linear(equations, variables):
     for v in free:
         solution[v] = Fraction(0)
     return solution, free
+
+
+def span_basis(vectors):
+    """Reduce the span of the ``{feature: rational}`` vectors, once, for
+    ``express``; the result is opaque to callers."""
+    vectors = list(vectors)
+    index = {}
+    for vec in vectors:
+        for f, c in vec.items():
+            if c:
+                index.setdefault(f, len(index))
+    width = len(index)
+    pivots = {}
+    for i, vec in enumerate(vectors):
+        row, one = _integer_row(vec, index, 1)
+        row[width + i] = one
+        _reduce(row, 0, pivots)
+        col = min(row)
+        if col < width:
+            lead = row.pop(col)
+            pivots[col] = (row, 0, lead)
+    return index, pivots, len(vectors)
+
+
+def express(basis, target):
+    """Exact coefficients ``{i: Fraction}`` of the vectors of ``basis``, in
+    index order and without zeros, whose combination is the feature vector
+    ``target``; None when ``target`` lies outside their span."""
+    index, pivots, n = basis
+    if any(c and f not in index for f, c in target.items()):
+        return None
+    width = len(index)
+    marker = width + n
+    row, one = _integer_row(target, index, 1)
+    row[marker] = one
+    _reduce(row, 0, pivots)
+    if min(row) < width:
+        return None
+    m = row[marker]
+    return {i: Fraction(-row[width + i], m)
+            for i in range(n) if width + i in row}
+
+
+def _integer_row(coeff, index, rhs):
+    """``coeff`` and ``rhs`` scaled by the lcm of their denominators: the
+    int row ``{index[key]: entry}`` of the nonzero entries, and the int
+    rhs."""
+    den = lcm(rhs.denominator, *[c.denominator for c in coeff.values()])
+    row = {index[k]: c.numerator * (den // c.denominator)
+           for k, c in coeff.items() if c}
+    return row, rhs.numerator * (den // rhs.denominator)
 
 
 def _make_primitive(row, rhs):

@@ -81,6 +81,13 @@ def test_bracket_pair(capsys):
     assert payload["value"] == "2*S"
 
 
+def test_bracket_pair_names_may_be_padded_on_either_side(capsys):
+    plain = run(capsys, "bracket", "--dim", "3", "--pair", "X0,Y1")
+    assert plain[0] == 0 and "[X0, Y1] = X1" in plain[1]
+    assert run(capsys, "bracket", "--dim", "3", "--pair", "X0, Y1") == plain
+    assert run(capsys, "bracket", "--dim", "3", "--pair", "X0 ,Y1") == plain
+
+
 def test_bracket_table_is_the_default_and_excludes_pair(capsys):
     default = run(capsys, "bracket", "--dim", "2")
     assert default[0] == 0

@@ -38,6 +38,9 @@ def _run_to_bytes(tmp_path, argv):
     # the largest expressions: canonical term order of the N = 3 witnesses
     ("verify_dim3_all.txt",
      ["verify", "--dim", "3", "--gen", "all", "--format", "text"], 1),
+    # the largest structure table, every cell a decomposition over the span
+    ("bracket_dim3.txt",
+     ["bracket", "--dim", "3"], 0),
 ])
 def test_reports_match_goldens(tmp_path, golden, argv, expect_code):
     code, got = _run_to_bytes(tmp_path, argv)

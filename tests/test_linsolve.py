@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liequiv import linsolve
-from liequiv.linsolve import InconsistentSystemError, solve_linear
+from liequiv.linsolve import (InconsistentSystemError, express, solve_linear,
+                              span_basis)
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 # entries whose integer forms are large: the lcm of up to four denominators
@@ -128,3 +129,75 @@ def test_rows_equal_up_to_a_fraction_scale_are_one_row(monkeypatch):
 def test_one_by_one():
     assert solve_linear([({"a": 2}, 3)], ["a"]) == ({"a": Fraction(3, 2)}, [])
     assert solve_linear([({"a": 2}, 0)], ["a"]) == ({"a": 0}, [])
+
+
+@st.composite
+def spans(draw):
+    """(vectors, targets): random ``{feature: rational}`` vectors with zero
+    vectors, repeats and scaled copies mixed in, a random combination of
+    them (inside their span), and that combination with an extra feature or
+    with one entry perturbed (outside it, unless the span holds the
+    perturbation)."""
+    m = draw(st.integers(1, 5))
+    features = st.integers(0, m - 1).map(lambda k: f"f{k}")
+    vectors = draw(st.lists(st.dictionaries(features, rationals, max_size=3),
+                            max_size=6))
+    injected = st.tuples(st.sampled_from(("repeat", "scale", "zero")),
+                         st.integers(0, 50), rationals.filter(bool))
+    for kind, at, s in draw(st.lists(injected, max_size=4)):
+        if kind == "zero" or not vectors:
+            copy = {f"f{at % m}": Fraction(0)}
+        else:
+            s = s if kind == "scale" else 1
+            copy = {f: s * c for f, c in vectors[at % len(vectors)].items()}
+        vectors.insert(at % (len(vectors) + 1), copy)
+    weights = draw(st.lists(rationals, min_size=len(vectors),
+                            max_size=len(vectors)))
+    inside = {}
+    for w, vec in zip(weights, vectors):
+        for f, c in vec.items():
+            inside[f] = inside.get(f, Fraction(0)) + w * c
+    shift = draw(rationals.filter(bool))
+    extra = dict(inside, extra=shift)
+    perturbed = dict(inside)
+    f = draw(features)
+    perturbed[f] = perturbed.get(f, Fraction(0)) + shift
+    return vectors, [inside, extra, perturbed]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(spans())
+def test_express_matches_solve_linear_on_the_transposed_system(span):
+    vectors, targets = span
+    basis = span_basis(vectors)
+    variables = list(range(len(vectors)))
+    for target in targets:
+        features = sorted({f for vec in vectors for f in vec} | target.keys())
+        equations = [({i: vec.get(f, 0) for i, vec in enumerate(vectors)},
+                      target.get(f, Fraction(0))) for f in features]
+        got = express(basis, target)
+        try:
+            solution, _ = solve_linear(equations, variables)
+        except InconsistentSystemError:
+            assert got is None
+            continue
+        want = {i: c for i, c in solution.items() if c}
+        assert got is not None and list(got.items()) == list(want.items())
+        assert all(type(c) is Fraction for c in got.values())
+
+
+def test_a_basis_is_reduced_once_and_each_target_once(monkeypatch):
+    reduced = []
+    original = linsolve._reduce
+
+    def counting(row, rhs, pivots):
+        reduced.append(dict(row))
+        return original(row, rhs, pivots)
+
+    monkeypatch.setattr(linsolve, "_reduce", counting)
+    basis = span_basis([{"a": 1, "b": 1}, {"b": Fraction(1, 2)},
+                        {"a": 2, "b": 3}])
+    assert len(reduced) == 3
+    assert express(basis, {"a": 3}) == {0: Fraction(3), 1: Fraction(-6)}
+    assert express(basis, {"c": 1}) is None
+    assert len(reduced) == 4
