@@ -9,6 +9,7 @@ deterministic; two runs over the same inputs produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ _INPUT_ERRORS = (ExprError, JetOrderError, UnsupportedDimensionError,
                  ZeroDivisionError, OSError)
 
 
+@functools.cache  # parse_args leaves the parser as it is
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liequiv",

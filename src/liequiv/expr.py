@@ -474,16 +474,18 @@ def _single_derivative(a: Atom, v: Atom, chain: bool):
 def _differentiate(e: Expr, v: Atom, chain: bool) -> Expr:
     pieces = []
     for mono, c in e.terms:
-        for idx, (a, k) in enumerate(mono.factors):
+        factors = mono.factors
+        for idx, (a, k) in enumerate(factors):
             da = _single_derivative(a, v, chain)
             if da is None:
                 continue
-            rest = list(mono.factors[:idx] + mono.factors[idx + 1:])
-            if k > 1:
-                rest.append((a, k - 1))
+            # the factors less one power of a: still canonical
+            rest = Monomial._trusted(
+                factors[:idx] + ((a, k - 1),) + factors[idx + 1:] if k > 1
+                else factors[:idx] + factors[idx + 1:])
             if isinstance(da, Atom):
-                rest.append((da, 1))
-            pieces.append((Monomial(rest), c * k))
+                rest = rest * Monomial._trusted(((da, 1),))
+            pieces.append((rest, c * k))
     # most partials of a jet expression vanish; skip building those
     return Expr(pieces) if pieces else ZERO
 
@@ -517,18 +519,31 @@ def replace_atoms(e, mapping: Mapping[Atom, object]) -> Expr:
     Atoms absent from the mapping are kept.  No recursion: keys occurring
     inside replacement values are left alone, which makes relabelings and
     self-referencing maps (x -> x + a) well defined.
+
+    Each term splits into its replaced factors and a kept run, which is cut
+    from the canonical monomial and so canonical itself.  The product of
+    the replacement values is built once per call for each distinct tuple
+    of replaced factors, (atom, exponent) pairs, and shared by every term
+    with that tuple.
     """
     table = {a: as_expr(v) for a, v in mapping.items()}
+    products = {}
 
     def pieces():
         for mono, c in as_expr(e).terms:
-            hit = [table[a] for a, k in mono.factors if a in table
-                   for _ in range(k)]
+            hit, rest = [], []
+            for f in mono.factors:
+                (hit if f[0] in table else rest).append(f)
             if not hit:
                 yield mono, c
                 continue
-            rest = Monomial((a, k) for a, k in mono.factors if a not in table)
-            for m, cc in reduce(mul, hit).terms:
+            hit = tuple(hit)
+            product = products.get(hit)
+            if product is None:
+                product = products[hit] = reduce(
+                    mul, [table[a] ** k for a, k in hit])
+            rest = Monomial._trusted(tuple(rest))
+            for m, cc in product.terms:
                 yield m * rest, c * cc
     return Expr(pieces())
 

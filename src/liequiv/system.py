@@ -9,46 +9,30 @@ Three equations over the registered space:
 
 with the dissipation Phi = Pi : grad(u) contracted through the symmetric
 representative of Pi.  The principal derivatives rho_t, u^i_t, p_t are
-solved for; the u^i_t solutions carry a denominator rho, so restriction
-multiplies by the minimal clearing power of rho (the maximal total degree of
-the momentum principal derivatives in the input) and reports that power.
+solved for and kept in one table, ``BalanceSystem.principal``.  The u^i_t
+solutions carry a denominator rho, so the table binds each u^i_t to its
+numerator.  Restriction scales every term by the power of rho that clears
+its denominators, then makes one ``replace_atoms`` pass over the table, and
+reports the power.
 """
 
 from __future__ import annotations
 
-from .expr import Expr, Monomial, ONE, ZERO, as_expr, atoms_of, substitute
+from .expr import Expr, Monomial, ZERO, as_expr, atoms_of, replace_atoms
 from .jets import JetRegistry, total_derivative
 
 
-class PrincipalMap:
-    """Solutions of the system for the principal time derivatives.
+class BalanceSystem:
+    """Immutable container for the three equations of one dimension.
 
-    rho_t and p_t are bound to polynomial expressions; each u^i_t is bound to
-    numerator(i) / rho, the numerator rho*u^i_t - momentum_i stored
-    polynomial.  The map is triangular: no binding contains a principal
-    derivative.
+    ``principal`` maps rho_t and p_t to their polynomial solutions and each
+    u^i_t to the numerator rho*u^i_t - momentum_i of its solution
+    numerator / rho.  No binding contains a principal derivative.
     """
 
-    def __init__(self, reg: JetRegistry, rho_t: Expr, p_t: Expr, u_t_num: tuple):
-        principal = {reg.rho_t, reg.p_t} | set(reg.u_t)
-        for e in (rho_t, p_t) + u_t_num:
-            hit = principal.intersection(atoms_of(e))
-            if hit:
-                raise ValueError(
-                    f"principal solution depends on principal derivative "
-                    f"{sorted(hit)[0].name}")
-        self.rho_t = rho_t
-        self.p_t = p_t
-        self.u_t_num = u_t_num
-
-
-class BalanceSystem:
-    """Immutable container for the three equations of one dimension."""
-
     def __init__(self, reg: JetRegistry, mass: Expr, momentum: tuple,
-                 pressure: Expr, dissipation: Expr, principal: PrincipalMap):
+                 pressure: Expr, dissipation: Expr, principal: dict):
         self.registry = reg
-        self.dim = reg.dim
         self.mass = mass
         self.momentum = momentum
         self.pressure = pressure
@@ -97,10 +81,15 @@ def build_system(dim: int, reg: JetRegistry) -> BalanceSystem:
         pressure = pressure + reg.u[i - 1] * reg.p_x[i - 1]
     pressure = pressure + reg.g * divu + reg.h * phi
 
-    rho_t_sol = as_expr(reg.rho_t) - mass
-    p_t_sol = as_expr(reg.p_t) - pressure
-    u_t_num = tuple(reg.rho * u_t - eq for u_t, eq in zip(reg.u_t, momentum))
-    principal = PrincipalMap(reg, rho_t_sol, p_t_sol, u_t_num)
+    principal = {reg.rho_t: as_expr(reg.rho_t) - mass,
+                 reg.p_t: as_expr(reg.p_t) - pressure}
+    principal.update((u_t, reg.rho * u_t - eq) for u_t, eq in zip(reg.u_t, momentum))
+    for e in principal.values():
+        hit = principal.keys() & atoms_of(e)
+        if hit:
+            raise ValueError(
+                f"principal solution depends on principal derivative "
+                f"{sorted(hit)[0].name}")
 
     return BalanceSystem(reg, mass, tuple(momentum), pressure, phi, principal)
 
@@ -109,54 +98,18 @@ def restrict_to_manifold(e, system: BalanceSystem) -> tuple:
     """Eliminate principal derivatives, clearing rho denominators.
 
     Returns (restricted expression, rho power used).  The power is the
-    maximal total degree of the momentum principal derivatives after the
-    polynomial rho_t / p_t bindings have been substituted, which is the
-    minimal uniform multiplier keeping the result polynomial.  Terms that
-    share a u_t exponent pattern share one product of the u_t numerators,
-    built once per call.
+    largest total degree of the u_t among the terms of ``e``.  Each term of
+    u_t degree d is multiplied by rho**(power - d), and one ``replace_atoms``
+    pass over ``system.principal`` then gives the polynomial rho**power * e
+    on the manifold.
     """
     reg = system.registry
-    pm = system.principal
-    e = substitute(e, {reg.rho_t: pm.rho_t, reg.p_t: pm.p_t})
-
-    u_t_index = {a: i for i, a in enumerate(reg.u_t)}
-    power = 0
-    for mono, _ in e.terms:
-        deg = sum(k for a, k in mono.factors if a in u_t_index)
-        power = max(power, deg)
-    if power == 0:
-        return e, 0
-
-    # prod_i u_t_num[i]**k_i for each u_t exponent pattern ((i, k_i), ...)
-    numerators = {}
-    rho_powers = [Monomial(((reg.rho, n),)) for n in range(power + 1)]
-
-    def cleared():
-        for mono, c in e.terms:
-            rest = []
-            pattern = []
-            deg = 0
-            for a, k in mono.factors:
-                i = u_t_index.get(a)
-                if i is None:
-                    rest.append((a, k))
-                else:
-                    pattern.append((i, k))
-                    deg += k
-            pattern = tuple(pattern)
-            num = numerators.get(pattern)
-            if num is None:
-                num = numerators[pattern] = _numerator_product(pm.u_t_num, pattern)
-            # the u_t-free run of a canonical monomial is canonical
-            factor = Monomial._trusted(tuple(rest)) * rho_powers[power - deg]
-            for m, cn in num.terms:
-                yield m * factor, c * cn
-    return Expr(cleared()), power
-
-
-def _numerator_product(u_t_num: tuple, pattern: tuple) -> Expr:
-    """prod u_t_num[i]**k over the (i, k) of a u_t exponent pattern."""
-    num = ONE
-    for i, k in pattern:
-        num = num * u_t_num[i] ** k
-    return num
+    e = as_expr(e)
+    u_t = set(reg.u_t)
+    degrees = [sum(k for a, k in mono.factors if a in u_t) for mono, _ in e.terms]
+    power = max(degrees, default=0)
+    if power:
+        rho_powers = [Monomial(((reg.rho, n),)) for n in range(power + 1)]
+        e = Expr((mono * rho_powers[power - d], c)
+                 for (mono, c), d in zip(e.terms, degrees))
+    return replace_atoms(e, system.principal), power

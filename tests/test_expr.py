@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 import sympy
@@ -483,9 +485,46 @@ def test_merges_match_normal_form(m1, m2, a, b, one, k):
         assert_same(Expr.const(n), Expr(((MONO_ONE, n),)))
 
 
+def replace_reference(e: Expr, mapping) -> Expr:
+    """Per-term replacement: every term rebuilds the product of its replaced
+    factors, one value per unit of exponent, and normalises its kept
+    factors."""
+    table = {a: as_expr(v) for a, v in mapping.items()}
+    pieces = []
+    for mono, c in e.terms:
+        hit = [table[a] for a, k in mono.factors if a in table
+               for _ in range(k)]
+        if not hit:
+            pieces.append((mono, c))
+            continue
+        rest = Monomial((a, k) for a, k in mono.factors if a not in table)
+        pieces.extend((m * rest, c * cc) for m, cc in reduce(mul, hit).terms)
+    return Expr(pieces)
+
+
+@st.composite
+def replacement_tables(draw):
+    """Atom -> expression over the same atoms; some values add their own key
+    (x -> x + a), so that maps refer to themselves."""
+    table = {}
+    for a in draw(st.lists(st.sampled_from(KEY_ATOMS), max_size=4, unique=True)):
+        v = draw(expressions)
+        table[a] = v + a if draw(st.booleans()) else v
+    return table
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(expressions, replacement_tables())
+def test_replace_atoms_matches_per_term_reference(e, table):
+    # repeated monomials with exponents up to 3 share replaced-factor tuples
+    e = e + e * e
+    assert_same(replace_atoms(e, table), replace_reference(e, table))
+
+
 def test_pickled_atoms_and_monomials_hash_in_a_new_process():
     """The cached hashes of string keys are per process; an unpickled atom
     or monomial must still find its equal in a dict built by that process."""
+    import os
     import pickle
     import subprocess
     import sys
@@ -503,7 +542,7 @@ def test_pickled_atoms_and_monomials_hash_in_a_new_process():
     for seed in ("1", "2"):
         done = subprocess.run([sys.executable, "-c", script],
                               input=pickle.dumps(e), capture_output=True,
-                              env={"PYTHONHASHSEED": seed,
+                              env={**os.environ, "PYTHONHASHSEED": seed,
                                    "PYTHONPATH": ":".join(sys.path)},
                               timeout=60)
         assert done.returncode == 0, done.stderr.decode()

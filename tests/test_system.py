@@ -1,10 +1,11 @@
 from collections import Counter
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liequiv import system as system_module
+from liequiv import expr as expr_module
 from liequiv.expr import (ONE, Expr, Monomial, atoms_of, is_zero, replace_atoms,
                           substitute, unknown)
 from liequiv.jets import build_registry
@@ -43,23 +44,24 @@ def test_dimension_mismatch():
 def test_principal_map_is_triangular(spaces):
     for dim in (1, 2, 3):
         reg = spaces[dim].reg
-        pm = spaces[dim].system.principal
-        principal = {reg.rho_t, reg.p_t} | set(reg.u_t)
-        for e in (pm.rho_t, pm.p_t) + pm.u_t_num:
-            assert not principal.intersection(atoms_of(e))
+        principal = spaces[dim].system.principal
+        assert set(principal) == {reg.rho_t, reg.p_t} | set(reg.u_t)
+        for e in principal.values():
+            assert not set(principal).intersection(atoms_of(e))
 
 
 def test_principal_dim1_rho_t(spaces):
     reg = spaces[1].reg
-    pm = spaces[1].system.principal
-    assert pm.rho_t == -(reg.u[0] * reg.rho_x[0] + reg.rho * reg.u_x[(1, 1)])
+    principal = spaces[1].system.principal
+    assert principal[reg.rho_t] == -(reg.u[0] * reg.rho_x[0]
+                                     + reg.rho * reg.u_x[(1, 1)])
 
 
 def test_principal_dim2_pressure_binding_has_shear_term(spaces):
     reg = spaces[2].reg
-    pm = spaces[2].system.principal
+    principal = spaces[2].system.principal
     # expansion of -H*Phi contributes -H*Pi12*(u1_x2 + u2_x1)
-    terms = dict(pm.p_t.terms)
+    terms = dict(principal[reg.p_t].terms)
     m1 = Monomial(((reg.h, 1), (reg.pi[(1, 2)], 1), (reg.u_x[(1, 2)], 1)))
     m2 = Monomial(((reg.h, 1), (reg.pi[(1, 2)], 1), (reg.u_x[(2, 1)], 1)))
     assert terms[m1] == -1
@@ -92,14 +94,15 @@ def test_restrict_examples(spaces):
 def test_restrict_clears_momentum_denominator(spaces):
     reg = spaces[1].reg
     system = spaces[1].system
-    pm = system.principal
+    numerator = system.principal[reg.u_t[0]]
+    assert numerator == reg.rho * reg.u_t[0] - system.momentum[0]
     got, power = restrict_to_manifold(Expr.of(reg.u_t[0]), system)
     assert power == 1
-    assert got == pm.u_t_num[0]
+    assert got == numerator
     # quadratic occurrence needs the square of the numerator
     got2, power2 = restrict_to_manifold(Expr.of(reg.u_t[0]) ** 2, system)
     assert power2 == 2
-    assert got2 == pm.u_t_num[0] ** 2
+    assert got2 == numerator ** 2
 
 
 def test_mass_equation_vanishes_at_consistent_point(spaces):
@@ -116,7 +119,7 @@ def test_mass_equation_vanishes_at_consistent_point(spaces):
     rnd = random.Random(42)
     point = {a: Fraction(rnd.randint(1, 9), rnd.randint(1, 5))
              for a in reg.space_atoms()}
-    point[reg.rho_t] = evaluate(system.principal.rho_t, point)
+    point[reg.rho_t] = evaluate(system.principal[reg.rho_t], point)
     assert evaluate(system.mass, point) == 0
 
 
@@ -170,26 +173,26 @@ def test_momentum_components_swap(spaces, dim):
 
 
 def restrict_reference(e, system):
-    """The per-term clearing: each term rebuilds its product of u_t
-    numerators from ONE."""
+    """Substitution of the polynomial rho_t and p_t solutions, then the
+    per-term clearing: each term rebuilds its product of u_t numerators
+    from ONE.  The power is the largest u_t degree of the input terms."""
     reg = system.registry
-    pm = system.principal
-    e = substitute(e, {reg.rho_t: pm.rho_t, reg.p_t: pm.p_t})
-    u_t_index = {a: i for i, a in enumerate(reg.u_t)}
-    power = max((sum(k for a, k in mono.factors if a in u_t_index)
+    principal = system.principal
+    u_t = set(reg.u_t)
+    power = max((sum(k for a, k in mono.factors if a in u_t)
                  for mono, _ in e.terms), default=0)
+    e = substitute(e, {a: principal[a] for a in (reg.rho_t, reg.p_t)})
     if power == 0:
         return e, 0
     pieces = []
     for mono, c in e.terms:
         rest, num, deg = [], ONE, 0
         for a, k in mono.factors:
-            i = u_t_index.get(a)
-            if i is None:
-                rest.append((a, k))
-            else:
-                num = num * pm.u_t_num[i] ** k
+            if a in u_t:
+                num = num * principal[a] ** k
                 deg += k
+            else:
+                rest.append((a, k))
         rest.append((reg.rho, power - deg))
         factor = Monomial(rest)
         pieces.extend((m * factor, c * cn) for m, cn in num.terms)
@@ -235,24 +238,30 @@ def test_restrict_matches_per_term_clearing(case):
     assert restrict_to_manifold(e, system) == restrict_reference(e, system)
 
 
-def test_restrict_builds_each_numerator_product_once(monkeypatch):
+def test_restrict_builds_each_product_once(monkeypatch):
+    """replace_atoms builds the product of the bindings once per call for
+    each distinct tuple of replaced factors: the u_t patterns and those with
+    rho_t or p_t alike."""
     calls = Counter()
-    build = system_module._numerator_product
 
-    def counting(u_t_num, pattern):
-        calls[pattern] += 1
-        return build(u_t_num, pattern)
+    def counting(op, factors):
+        factors = tuple(factors)
+        calls[factors] += 1
+        return reduce(op, factors)
 
-    monkeypatch.setattr(system_module, "_numerator_product", counting)
+    monkeypatch.setattr(expr_module, "reduce", counting)
     system = SYSTEMS[2]
     reg = system.registry
+    principal = system.principal
     u1_t, u2_t = reg.u_t
     e = (u1_t * reg.p + 3 * u1_t * reg.g + u1_t ** 2 * u2_t * reg.h
          + u1_t ** 2 * u2_t * reg.rho + reg.rho_t * u2_t ** 2 + reg.p_t + reg.g)
-    patterns = {((0, 1),), ((0, 2), (1, 1)), ((1, 2),), ()}
+    patterns = {((u1_t, 1),), ((u1_t, 2), (u2_t, 1)), ((reg.rho_t, 1), (u2_t, 2)),
+                ((reg.p_t, 1),)}
+    products = {tuple(principal[a] ** k for a, k in pattern) for pattern in patterns}
     for calls_so_far in (1, 2):
         restrict_to_manifold(e, system)
-        assert calls == Counter({p: calls_so_far for p in patterns})
+        assert calls == Counter({p: calls_so_far for p in products})
     calls.clear()
-    restrict_to_manifold(reg.rho_t * reg.g + reg.p_t, system)
-    assert not calls
+    restrict_to_manifold(reg.rho_t * reg.g + reg.p_t + reg.rho_t * reg.p, system)
+    assert calls == Counter({(principal[reg.rho_t],): 1, (principal[reg.p_t],): 1})
