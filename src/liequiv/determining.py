@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .catalog import KIND_USER, CatalogEntry
-from .expr import Expr, ZERO, collect, is_unknown, is_zero
+from .expr import Expr, collect, is_unknown, is_zero
 from .flows import (SCALE, SCALE_INV, FiniteTransformation, exponentiate,
                     reduce_scale)
 from .generators import (GeneratorSpec, ProlongedGenerator, apply_with_trace,
@@ -73,14 +73,6 @@ class DeterminingSystem:
 
     def coefficients(self) -> tuple:
         return tuple(c for s in self.splits for _, c in s.terms)
-
-
-def recompose(split: EquationSplit) -> Expr:
-    """Sum of monomial * coefficient; equals the restricted residual."""
-    total = ZERO
-    for mono, coeff in split.terms:
-        total = total + Expr(((mono, Fraction(1)),)) * coeff
-    return total
 
 
 def determining_equations(system: BalanceSystem, g: GeneratorSpec,
@@ -135,10 +127,11 @@ def finite_check(system: BalanceSystem, ft: FiniteTransformation) -> FiniteCheck
                 continue
             if any(a != SCALE and a != SCALE_INV for a in q.atoms()):
                 continue
-            lam = Expr(((q, c / lead_coeff),))
+            ratio = Fraction(c, lead_coeff)
+            lam = Expr(((q, ratio),))
             if reduce_scale(lam * eq) == pullback:
                 k = q.exponent(SCALE) - q.exponent(SCALE_INV)
-                found = (c / lead_coeff, k)
+                found = (ratio, k)
                 break
         factors.append(FiniteFactor(eq_name, found, pullback))
     return FiniteCheckResult(all(f.factor is not None for f in factors),
@@ -196,15 +189,17 @@ def solve_unknowns(dsys: DeterminingSystem) -> dict:
                     rest.append((a, k))
             if mixed:
                 raise ValueError("coefficient mixes unknowns within one term")
-            # factors are sorted, so the filtered subsequence is canonical
-            row = groups.setdefault(tuple(rest), ({}, [Fraction(0)]))
-            if var is None:
-                row[1][0] += c
-            else:
-                row[0][var] = row[0].get(var, Fraction(0)) + c
+            # factors are sorted, so the filtered subsequence is canonical;
+            # a row keeps its constant term under None
+            rest = tuple(rest)
+            row = groups.get(rest)
+            if row is None:
+                row = groups[rest] = {}
+            row[var] = row.get(var, 0) + c
+            if var is not None:
                 unknowns.add(var)
-        for coeffs, const in groups.values():
-            equations.append((coeffs, -const[0]))
+        for row in groups.values():
+            equations.append((row, -row.pop(None, 0)))
     solution, free = solve_linear(equations, sorted(unknowns))
     return {"solution": solution, "free": free}
 

@@ -115,12 +115,12 @@ class _Parser:
         sign = self.parse_sign()
         total = sign * self.parse_product()
         while self.peek().kind == "op" and self.peek().text in "+-":
-            sign = Fraction(1) if self.next().text == "+" else Fraction(-1)
+            sign = 1 if self.next().text == "+" else -1
             total = total + sign * self.parse_product()
         return total
 
-    def parse_sign(self) -> Fraction:
-        sign = Fraction(1)
+    def parse_sign(self) -> int:
+        sign = 1
         while self.peek().kind == "op" and self.peek().text in "+-":
             if self.next().text == "-":
                 sign = -sign

@@ -17,6 +17,14 @@ sequences).  Structural equality therefore decides mathematical equality and
 normalization is idempotent by construction.  Output is byte-stable across
 runs and platforms.
 
+A coefficient is a Python ``int`` when it is integral and a ``Fraction``
+otherwise; ``_rational`` applies this rule wherever a coefficient is made,
+and refuses anything but an ``int`` or a ``Fraction``.  Almost every
+coefficient of a jet expression is an integer, and a sum or product of
+small ints costs tens of nanoseconds where one of ``Fraction``s costs about
+a microsecond.  ``Fraction(2) == 2`` and both hash alike, so the rule
+changes no equality, only the cost.
+
 The normal-form rule lives in one routine, ``_normal_form``: it adds
 (item, number) pairs with equal items, drops zero sums and sorts by the
 items' ``.key``.  It builds every ``Expr.terms`` (monomials with
@@ -32,10 +40,10 @@ from arbitrary input.  Operands that are canonical already skip it:
   product of expressions goes through ``_normal_form``.
 * ``Monomial._trusted`` and ``Expr._trusted`` take a tuple that is
   canonical as it stands: sorted by key, with distinct items and nonzero
-  numbers (positive int exponents, nonzero ``Fraction`` coefficients).  A
-  run cut from a canonical tuple qualifies; ``collect`` cuts each monomial
-  into a parametric and a remaining run.  So does a single term, which
-  ``Expr.of`` and ``Expr.const`` build.
+  numbers (positive int exponents; coefficients that keep the coefficient
+  rule).  A run cut from a canonical tuple qualifies; ``collect`` cuts each
+  monomial into a parametric and a remaining run.  So does a single term,
+  which ``Expr.of`` and ``Expr.const`` build.
 
 An atom's key is ``(rank, name)``.  A monomial's key is flat, the atom keys
 and exponents in factor order, ``(rank1, name1, e1, rank2, name2, e2, ...)``;
@@ -202,6 +210,19 @@ def _normal_form(pairs) -> tuple:
     return tuple(sorted(filter(itemgetter(1), acc.items()), key=_first_key))
 
 
+def _rational(c):
+    """The canonical coefficient of ``c``: an int when it is integral, a
+    ``Fraction`` otherwise.  A float, or any other type, is refused: it
+    would enter the exact carrier as the binary fraction nearest to it."""
+    if type(c) is int:
+        return c
+    if type(c) is Fraction:
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, (int, Fraction)):
+        return _rational(Fraction(c))
+    raise UnsupportedFormError(f"coefficient {c!r} is not an int or a Fraction")
+
+
 def _merge(a: tuple, b: tuple) -> tuple:
     """``_normal_form(a + b)`` for canonical ``a`` and ``b``, in one pass."""
     if not a:
@@ -223,7 +244,7 @@ def _merge(a: tuple, b: tuple) -> tuple:
         else:
             n = pa[1] + pb[1]
             if n:
-                out.append((pa[0], n))
+                out.append((pa[0], _rational(n)))
             i += 1
             j += 1
     return (*out, *a[i:], *b[j:])
@@ -329,16 +350,16 @@ class Expr:
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        # Fraction(c) of a Fraction costs as much as an addition; skip it
-        self.terms = _normal_form(
-            (mono, c if type(c) is Fraction else Fraction(c)) for mono, c in terms)
+        self.terms = tuple((mono, _rational(c))
+                           for mono, c in _normal_form(terms))
 
     @classmethod
     def _trusted(cls, terms: tuple) -> "Expr":
         """The expression of ``terms``, taken as they are.
 
         Precondition: ``terms`` is canonical, sorted by monomial key with
-        distinct monomials and nonzero ``Fraction`` coefficients.
+        distinct monomials and nonzero coefficients, each an int when it is
+        integral and a ``Fraction`` otherwise.
         """
         e = cls.__new__(cls)
         e.terms = terms
@@ -346,11 +367,11 @@ class Expr:
 
     @staticmethod
     def of(a: Atom) -> "Expr":
-        return Expr._trusted(((Monomial._trusted(((a, 1),)), Fraction(1)),))
+        return Expr._trusted(((Monomial._trusted(((a, 1),)), 1),))
 
     @staticmethod
     def const(c) -> "Expr":
-        c = c if type(c) is Fraction else Fraction(c)
+        c = _rational(c)
         return Expr._trusted(((MONO_ONE, c),) if c else ())
 
     # -- ring operators -------------------------------------------------
@@ -374,13 +395,15 @@ class Expr:
         if len(b) == 1:
             (m2, c2), = b
             if m2.is_one():
-                return Expr._trusted(tuple((m1, c1 * c2) for m1, c1 in a))
-            products = ((m1 * m2, c1 * c2) for m1, c1 in a)
+                return Expr._trusted(tuple((m1, _rational(c1 * c2))
+                                           for m1, c1 in a))
+            products = ((m1 * m2, _rational(c1 * c2)) for m1, c1 in a)
         elif len(a) == 1:
             (m1, c1), = a
             if m1.is_one():
-                return Expr._trusted(tuple((m2, c1 * c2) for m2, c2 in b))
-            products = ((m1 * m2, c1 * c2) for m2, c2 in b)
+                return Expr._trusted(tuple((m2, _rational(c1 * c2))
+                                           for m2, c2 in b))
+            products = ((m1 * m2, _rational(c1 * c2)) for m2, c2 in b)
         else:
             return Expr((m1 * m2, c1 * c2) for m1, c1 in a for m2, c2 in b)
         # products by one monomial never coincide: sort, nothing to merge

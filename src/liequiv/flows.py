@@ -29,8 +29,8 @@ import math
 from fractions import Fraction
 
 from .catalog import rotation_specs
-from .expr import (Atom, Expr, Monomial, ZERO, ONE, as_expr, atoms_of,
-                   coordinate, evaluate, is_unknown, is_zero, replace_atoms)
+from .expr import (Atom, Expr, Monomial, ZERO, ONE, as_expr, coordinate,
+                   evaluate, is_unknown, is_zero, replace_atoms)
 from .generators import (GeneratorSpec, ProlongedGenerator, apply_with_trace,
                          prolong)
 from .jets import JetRegistry
@@ -152,42 +152,6 @@ def exponentiate(pg: ProlongedGenerator, param=None) -> FiniteTransformation:
         elif k:
             images[c] = scale_power(k) * c
     return FiniteTransformation(reg, images)
-
-
-def identity_at_zero(ft: FiniteTransformation) -> bool:
-    at0 = {PARAM: ZERO, SCALE: ONE, SCALE_INV: ONE}
-    for a in ft.registry.space_atoms():
-        img = replace_atoms(ft.image(a), at0)
-        if img != Expr.of(a):
-            return False
-    return True
-
-
-def composition_is_additive(ft: FiniteTransformation) -> bool:
-    """Symbolic check of flow(a1) followed by flow(a2) == flow(a1 + a2).
-
-    Scaled coordinates compose through exp(a1)^d exp(a2)^d = exp(a1+a2)^d by
-    construction (no coordinate carries both scale and shift), so the content
-    of the check is the shift identity
-    shift(a1) + shift(a2)[coords -> flow_a1(coords)] == shift(a1 + a2),
-    each shift read as image - c from an image free of the scale atoms.
-    """
-    a1 = coordinate("a:first")
-    a2 = coordinate("a:second")
-    reg = ft.registry
-    for c, img in ft.images():
-        if {SCALE, SCALE_INV}.intersection(atoms_of(img)):
-            continue
-        sh = img - c
-        first = replace_atoms(sh, {PARAM: Expr.of(a1)})
-        second = replace_atoms(sh, {PARAM: Expr.of(a2)})
-        moved = {z: replace_atoms(ft.image(z), {PARAM: Expr.of(a1)})
-                 for z in atoms_of(second) if reg.has_name(z.name)}
-        second = replace_atoms(second, moved)
-        combined = replace_atoms(sh, {PARAM: Expr.of(a1) + a2})
-        if reduce_scale(first + second) != reduce_scale(combined):
-            return False
-    return True
 
 
 # -- pointwise numeric flows ----------------------------------------------

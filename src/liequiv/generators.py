@@ -49,7 +49,6 @@ build and every reader, the brackets included, reads through ``coefficient``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .expr import (Atom, Expr, Monomial, ZERO, as_expr, atoms_of,
                    diff_partial, is_unknown, is_zero, UnknownSymbolError)
@@ -125,7 +124,6 @@ def combine(reg: JetRegistry, parts) -> GeneratorSpec:
     """Exact rational linear combination of generators: parts = [(c, g), ...]."""
     acc = {}
     for c, g in parts:
-        c = Fraction(c)
         for a, coeff in base_coefficients(reg, g).items():
             acc[a] = acc.get(a, ZERO) + c * coeff
     return from_coefficients(reg, acc)

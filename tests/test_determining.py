@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from liequiv.catalog import CatalogEntry, find_entry
 from liequiv.determining import (check_entry, determining_equations,
-                                 finite_check, parametric_atoms, recompose,
+                                 finite_check, parametric_atoms,
                                  solve_unknowns, verify)
 from liequiv.expr import (ZERO, Expr, atoms_of, evaluate, is_unknown,
                           substitute, unknown)
@@ -82,6 +82,14 @@ def test_naive_rotation_fails_with_stress_witness(spaces):
     mono, coeff = first.terms[0]
     assert str(mono) == "Pi11_d_u1x1*u1_x1x2"
     assert coeff == Expr.of(system.registry.rho)
+
+
+def recompose(split) -> Expr:
+    """Sum of monomial * coefficient; equals the restricted residual."""
+    total = ZERO
+    for mono, coeff in split.terms:
+        total = total + Expr(((mono, 1),)) * coeff
+    return total
 
 
 def test_determining_system_reconstructs_residual(spaces):
@@ -233,6 +241,24 @@ def test_finite_check_scaling_factors(spaces):
         fc2 = finite_check(system, _flow(spaces, dim, "Z2"))
         assert fc2.passed
         assert all(f.factor == (1, 1) for f in fc2.factors)
+
+
+def test_finite_factors_are_exact(spaces):
+    """A factor's c is a Fraction, never the float that dividing two int
+    coefficients gives: Z1 scales the pressure equation by exp(2*a)."""
+    for dim in (1, 2, 3):
+        for entry in spaces[dim].catalog:
+            if not entry.has_flow:
+                continue
+            fc = finite_check(spaces[dim].system, _flow(spaces, dim, entry.name))
+            for f in fc.factors:
+                assert f.factor is not None, (dim, entry.name, f.equation)
+                c, k = f.factor
+                assert type(c) is Fraction and type(k) is int, \
+                    (dim, entry.name, f.equation, f.factor)
+    fc = finite_check(spaces[1].system, _flow(spaces, 1, "Z1"))
+    assert dict((f.equation, f.factor) for f in fc.factors)["pressure"] == \
+        (Fraction(1), 2)
 
 
 def test_finite_check_trace_shift(spaces):

@@ -290,7 +290,7 @@ def strictly_increasing(keys) -> bool:
 def assert_normal_form(e: Expr):
     assert strictly_increasing([mono.key for mono, _ in e.terms])
     for mono, c in e.terms:
-        assert type(c) is Fraction and c != 0
+        assert type(c) is (int if c.denominator == 1 else Fraction) and c != 0
         assert strictly_increasing([a.key for a, _ in mono.factors])
         assert all(type(k) is int and k > 0 for _, k in mono.factors)
 
@@ -483,6 +483,55 @@ def test_merges_match_normal_form(m1, m2, a, b, one, k):
         assert_same(Expr.of(atom), Expr(((Monomial(((atom, 1),)), 1),)))
     for n in (k, 0, 3, Fraction(0)):
         assert_same(Expr.const(n), Expr(((MONO_ONE, n),)))
+
+
+halves = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(halves, halves, monomials, monomials)
+def test_integral_coefficients_are_ints(x, y, m1, m2):
+    """Fraction operands whose sum, difference, product, negation or
+    scaling by 1/2 then 2 is integral give int coefficients, on every path
+    that makes a coefficient: _merge, the one-term and the general product,
+    scaling, and construction."""
+    a, b = Expr(((m1, x),)), Expr(((m1, y),))
+    want = [(a + b, x + y), (a - b, x - y), (a * b, x * y), (-a, -x),
+            (a * Fraction(1, 2) * 2, x), (a / 2 * 2, x)]
+    for got, c in want:
+        assert_normal_form(got)
+        assert [k for _, k in got.terms] == ([c] if c else [])
+    two = b + Expr.of(p)
+    for got in (Expr(((m1, x), (m2, y))), (a + Expr.of(rho)) * two, a * two,
+                Expr.const(x) * two, Expr.const(x) * Expr.const(y)):
+        assert_normal_form(got)
+
+
+def test_integral_fraction_is_the_int():
+    two_p = Expr(((Monomial(((p, 1),)), Fraction(4, 2)),))
+    assert two_p.terms == (2 * p).terms
+    assert two_p == 2 * p and hash(two_p) == hash(2 * p)
+    assert type(two_p.terms[0][1]) is int
+    two = Expr(((MONO_ONE, Fraction(4, 2)),))
+    assert two == Expr(((MONO_ONE, 2),)) == Expr.const(Fraction(4, 2)) == 2
+    assert hash(two) == hash(Expr(((MONO_ONE, 2),))) == hash(Expr.const(2))
+    assert type(Expr.of(p).terms[0][1]) is int
+    assert type((Expr.of(p) / 3).terms[0][1]) is Fraction
+
+
+def test_float_coefficients_are_refused():
+    """A float would enter as the binary fraction nearest to it (0.1 as
+    3602879701896397/36028797018963968), so every constructor refuses it,
+    as as_expr and the operators already did."""
+    refused = (lambda: Expr([(MONO_ONE, 0.1)]),
+               lambda: Expr([(Monomial(((p, 1),)), 2.0)]),
+               lambda: Expr.const(0.5),
+               lambda: as_expr(0.5),
+               lambda: Expr.of(p) * 0.5,
+               lambda: Expr.of(p) / 0.5)
+    for build in refused:
+        with pytest.raises(UnsupportedFormError):
+            build()
 
 
 def replace_reference(e: Expr, mapping) -> Expr:

@@ -11,11 +11,11 @@ from liequiv import flows
 from liequiv.catalog import build_catalog, find_entry, verified_entries
 from liequiv.cli import main
 from liequiv.determining import finite_check
-from liequiv.expr import Expr, atoms_of, evaluate, replace_atoms
-from liequiv.flows import (PARAM, SCALE, SCALE_INV, NoClosedFormError,
-                           composition_is_additive, exponentiate,
-                           identity_at_zero, numeric_flow, reduce_scale,
-                           scale_power)
+from liequiv.expr import (ONE, ZERO, Expr, atoms_of, coordinate, evaluate,
+                          replace_atoms)
+from liequiv.flows import (PARAM, SCALE, SCALE_INV, FiniteTransformation,
+                           NoClosedFormError, exponentiate, numeric_flow,
+                           reduce_scale, scale_power)
 from liequiv.generators import combine, make_generator, prolong
 
 
@@ -232,6 +232,42 @@ def test_build_catalog_prolongs_nothing(spaces, monkeypatch):
     y2 = find_entry(catalog, "Y2").spec
     numeric_flow(reg, y2)
     assert prolonged == [y2]
+
+
+def identity_at_zero(ft: FiniteTransformation) -> bool:
+    at0 = {PARAM: ZERO, SCALE: ONE, SCALE_INV: ONE}
+    for a in ft.registry.space_atoms():
+        img = replace_atoms(ft.image(a), at0)
+        if img != Expr.of(a):
+            return False
+    return True
+
+
+def composition_is_additive(ft: FiniteTransformation) -> bool:
+    """Symbolic check of flow(a1) followed by flow(a2) == flow(a1 + a2).
+
+    Scaled coordinates compose through exp(a1)^d exp(a2)^d = exp(a1+a2)^d by
+    construction (no coordinate carries both scale and shift), so the content
+    of the check is the shift identity
+    shift(a1) + shift(a2)[coords -> flow_a1(coords)] == shift(a1 + a2),
+    each shift read as image - c from an image free of the scale atoms.
+    """
+    a1 = coordinate("a:first")
+    a2 = coordinate("a:second")
+    reg = ft.registry
+    for c, img in ft.images():
+        if {SCALE, SCALE_INV}.intersection(atoms_of(img)):
+            continue
+        sh = img - c
+        first = replace_atoms(sh, {PARAM: Expr.of(a1)})
+        second = replace_atoms(sh, {PARAM: Expr.of(a2)})
+        moved = {z: replace_atoms(ft.image(z), {PARAM: Expr.of(a1)})
+                 for z in atoms_of(second) if reg.has_name(z.name)}
+        second = replace_atoms(second, moved)
+        combined = replace_atoms(sh, {PARAM: Expr.of(a1) + a2})
+        if reduce_scale(first + second) != reduce_scale(combined):
+            return False
+    return True
 
 
 def test_identity_at_zero_and_composition(spaces):

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from liequiv import generators
 from liequiv.catalog import build_catalog, find_entry
 from liequiv.dsl import parse_generator, print_generator
-from liequiv.expr import (Expr, UnknownSymbolError, atoms_of, diff_atom,
-                          is_unknown, is_zero, unknown)
+from liequiv.expr import (Expr, UnknownSymbolError, UnsupportedFormError,
+                          atoms_of, diff_atom, is_unknown, is_zero, unknown)
 from liequiv.generators import (AnsatzError, apply_with_trace, bracket,
                                 base_coefficients, combine, make_generator,
                                 prolong)
@@ -168,6 +168,14 @@ def test_bracket_examples(spaces):
     assert bracket(reg, x0, x1) == make_generator(reg)
     assert bracket(reg, x0, y1) == x1
     assert bracket(reg, z1, y1) == combine(reg, [(-1, y1)])
+
+
+def test_combine_takes_exact_coefficients_only(spaces):
+    reg = spaces[1].reg
+    x0 = _spec(spaces, 1, "X0")
+    assert combine(reg, [(Fraction(1, 2), x0), (Fraction(1, 2), x0)]) == x0
+    with pytest.raises(UnsupportedFormError):
+        combine(reg, [(0.5, x0)])
 
 
 def test_bracket_with_gradient_dependent_stress_coefficient(spaces):
