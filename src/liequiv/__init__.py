@@ -13,8 +13,7 @@ from .generators import (GeneratorSpec, ProlongedGenerator, apply_with_trace,
                          prolong)
 from .flows import FiniteTransformation, exponentiate, numeric_flow
 from .determining import (DeterminingSystem, Verdict, check_entry,
-                          determining_equations, finite_check, solve_unknowns,
-                          verify)
+                          determining_equations, finite_check, solve_unknowns)
 from .catalog import (CatalogEntry, build_catalog, structure_constants,
                       verified_entries)
 from .dsl import parse_expr, parse_generator, print_generator
@@ -28,7 +27,7 @@ __all__ = [
     "combine", "from_coefficients", "make_generator", "prolong",
     "FiniteTransformation", "exponentiate", "numeric_flow",
     "DeterminingSystem", "Verdict", "check_entry", "determining_equations",
-    "finite_check", "solve_unknowns", "verify",
+    "finite_check", "solve_unknowns",
     "CatalogEntry", "build_catalog", "structure_constants", "verified_entries",
     "parse_expr", "parse_generator", "print_generator",
     "__version__",

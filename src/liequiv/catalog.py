@@ -125,10 +125,6 @@ def verified_entries(catalog) -> tuple:
     return tuple(e for e in catalog if e.kind == KIND_VERIFIED)
 
 
-def candidate_entries(catalog) -> tuple:
-    return tuple(e for e in catalog if e.kind == KIND_CANDIDATE)
-
-
 def find_entry(catalog, name: str):
     for e in catalog:
         if e.name == name:

@@ -17,8 +17,8 @@ expression.  For catalog entries with a closed-form flow it exponentiates
 the field the determining equations were built with and cross-checks the
 statement finitely: the pullback of each equation must equal a nonzero
 factor, constant over the space, times the equation.  That factor is kept
-exact, as the pair (c, k) meaning c*exp(a)^k.  ``verify`` is
-``check_entry`` of a ``"user"`` entry.
+exact, as the pair (c, k) meaning c*exp(a)^k.  A generator without a
+catalog entry is checked as an entry of kind ``"user"``, which has no flow.
 
 This module makes no text: witnesses and factors are printed by ``report``.
 """
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .catalog import KIND_USER, CatalogEntry
+from .catalog import CatalogEntry
 from .expr import Expr, collect, is_unknown, is_zero
 from .flows import (SCALE, SCALE_INV, FiniteTransformation, exponentiate,
                     reduce_scale)
@@ -149,12 +149,6 @@ def check_entry(system: BalanceSystem, entry: CatalogEntry) -> Verdict:
     fin = finite_check(system, exponentiate(dsys.prolonged))
     return Verdict(entry.name, entry.kind, zero, dsys.splits, fin,
                    zero == fin.passed)
-
-
-def verify(system: BalanceSystem, g: GeneratorSpec,
-           name: str = "generator") -> Verdict:
-    """``check_entry`` of ``g`` as a user entry: the infinitesimal verdict."""
-    return check_entry(system, CatalogEntry(name, KIND_USER, g))
 
 
 def solve_unknowns(dsys: DeterminingSystem) -> dict:

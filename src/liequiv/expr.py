@@ -45,6 +45,11 @@ from arbitrary input.  Operands that are canonical already skip it:
   monomial into a parametric and a remaining run.  So does a single term,
   which ``Expr.of`` and ``Expr.const`` build.
 
+The Leibniz rule lives in one routine, ``derive``, which applies the
+derivation fixed by an image for each atom.  Every derivative in the engine,
+partial, per atom, total or the action of a prolonged field, is an image
+table over it.
+
 An atom's key is ``(rank, name)``.  A monomial's key is flat, the atom keys
 and exponents in factor order, ``(rank1, name1, e1, rank2, name2, e2, ...)``;
 it holds only strings and ints, so the cyclic garbage collector untracks
@@ -68,6 +73,7 @@ FUNC = "func"
 DERIV = "deriv"
 
 _KIND_RANK = {FUNC: 0, DERIV: 1, COORD: 2}
+_UNSEEN = object()
 
 
 class ExprError(Exception):
@@ -483,34 +489,34 @@ def atoms_of(e) -> tuple:
     return tuple(sorted(seen))
 
 
-def _single_derivative(a: Atom, v: Atom, chain: bool):
-    """d(atom)/d(v) as None (zero), 1, or a fresh formal-derivative atom."""
-    if not chain:
-        return 1 if a == v else None
-    if a.kind == COORD:
-        return 1 if a == v else None
-    if v.name in a.args:
-        return derivative_of(a, v.name)
-    return None
+def derive(e, image) -> tuple:
+    """The derivation sending each atom ``a`` to ``image(a)``, applied to e.
 
-
-def _differentiate(e: Expr, v: Atom, chain: bool) -> Expr:
-    pieces = []
-    for mono, c in e.terms:
+    ``image(a)`` is canonical terms, or None (or no terms) for zero, and is
+    asked once per atom.  One pass over the terms of ``e``: each factor
+    ``a**k`` of a term ``c*m`` contributes ``k*c*(m/a)*image(a)``, with
+    ``m/a`` cut from ``m`` and so canonical.  Returns ``(total, pieces)``:
+    the derivative, normalized once, and the unnormalized contributions per
+    atom, ``{a: [(monomial, coefficient), ...]}``, in the order first met.
+    """
+    images, pieces = {}, {}
+    for mono, c in as_expr(e).terms:
         factors = mono.factors
         for idx, (a, k) in enumerate(factors):
-            da = _single_derivative(a, v, chain)
-            if da is None:
+            img = images.get(a, _UNSEEN)
+            if img is _UNSEEN:
+                img = images[a] = image(a)
+            if not img:
                 continue
-            # the factors less one power of a: still canonical
             rest = Monomial._trusted(
                 factors[:idx] + ((a, k - 1),) + factors[idx + 1:] if k > 1
                 else factors[:idx] + factors[idx + 1:])
-            if isinstance(da, Atom):
-                rest = rest * Monomial._trusted(((da, 1),))
-            pieces.append((rest, c * k))
+            kc = k * c
+            pieces.setdefault(a, []).extend((rest * m, kc * ci)
+                                            for m, ci in img)
     # most partials of a jet expression vanish; skip building those
-    return Expr(pieces) if pieces else ZERO
+    return (Expr(pair for p in pieces.values() for pair in p) if pieces
+            else ZERO), pieces
 
 
 def diff_partial(e, v: Atom) -> Expr:
@@ -523,7 +529,13 @@ def diff_partial(e, v: Atom) -> Expr:
     """
     if v.kind != COORD:
         raise UnknownSymbolError(f"cannot differentiate by {v.name}: not a coordinate")
-    return _differentiate(as_expr(e), v, chain=True)
+
+    def image(a):
+        if a == v:
+            return ONE.terms
+        if a.kind != COORD and v.name in a.args:
+            return Expr.of(derivative_of(a, v.name)).terms
+    return derive(e, image)[0]
 
 
 def diff_atom(e, a: Atom) -> Expr:
@@ -533,7 +545,7 @@ def diff_atom(e, a: Atom) -> Expr:
     the extended space, where function symbols are coordinates in their own
     right and must not chain through their declared arguments.
     """
-    return _differentiate(as_expr(e), a, chain=False)
+    return derive(e, lambda b: ONE.terms if b == a else None)[0]
 
 
 def replace_atoms(e, mapping: Mapping[Atom, object]) -> Expr:
@@ -608,8 +620,9 @@ def collect(e, parametric) -> dict:
         # both runs are cut from a canonical factor tuple
         buckets.setdefault(Monomial._trusted(tuple(par)), []).append(
             (Monomial._trusted(tuple(rest)), c))
-    # distinct terms stay distinct after the split, so no bucket sums to zero
-    return {key: Expr(buckets[key]) for key in sorted(buckets, key=lambda m: m.key)}
+    # distinct terms stay distinct after the split: a sorted bucket is canonical
+    return {key: Expr._trusted(tuple(sorted(buckets[key], key=_first_key)))
+            for key in sorted(buckets, key=lambda m: m.key)}
 
 
 def evaluate(e, point: Mapping[Atom, object]):

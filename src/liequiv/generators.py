@@ -26,10 +26,9 @@ has a coefficient only for generators whose xi^t depends on t alone.
 
 The directional action of a prolonged field (``apply_with_trace``) treats
 every coordinate of the extended space as independent, as a vector field
-must; the constitutive argument declarations play no role there.  It makes
-one pass over the terms of its input, differentiating each factor whose
-coordinate has a nonzero coefficient, and normalizes each per-coordinate
-contribution and the total once.  It is the only derivation in the engine:
+must; the constitutive argument declarations play no role there.  It is
+``expr.derive``, the one Leibniz routine of the engine, with the prolonged
+coefficients as its image table, and it is the only action of a field:
 the invariance residual is the action of the full prolongation on an
 equation, and the Lie bracket is the bracket of the prolonged fields, whose
 base components
@@ -50,8 +49,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expr import (Atom, Expr, Monomial, ZERO, as_expr, atoms_of,
-                   diff_partial, is_unknown, is_zero, UnknownSymbolError)
+from .expr import (Atom, Expr, ZERO, as_expr, atoms_of, derive, diff_partial,
+                   is_unknown, is_zero, UnknownSymbolError)
 from .jets import JetRegistry, total_derivative
 
 
@@ -251,14 +250,12 @@ def apply_with_trace(reg: JetRegistry, pg: ProlongedGenerator, e) -> tuple:
     pairs, in canonical coordinate order, before any cross-coordinate
     cancellation; summing the trace normalizes to the total.
 
-    One pass over the terms of ``e``: each factor ``a**k`` whose coefficient
-    ``c`` is nonzero contributes ``k * rest * c``, with ``rest`` the monomial
-    less one power of ``a``.  Every trace entry and the total are each
-    normalized once, from these pairs.  The coordinates are checked first,
-    in canonical order, so the first one without a coefficient is the one
-    named by ``UnknownSymbolError``.
+    The action is the derivation ``expr.derive`` with the prolonged
+    coefficients as its image table.  The coordinates are checked first, in
+    canonical order, so the first one without a coefficient is the one
+    named by ``UnknownSymbolError``; every trace entry is normalized once,
+    from its share of the derivation's pieces.
     """
-    e = as_expr(e)
     coeffs = {}
     for a in atoms_of(e):
         if is_unknown(a):
@@ -271,24 +268,10 @@ def apply_with_trace(reg: JetRegistry, pg: ProlongedGenerator, e) -> tuple:
             coeffs[a] = c.terms
     if not coeffs:
         return ZERO, ()
-    pieces = {a: [] for a in coeffs}
-    for mono, c in e.terms:
-        factors = mono.factors
-        for idx, (a, k) in enumerate(factors):
-            c_terms = coeffs.get(a)
-            if c_terms is None:
-                continue
-            # the factors less one power of a: still canonical
-            rest = Monomial._trusted(
-                factors[:idx] + ((a, k - 1),) + factors[idx + 1:] if k > 1
-                else factors[:idx] + factors[idx + 1:])
-            kc = k * c
-            pieces[a].extend((rest * m2, kc * c2) for m2, c2 in c_terms)
-    trace = tuple((a, Expr(p)) for a, p in pieces.items())
-    trace = tuple(item for item in trace if item[1].terms)
-    if len(trace) == 1:
-        return trace[0][1], trace
-    return Expr(pair for p in pieces.values() for pair in p), trace
+    total, pieces = derive(e, coeffs.get)
+    trace = ((a, Expr(pieces[a]) if len(pieces) > 1 else total)
+             for a in coeffs if a in pieces)
+    return total, tuple(item for item in trace if item[1].terms)
 
 
 def first_order_field(reg: JetRegistry, g: GeneratorSpec) -> ProlongedGenerator:

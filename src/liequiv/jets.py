@@ -18,9 +18,9 @@ share.
 
 from __future__ import annotations
 
-from .expr import (Atom, Expr, Monomial, UnknownSymbolError, as_expr,
-                   coordinate, derivative_of, diff_partial, function_symbol,
-                   is_zero)
+from .expr import (COORD, MONO_ONE, Atom, Expr, Monomial, UnknownSymbolError,
+                   _first_key, coordinate, derivative_of, derive,
+                   function_symbol)
 
 
 class UnsupportedDimensionError(Exception):
@@ -100,15 +100,14 @@ class JetRegistry:
             adv[(self.rho, self.x[i - 1])] = self.rho_x[i - 1]
         self._advance = adv
 
-        # Coordinates a total derivative chains through; second-order and
-        # mixed jets are included so that an out-of-order input is detected.
-        self._chain = (
+        # Names of the coordinates a total derivative chains through, in
+        # registry order; second-order and mixed jets catch out-of-order input.
+        self._chain = {c.name: c for c in (
             self.u + (self.p, self.rho) + self.u_t
             + tuple(self.u_x[k] for k in sorted(self.u_x))
             + (self.p_t,) + self.p_x + (self.rho_t,) + self.rho_x
             + tuple(self.u_xx[k] for k in sorted(self.u_xx))
-            + tuple(self.u_tx[k] for k in sorted(self.u_tx))
-        )
+            + tuple(self.u_tx[k] for k in sorted(self.u_tx)))}
 
     # -- lookups ---------------------------------------------------------
 
@@ -155,38 +154,45 @@ def build_registry(dim: int) -> JetRegistry:
 def total_derivative(e, w: Atom, reg: JetRegistry) -> Expr:
     """Total derivative along the independent coordinate ``w``.
 
-    Computed as the explicit partial plus the sum over dependents and
-    first-order jets of (chain partial) * (advanced jet coordinate); the
-    declared arguments of Pi, G and H make the constitutive chain terms,
-    e.g. D_{x^j} Pi^{ij} = sum_kl Pi^{ij}_{kl} u^k_{x^l x^j}, fall out of the
-    same rule.  The chain runs only through the coordinates the input depends
-    on (its coordinates and the declared arguments of its function atoms),
-    in registry order; every other partial is structurally zero.  The chain
-    terms are gathered as (monomial, coefficient) pairs and the result is
-    normalized once, with the explicit partial.  An input already containing
-    second-order jets (or needing an unregistered advance such as a second
-    derivative of p) raises JetOrderError.
+    One ``derive`` pass over the terms of the input, with the image table of
+    D_w: ``w`` goes to 1, each dependent or jet coordinate ``c`` to its
+    advanced jet ``c_w``, and each function atom ``f`` (Pi, G, H and their
+    formal derivatives) to ``sum_n f_n * n_w`` over its declared arguments
+    ``n``, so that the constitutive chain terms, e.g.
+    D_{x^j} Pi^{ij} = sum_kl Pi^{ij}_{kl} u^k_{x^l x^j}, fall out of the same
+    rule.  Every other atom, the other independents and the ?constants
+    included, is constant.  An input depending on a coordinate with no
+    registered advance along ``w`` (a second-order jet, or p_x1 under a
+    second derivative of p) raises JetOrderError, which names the first
+    such coordinate in registry order.
     """
-    e = as_expr(e)
     if w not in reg.independents:
         raise UnknownSymbolError(f"{w.name} is not an independent coordinate")
-    deps = {n for mono, _ in e.terms for a, _ in mono.factors
-            for n in a.args or (a.name,)}
-    out = diff_partial(e, w)
-    chain = []
-    for c in reg._chain:
-        if c.name not in deps:
-            continue
-        d = diff_partial(e, c)
-        if is_zero(d):
-            continue
-        a = reg.advance(c, w)
-        if a is None:
-            raise JetOrderError(
-                f"d/d{w.name} of an expression depending on {c.name} "
-                "leaves the registered jet space")
-        am = Monomial(((a, 1),))
-        chain.extend((m * am, k) for m, k in d.terms)
-    if not chain:
-        return out
-    return Expr(out.terms + tuple(chain))
+    stuck = set()
+
+    def along(n):
+        # D_w of the coordinate named n as a monomial, None when constant
+        if n == w.name:
+            return MONO_ONE
+        c = reg._chain.get(n)
+        a = c and reg._advance.get((c, w))
+        if c and not a:
+            stuck.add(n)
+        return a and Monomial._trusted(((a, 1),))
+
+    def image(a):
+        if a.kind == COORD:
+            m = along(a.name)
+            return m and ((m, 1),)
+        # f_n sorts before every coordinate, so f_n * n_w is canonical
+        return sorted(
+            ((Monomial._trusted(((derivative_of(a, n), 1),) + m.factors), 1)
+             for n in a.args if (m := along(n)) is not None), key=_first_key)
+
+    out = derive(e, image)[0]
+    if stuck:
+        first = next(n for n in reg._chain if n in stuck)
+        raise JetOrderError(
+            f"d/d{w.name} of an expression depending on {first} "
+            "leaves the registered jet space")
+    return out

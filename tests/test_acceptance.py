@@ -6,10 +6,10 @@ import json
 import random
 import time
 
-from liequiv.catalog import (candidate_entries, find_entry,
-                             structure_constants, verified_entries)
+from liequiv.catalog import (KIND_CANDIDATE, KIND_USER, CatalogEntry,
+                             find_entry, structure_constants, verified_entries)
 from liequiv.cli import main
-from liequiv.determining import check_entry, determining_equations, verify
+from liequiv.determining import check_entry, determining_equations
 from liequiv.dsl import parse_generator, print_generator
 from liequiv.expr import Expr, evaluate, is_zero, unknown
 from liequiv.flows import numeric_flow
@@ -31,7 +31,8 @@ def test_acceptance_1_catalog_reproduction(spaces):
         entries = verified_entries(spaces[dim].catalog)
         ok = ok and len(entries) == 2 * dim + 5
         for entry in entries:
-            ok = ok and verify(spaces[dim].system, entry.spec, entry.name).zero
+            user = CatalogEntry(entry.name, KIND_USER, entry.spec)
+            ok = ok and check_entry(spaces[dim].system, user).zero
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < WALL_TIME_BUDGET_S
     _report(1, f"all 7/9/11 verified generators give all-zero verdicts "
@@ -42,8 +43,11 @@ def test_acceptance_2_no_naive_rotations(spaces):
     ok = True
     witnesses = []
     for dim in (2, 3):
-        for entry in candidate_entries(spaces[dim].catalog):
-            v = verify(spaces[dim].system, entry.spec, entry.name)
+        for entry in spaces[dim].catalog:
+            if entry.kind != KIND_CANDIDATE:
+                continue
+            v = check_entry(spaces[dim].system,
+                            CatalogEntry(entry.name, KIND_USER, entry.spec))
             if entry.name.endswith("_naive"):
                 bad = [s for s in v.equations if s.terms]
                 ok = ok and not v.zero and bool(bad)

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from liequiv import catalog, generators
-from liequiv.catalog import (build_catalog, candidate_entries,
-                             decompose_in_span, find_entry, rotation_specs,
-                             structure_constants, verified_entries)
-from liequiv.determining import verify
+from liequiv.catalog import (KIND_CANDIDATE, KIND_USER, CatalogEntry,
+                             build_catalog, decompose_in_span, find_entry,
+                             rotation_specs, structure_constants,
+                             verified_entries)
+from liequiv.determining import check_entry
 from liequiv.expr import Expr
 from liequiv.generators import bracket, make_generator
 from liequiv.jets import UnsupportedDimensionError, build_registry
@@ -18,7 +19,7 @@ def test_entry_counts(spaces):
     for dim, (n_verified, n_candidates) in expected.items():
         cat = spaces[dim].catalog
         assert len(verified_entries(cat)) == n_verified
-        assert len(candidate_entries(cat)) == n_candidates
+        assert sum(e.kind == KIND_CANDIDATE for e in cat) == n_candidates
 
 
 def test_unsupported_dimension():
@@ -150,17 +151,19 @@ def test_decompose_detects_outside_span(spaces):
 
 def test_naive_rotations_fail(spaces):
     for dim in (2, 3):
-        for entry in candidate_entries(spaces[dim].catalog):
-            if not entry.name.endswith("naive"):
+        for entry in spaces[dim].catalog:
+            if entry.kind != KIND_CANDIDATE or not entry.name.endswith("naive"):
                 continue
-            assert not verify(spaces[dim].system, entry.spec, entry.name).zero
+            user = CatalogEntry(entry.name, KIND_USER, entry.spec)
+            assert not check_entry(spaces[dim].system, user).zero
 
 
 def test_tensorial_rotation_verdict_is_reported(spaces):
     # exploratory candidate: the verdict must exist and be well formed, but
     # no particular outcome is asserted
     entry = find_entry(spaces[2].catalog, "J12_tensorial")
-    v = verify(spaces[2].system, entry.spec, entry.name)
+    v = check_entry(spaces[2].system,
+                    CatalogEntry(entry.name, KIND_USER, entry.spec))
     assert v.generator == "J12_tensorial"
     assert {ev.equation for ev in v.equations} == {
         "mass", "momentum_1", "momentum_2", "pressure"}

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liequiv.catalog import CatalogEntry, find_entry
+from liequiv.catalog import KIND_USER, CatalogEntry, find_entry
 from liequiv.determining import (check_entry, determining_equations,
                                  finite_check, parametric_atoms,
-                                 solve_unknowns, verify)
+                                 solve_unknowns)
 from liequiv.expr import (ZERO, Expr, atoms_of, evaluate, is_unknown,
                           substitute, unknown)
 from liequiv.flows import exponentiate
@@ -48,25 +48,27 @@ def test_zero_generator_gives_empty_system(spaces):
 
 def test_verify_translations_all_dims(spaces):
     for dim in (1, 2, 3):
-        v = verify(spaces[dim].system, find_entry(spaces[dim].catalog, "X0").spec, "X0")
+        entry = find_entry(spaces[dim].catalog, "X0")
+        v = check_entry(spaces[dim].system, CatalogEntry("X0", KIND_USER, entry.spec))
         assert v.zero
 
 
 def test_verify_density_scaling(spaces):
     for dim in (1, 2):
         entry = find_entry(spaces[dim].catalog, "Z2")
-        assert verify(spaces[dim].system, entry.spec, "Z2").zero
+        assert check_entry(spaces[dim].system,
+                           CatalogEntry("Z2", KIND_USER, entry.spec)).zero
 
 
 def test_verify_trace_shift_dim3(spaces):
     entry = find_entry(spaces[3].catalog, "T")
-    assert verify(spaces[3].system, entry.spec, "T").zero
+    assert check_entry(spaces[3].system, CatalogEntry("T", KIND_USER, entry.spec)).zero
 
 
 def test_naive_rotation_fails_with_stress_witness(spaces):
     system = spaces[2].system
     entry = find_entry(spaces[2].catalog, "J12_naive")
-    v = verify(system, entry.spec, entry.name)
+    v = check_entry(system, CatalogEntry(entry.name, KIND_USER, entry.spec))
     assert not v.zero
     momentum = [s for s in v.equations if s.equation.startswith("momentum")]
     bad = [s for s in momentum if s.terms]
@@ -282,10 +284,9 @@ def test_infinitesimal_and_finite_routes_agree(spaces):
 def test_verify_is_check_entry_of_a_user_entry(spaces):
     system = spaces[2].system
     for entry in spaces[2].catalog:
-        user = CatalogEntry(entry.name, "user", entry.spec)
+        user = CatalogEntry(entry.name, KIND_USER, entry.spec)
         assert not user.has_flow
         plain = check_entry(system, user)
-        assert plain == verify(system, entry.spec, entry.name)
         assert plain.finite is None and plain.agreement is None
         full = check_entry(system, entry)
         assert (full.zero, full.equations) == (plain.zero, plain.equations)
@@ -342,4 +343,5 @@ def test_brackets_of_symmetries_are_symmetries(spaces, pair):
     reg, catalog = spaces[dim].reg, spaces[dim].catalog
     g1, g2 = (combine(reg, [(c, find_entry(catalog, n).spec) for c, n in side])
               for side in (left, right))
-    assert verify(spaces[dim].system, bracket(reg, g1, g2)).zero
+    user = CatalogEntry("bracket", KIND_USER, bracket(reg, g1, g2))
+    assert check_entry(spaces[dim].system, user).zero

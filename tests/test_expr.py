@@ -12,7 +12,7 @@ from liequiv.expr import (COORD, FUNC, MONO_ONE, ZERO, Atom,
                           CyclicSubstitutionError, Expr, MissingBindingError,
                           Monomial, UnknownSymbolError, UnsupportedFormError,
                           as_expr, atoms_of, collect, coordinate,
-                          derivative_of, diff_atom, diff_partial, evaluate,
+                          derivative_of, derive, diff_atom, diff_partial, evaluate,
                           function_symbol, is_zero, replace_atoms, substitute,
                           unknown)
 
@@ -384,6 +384,47 @@ def test_normal_form_matches_sympy(tree):
     evaluate_tree(tree)
 
 
+# -- the Leibniz routine against sympy -----------------------------------------
+
+# coordinates, formal derivatives of G and ?constants, each one independent
+# symbol for sympy
+DERIVE_ATOMS = [t, x1, p, rho, u1_x1, c1, c2, derivative_of(G, "p"),
+                derivative_of(G, "rho"),
+                derivative_of(derivative_of(G, "p"), "rho")]
+
+
+def polynomials(max_terms):
+    monomial = st.lists(st.tuples(st.sampled_from(DERIVE_ATOMS),
+                                  st.integers(1, 3)), max_size=3)
+    return st.lists(st.tuples(monomial.map(Monomial), coefficients),
+                    max_size=max_terms).map(Expr)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(polynomials(5),
+       st.dictionaries(st.sampled_from(DERIVE_ATOMS),
+                       st.none() | polynomials(3)))
+def test_derive_matches_sympy(e, images):
+    """derive(e, image) is sum_a image(a) * d e / d a, with every atom an
+    independent symbol and an unlisted or None image meaning zero; each
+    atom's pieces are its own summand."""
+    def image(a):
+        img = images.get(a)
+        return None if img is None else img.terms
+
+    total, pieces = derive(e, image)
+    assert_normal_form(total)
+    sym_e = plain(e)
+    want = {}
+    for a in atoms_of(e):
+        d = sympy.diff(sym_e, sympy.Symbol(a.name))
+        want[a] = sympy.expand(plain(images.get(a, ZERO) or ZERO) * d)
+    assert sympy.expand(plain(total) - sympy.Add(*want.values())) == 0
+    for a, part in pieces.items():
+        assert sympy.expand(plain(Expr(part)) - want[a]) == 0
+    assert set(pieces) == {a for a in want if images.get(a)}
+
+
 # -- flat monomial keys and the trusted constructor ----------------------------
 
 # names that are prefixes of one another, and one name under two kinds, so
@@ -483,6 +524,15 @@ def test_merges_match_normal_form(m1, m2, a, b, one, k):
         assert_same(Expr.of(atom), Expr(((Monomial(((atom, 1),)), 1),)))
     for n in (k, 0, 3, Fraction(0)):
         assert_same(Expr.const(n), Expr(((MONO_ONE, n),)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(expressions, st.sets(st.sampled_from(KEY_ATOMS), min_size=1, max_size=6))
+def test_collect_buckets_are_canonical(e, parametric):
+    """Each bucket, built as it stands from its sorted terms, is what the
+    normal form makes of the same terms."""
+    for coeff in collect(e, parametric).values():
+        assert_same(coeff, Expr(reversed(coeff.terms)))
 
 
 halves = st.fractions(min_value=-3, max_value=3, max_denominator=2)
