@@ -8,9 +8,8 @@ from .expr import (Atom, Expr, Monomial, as_expr, atoms_of, collect,
                    diff_partial, evaluate, is_zero, replace_atoms, substitute)
 from .jets import JetRegistry, build_registry, total_derivative
 from .system import BalanceSystem, build_system, restrict_to_manifold
-from .generators import (GeneratorSpec, ProlongedGenerator, apply_with_trace,
-                         bracket, combine, from_coefficients, make_generator,
-                         prolong)
+from .generators import (GeneratorSpec, apply_with_trace, bracket, combine,
+                         from_coefficients, make_generator, prolong)
 from .flows import FiniteTransformation, exponentiate, numeric_flow
 from .determining import (DeterminingSystem, Verdict, check_entry,
                           determining_equations, finite_check, solve_unknowns)
@@ -23,7 +22,7 @@ __all__ = [
     "diff_partial", "evaluate", "is_zero", "replace_atoms", "substitute",
     "JetRegistry", "build_registry", "total_derivative",
     "BalanceSystem", "build_system", "restrict_to_manifold",
-    "GeneratorSpec", "ProlongedGenerator", "apply_with_trace", "bracket",
+    "GeneratorSpec", "apply_with_trace", "bracket",
     "combine", "from_coefficients", "make_generator", "prolong",
     "FiniteTransformation", "exponentiate", "numeric_flow",
     "DeterminingSystem", "Verdict", "check_entry", "determining_equations",

@@ -156,7 +156,7 @@ def _cmd_transform(args, reg, payload) -> int:
     if len(selected) != 1:
         raise ValueError(f"transform needs exactly one generator, "
                          f"got {len(selected)} from {args.gen}")
-    ft = exponentiate(prolong(reg, selected[0].spec), param)
+    ft = exponentiate(reg, prolong(reg, selected[0].spec), param)
     payload.update(report.transform_payload(args.gen, param, ft,
                                             finite_check(system, ft)))
     return 0

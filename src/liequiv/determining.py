@@ -32,8 +32,7 @@ from .catalog import CatalogEntry
 from .expr import Expr, collect, is_unknown, is_zero
 from .flows import (SCALE, SCALE_INV, FiniteTransformation, exponentiate,
                     reduce_scale)
-from .generators import (GeneratorSpec, ProlongedGenerator, apply_with_trace,
-                         prolong)
+from .generators import GeneratorSpec, apply_with_trace, prolong
 from .jets import JetRegistry
 from .linsolve import solve_linear
 from .system import BalanceSystem, restrict_to_manifold
@@ -69,7 +68,7 @@ class DeterminingSystem:
     parametric: tuple
     splits: tuple
     # the field the residuals were taken with, kept for the finite route
-    prolonged: ProlongedGenerator = field(compare=False, repr=False)
+    prolonged: dict = field(compare=False, repr=False)
 
     def coefficients(self) -> tuple:
         return tuple(c for s in self.splits for _, c in s.terms)
@@ -82,7 +81,7 @@ def determining_equations(system: BalanceSystem, g: GeneratorSpec,
     parametric = parametric_atoms(reg)
     splits = []
     for eq_name, eq in system.equations():
-        residual = apply_with_trace(reg, pg, eq)[0]
+        residual = apply_with_trace(pg, eq)[0]
         restricted, power = restrict_to_manifold(residual, system)
         buckets = {} if is_zero(restricted) else collect(restricted, parametric)
         splits.append(EquationSplit(eq_name, power, tuple(buckets.items())))
@@ -146,7 +145,7 @@ def check_entry(system: BalanceSystem, entry: CatalogEntry) -> Verdict:
     zero = not any(s.terms for s in dsys.splits)
     if not entry.has_flow:
         return Verdict(entry.name, entry.kind, zero, dsys.splits, None, None)
-    fin = finite_check(system, exponentiate(dsys.prolonged))
+    fin = finite_check(system, exponentiate(system.registry, dsys.prolonged))
     return Verdict(entry.name, entry.kind, zero, dsys.splits, fin,
                    zero == fin.passed)
 

@@ -538,16 +538,6 @@ def diff_partial(e, v: Atom) -> Expr:
     return derive(e, image)[0]
 
 
-def diff_atom(e, a: Atom) -> Expr:
-    """Partial derivative treating every atom as an independent coordinate.
-
-    This is the derivative entering directional actions of vector fields on
-    the extended space, where function symbols are coordinates in their own
-    right and must not chain through their declared arguments.
-    """
-    return derive(e, lambda b: ONE.terms if b == a else None)[0]
-
-
 def replace_atoms(e, mapping: Mapping[Atom, object]) -> Expr:
     """Simultaneous single-pass replacement of atoms by expressions.
 

@@ -1,7 +1,7 @@
 """Finite transformations derived from the prolonged field.
 
-``exponentiate`` takes a prolonged field X, as ``prolong`` builds it and
-``DeterminingSystem.prolonged`` keeps it, and walks every registered
+``exponentiate`` takes a prolonged field X, the table that ``prolong``
+builds and ``DeterminingSystem.prolonged`` keeps, and walks every registered
 coordinate c: X(c) = k*c with an integer k scales it, c -> exp(a)^k * c;
 any other coordinate is shifted by its Lie series (Olver, Applications of
 Lie Groups to Differential Equations, sections 1.3 and 2.3)
@@ -31,8 +31,7 @@ from fractions import Fraction
 from .catalog import rotation_specs
 from .expr import (Atom, Expr, Monomial, ZERO, ONE, as_expr, coordinate,
                    evaluate, is_unknown, is_zero, replace_atoms)
-from .generators import (GeneratorSpec, ProlongedGenerator, apply_with_trace,
-                         prolong)
+from .generators import GeneratorSpec, apply_with_trace, prolong
 from .jets import JetRegistry
 
 PARAM = coordinate("a")
@@ -110,11 +109,11 @@ def _is_affine(e: Expr) -> bool:
                for mono, _ in e.terms)
 
 
-def _lie_series(reg: JetRegistry, pg, c: Atom, bound: int, a: Expr) -> Expr:
+def _lie_series(pg: dict, c: Atom, bound: int, a: Expr) -> Expr:
     """sum_{n >= 1} a^n/n! X^n(c), required to end within ``bound`` terms
     (X^0(c) = c included), each affine in the coordinates; ``a`` is the
     parameter atom or its bound value."""
-    shift, term, power = ZERO, pg.coefficient(c), a
+    shift, term, power = ZERO, pg[c], a
     for n in range(1, bound + 1):
         if is_zero(term):
             return shift
@@ -125,28 +124,27 @@ def _lie_series(reg: JetRegistry, pg, c: Atom, bound: int, a: Expr) -> Expr:
                 f"{_NO_FLOW}: the Lie series of {c.name} leaves the affine "
                 f"terms at order {n}")
         shift = shift + power * term
-        term = apply_with_trace(reg, pg, term)[0] / (n + 1)
+        term = apply_with_trace(pg, term)[0] / (n + 1)
         power = power * a
     raise NoClosedFormError(
         f"{_NO_FLOW}: the Lie series of {c.name} does not end within "
         f"{bound} terms")
 
 
-def exponentiate(pg: ProlongedGenerator, param=None) -> FiniteTransformation:
+def exponentiate(reg: JetRegistry, pg: dict, param=None) -> FiniteTransformation:
     """The flow exp(aX) of a prolonged field; ``param`` optionally binds the
     group parameter to an exact rational."""
-    reg = pg.registry
     space = reg.space_atoms()
     for c in space:
-        if pg.coefficient(c) is None:
+        if c not in pg:
             raise NoClosedFormError(
                 f"{_NO_FLOW}: the prolonged field gives {c.name} no action")
     a = Expr.of(PARAM) if param is None else Expr.const(Fraction(param))
     images = {}
     for c in space:
-        k = _weight(pg.coefficient(c), c)
+        k = _weight(pg[c], c)
         if k is None:
-            shift = _lie_series(reg, pg, c, len(space) + 1, a)
+            shift = _lie_series(pg, c, len(space) + 1, a)
             if not is_zero(shift):
                 images[c] = c + shift
         elif k:
@@ -245,7 +243,7 @@ def numeric_flow(reg: JetRegistry, g: GeneratorSpec):
     ``exponentiate`` finds one, the hand-written flow of a rotation
     candidate, else None."""
     try:
-        return _numeric_closed_form(reg, exponentiate(prolong(reg, g)))
+        return _numeric_closed_form(reg, exponentiate(reg, prolong(reg, g)))
     except NoClosedFormError:
         pass
     for i in range(1, reg.dim + 1):

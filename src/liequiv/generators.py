@@ -10,19 +10,23 @@ restricted to the classical ansatz: xi and eta coefficients live on
 gradient jets and the Pi components; mu^G and mu^H live on (p, rho, G, H).
 Opaque ``?name`` constants are admitted everywhere for ansatz exploration.
 
-Prolongation extends the field to the first-order jets, the second-order
-velocity jets, and the stress-derivative coordinates:
+A prolonged field is one table {coordinate: coefficient}: the base
+directions, then every prolonged coordinate, all from one rule (Olver 1986,
+Thm 2.36).  For a coordinate c with coefficient table[c] and a direction w,
+the coordinate c_w = reg.advance(c, w) gets
 
-    zeta^a_w    = D_w(eta^a) - sum_v D_w(xi^v) a_v
-    zeta^a_wv   = D_v(zeta^a_w) - sum_z D_v(xi^z) a_wz
-    mu^{ij}_kl  = Dt_kl(mu^{ij}) - sum_rs Pi^{ij}_rs Dt_kl(zeta^{u_r}_{x_s})
+    table[c_w] = D_w(table[c]) - sum_v D_w(table[v]) c_v
 
-where D_w is the registered total derivative and Dt_kl is the total
-derivative in the element-argument space, realized by the chaining partial
-by u^r_{x^s} (constant on everything that is not a gradient jet or a Pi
-component).  The mixed jets u_tx take the second formula with w = t and
-v = x_l; its D_{x_l}(xi^t) u_tt term needs the unregistered u_tt, so u_tx
-has a coefficient only for generators whose xi^t depends on t alone.
+over one of two spaces.  Over the jets, v and w run over (t, x) and D_w is
+the registered total derivative: this gives the first-order jets, then the
+second-order velocity jets u_xx and u_tx.  Over the constitutive elements
+(Ovsiannikov's equivalence method), v and w run over the gradient jets
+u^k_{x_l}, D_w is the chaining partial ``diff_partial`` (constant on
+everything that is not a gradient jet or a Pi component), and c = Pi^{ij}
+gives the stress-derivative coordinates Pi^{ij}_{kl}.  The mixed jets u_tx
+take the rule with c = u_t and w = x_l; its D_{x_l}(xi^t) u_tt term needs
+the unregistered u_tt, so u_tx has a coefficient only for generators whose
+xi^t depends on t alone.  A coordinate with no action has no table entry.
 
 The directional action of a prolonged field (``apply_with_trace``) treats
 every coordinate of the extended space as independent, as a vector field
@@ -40,16 +44,16 @@ jet beyond the velocity gradient.  ``bracket`` and the structure-constant
 table both take it through ``bracket_fields``; the table prolongs each
 entry once.  ``base_coefficients`` and
 ``from_coefficients`` convert between a generator and its ordered map
-direction -> coefficient.  A prolonged field is that map extended by every
-prolonged coordinate, one table that ``prolong`` and ``first_order_field``
-build and every reader, the brackets included, reads through ``coefficient``.
+direction -> coefficient, which ``prolong`` and ``first_order_field``
+extend to the prolonged table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
-from .expr import (Atom, Expr, ZERO, as_expr, atoms_of, derive, diff_partial,
+from .expr import (Expr, ZERO, as_expr, atoms_of, derive, diff_partial,
                    is_unknown, is_zero, UnknownSymbolError)
 from .jets import JetRegistry, total_derivative
 
@@ -153,97 +157,47 @@ def from_coefficients(reg: JetRegistry, table: dict) -> GeneratorSpec:
         mu_g=c(reg.g), mu_h=c(reg.h))
 
 
-class ProlongedGenerator:
-    """A generator together with all prolonged coefficients, in one table.
-
-    ``coefficient(atom)`` covers the base directions, the first-order jets,
-    the second-order velocity jets (``u_tx`` only when every D_x(xi^t) is
-    zero) and the stress-derivative coordinates, and is None for a
-    coordinate without an action.  ``first_order_field`` builds one that
-    stops at the first-order jets.
-    """
-
-    def __init__(self, reg: JetRegistry, table: dict):
-        self.registry = reg
-        self._table = table
-
-    def coefficient(self, a: Atom):
-        return self._table.get(a)
-
-    def coefficients(self) -> dict:
-        return dict(self._table)
+def _derivatives(table: dict, vs: tuple, D) -> dict:
+    """w -> {v: D_w(table[v])} over the nonzero derivatives, v and w in ``vs``."""
+    return {w: {v: d for v in vs if not is_zero(d := D(table[v], w))}
+            for w in vs}
 
 
-def first_jet_coefficients(reg: JetRegistry, g: GeneratorSpec) -> tuple:
-    """First-prolongation coefficients for every first-order jet.
-
-    Returns (table, d_xi): table maps each base direction and first-order jet
-    to its coefficient, d_xi maps (v, w) to the nonzero total derivatives
-    D_w(xi^v).
-    """
-    dirs = reg.independents
-    d_xi = {}
-    for v, xi in zip(dirs, (g.xi_t,) + g.xi_x):
-        for w in dirs:
-            d = total_derivative(xi, w, reg)
-            if not is_zero(d):
-                d_xi[(v, w)] = d
-
-    table = base_coefficients(reg, g)
-    for alpha, eta in zip(reg.u + (reg.p, reg.rho),
-                          g.eta_u + (g.eta_p, g.eta_rho)):
-        for w in dirs:
-            val = total_derivative(eta, w, reg)
-            for v in dirs:
-                d = d_xi.get((v, w))
-                if d is not None:
-                    val = val - d * reg.advance(alpha, v)
-            table[reg.advance(alpha, w)] = val
-    return table, d_xi
+def _prolong(reg: JetRegistry, table: dict, pairs, D, dv: dict):
+    """Enter c_w = reg.advance(c, w) for each (c, w) of ``pairs`` into
+    ``table``, with the coefficient D_w(table[c]) - sum_v D_w(table[v]) c_v;
+    ``dv`` holds the nonzero D_w(table[v]) as ``_derivatives`` gives them."""
+    for c, w in pairs:
+        val = D(table[c], w)
+        for v, d in dv[w].items():
+            val = val - d * reg.advance(c, v)
+        table[reg.advance(c, w)] = val
 
 
-def prolong(reg: JetRegistry, g: GeneratorSpec) -> ProlongedGenerator:
+def _first_jets(reg: JetRegistry) -> list:
+    """The pairs (c, w) that name the first-order jets, in table order."""
+    return [(a, w) for a in reg.u + (reg.p, reg.rho) for w in reg.independents]
+
+
+def prolong(reg: JetRegistry, g: GeneratorSpec) -> dict:
+    """The prolonged field of ``g`` as one table {coordinate: coefficient}."""
     validate_ansatz(reg, g)
-    dirs = reg.independents
-    table, d_xi = first_jet_coefficients(reg, g)
-
-    def second(jet, w):
-        val = total_derivative(table[jet], w, reg)
-        for v in dirs:
-            d = d_xi.get((v, w))
-            if d is not None:
-                val = val - d * reg.advance(jet, v)
-        return val
-
-    table.update((a, second(reg.u_x[(k, l)], reg.x[j - 1]))
-                 for (k, l, j), a in sorted(reg.u_xx.items()))
+    D = partial(total_derivative, reg=reg)
+    table = base_coefficients(reg, g)
+    d_xi = _derivatives(table, reg.independents, D)
+    _prolong(reg, table, _first_jets(reg), D, d_xi)
+    second = [(reg.u_x[(k, l)], reg.x[j - 1]) for k, l, j in sorted(reg.u_xx)]
     # the D_x(xi^t) u_tt term of zeta^u_tx needs the unregistered u_tt
-    if not any((reg.t, w) in d_xi for w in reg.x):
-        table.update((a, second(reg.u_t[k - 1], reg.x[l - 1]))
-                     for (k, l), a in sorted(reg.u_tx.items()))
-
-    # d zeta^{u_r}_{x_s} / d u^k_{x_l} does not depend on the stress pair
-    grad_keys = sorted(reg.u_x)
-    d_zeta = {}
-    for kl in grad_keys:
-        for rs in grad_keys:
-            d = diff_partial(table[reg.u_x[rs]], reg.u_x[kl])
-            if not is_zero(d):
-                d_zeta[(kl, rs)] = d
-
-    for (i, j), mu in zip(reg.pi_pairs(), g.mu_pi):
-        for kl in grad_keys:
-            val = diff_partial(mu, reg.u_x[kl])
-            for rs in grad_keys:
-                d = d_zeta.get((kl, rs))
-                if d is not None:
-                    val = val - reg.pi_d[(i, j) + rs] * d
-            table[reg.pi_d[(i, j) + kl]] = val
-
-    return ProlongedGenerator(reg, table)
+    if not any(reg.t in d_xi[w] for w in reg.x):
+        second += [(reg.u_t[k - 1], reg.x[l - 1]) for k, l in sorted(reg.u_tx)]
+    _prolong(reg, table, second, D, d_xi)
+    grad = tuple(reg.u_x[kl] for kl in sorted(reg.u_x))
+    _prolong(reg, table, [(reg.pi[ij], a) for ij in reg.pi_pairs() for a in grad],
+             diff_partial, _derivatives(table, grad, diff_partial))
+    return table
 
 
-def apply_with_trace(reg: JetRegistry, pg: ProlongedGenerator, e) -> tuple:
+def apply_with_trace(pg: dict, e) -> tuple:
     """Directional derivative of ``e`` with the per-coordinate contributions.
 
     Returns (total, trace) where trace is the tuple of (coordinate, term)
@@ -260,7 +214,7 @@ def apply_with_trace(reg: JetRegistry, pg: ProlongedGenerator, e) -> tuple:
     for a in atoms_of(e):
         if is_unknown(a):
             continue
-        c = pg.coefficient(a)
+        c = pg.get(a)
         if c is None:
             raise UnknownSymbolError(
                 f"no prolonged action is defined for {a.name}")
@@ -274,18 +228,20 @@ def apply_with_trace(reg: JetRegistry, pg: ProlongedGenerator, e) -> tuple:
     return total, tuple(item for item in trace if item[1].terms)
 
 
-def first_order_field(reg: JetRegistry, g: GeneratorSpec) -> ProlongedGenerator:
+def first_order_field(reg: JetRegistry, g: GeneratorSpec) -> dict:
     """The first prolongation of ``g``: base directions and first-order jets."""
     validate_ansatz(reg, g)
-    return ProlongedGenerator(reg, first_jet_coefficients(reg, g)[0])
+    D = partial(total_derivative, reg=reg)
+    table = base_coefficients(reg, g)
+    _prolong(reg, table, _first_jets(reg), D,
+             _derivatives(table, reg.independents, D))
+    return table
 
 
-def bracket_fields(reg: JetRegistry, p1: ProlongedGenerator,
-                   p2: ProlongedGenerator) -> GeneratorSpec:
+def bracket_fields(reg: JetRegistry, p1: dict, p2: dict) -> GeneratorSpec:
     """[X1, X2] on the base directions from two first-order fields."""
     return from_coefficients(reg, {
-        a: (apply_with_trace(reg, p1, p2.coefficient(a))[0]
-            - apply_with_trace(reg, p2, p1.coefficient(a))[0])
+        a: apply_with_trace(p1, p2[a])[0] - apply_with_trace(p2, p1[a])[0]
         for a in _base_directions(reg)})
 
 

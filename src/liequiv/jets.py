@@ -98,16 +98,15 @@ class JetRegistry:
         for i in rng:
             adv[(self.p, self.x[i - 1])] = self.p_x[i - 1]
             adv[(self.rho, self.x[i - 1])] = self.rho_x[i - 1]
+        for (i, j, k, l), a in self.pi_d.items():
+            adv[(self.pi[(i, j)], self.u_x[(k, l)])] = a
         self._advance = adv
 
         # Names of the coordinates a total derivative chains through, in
-        # registry order; second-order and mixed jets catch out-of-order input.
-        self._chain = {c.name: c for c in (
-            self.u + (self.p, self.rho) + self.u_t
-            + tuple(self.u_x[k] for k in sorted(self.u_x))
-            + (self.p_t,) + self.p_x + (self.rho_t,) + self.rho_x
-            + tuple(self.u_xx[k] for k in sorted(self.u_xx))
-            + tuple(self.u_tx[k] for k in sorted(self.u_tx)))}
+        # registry order after the leading independents; second-order and
+        # mixed jets catch out-of-order input.
+        self._chain = {c.name: c for c in self._space[1 + dim:]
+                       if c.kind == COORD}
 
     # -- lookups ---------------------------------------------------------
 
@@ -140,11 +139,9 @@ class JetRegistry:
         return self._space
 
     def advance(self, c: Atom, w: Atom):
-        """The coordinate representing d(c)/d(w), or None when unregistered."""
+        """The coordinate representing d(c)/d(w), or None when unregistered:
+        a jet along t or x, or Pi^{ij}_{kl} for Pi^{ij} along u^k_{x_l}."""
         return self._advance.get((c, w))
-
-    def counts(self) -> tuple:
-        return (self.dim + 1, self.dim + 2, len(self.pi) + len(self.pi_d) + 2)
 
 
 def build_registry(dim: int) -> JetRegistry:

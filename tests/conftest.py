@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from liequiv import build_catalog, build_registry, build_system
-from liequiv.expr import Expr
+from liequiv.expr import ONE, Atom, Expr, derive
 
 
 @pytest.fixture(scope="session")
@@ -38,3 +38,13 @@ def random_expr(rnd: random.Random, atoms, depth: int = 3) -> Expr:
     if pick < 0.9:
         return left - right
     return left ** rnd.randint(0, 2)
+
+
+def diff_atom(e, a: Atom) -> Expr:
+    """Partial derivative treating every atom as an independent coordinate.
+
+    This is the derivative entering directional actions of vector fields on
+    the extended space, where function symbols are coordinates in their own
+    right and must not chain through their declared arguments.
+    """
+    return derive(e, lambda b: ONE.terms if b == a else None)[0]

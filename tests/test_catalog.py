@@ -110,13 +110,15 @@ def test_table_prolongs_each_entry_once(spaces, monkeypatch):
     reg = spaces[3].reg
     entries = verified_entries(spaces[3].catalog)
     prolonged = Counter()
-    original = generators.first_jet_coefficients
+    original = catalog.first_order_field
 
     def counting(reg, g):
         prolonged[id(g)] += 1
         return original(reg, g)
 
-    monkeypatch.setattr(generators, "first_jet_coefficients", counting)
+    # bracket() prolongs through the generators module's own reference
+    monkeypatch.setattr(catalog, "first_order_field", counting)
+    monkeypatch.setattr(generators, "first_order_field", counting)
     structure_constants(reg, entries)
     assert len(entries) == 11
     assert prolonged == Counter(id(e.spec) for e in entries)

@@ -303,7 +303,7 @@ def test_factor_text(spaces):
                     for n, factor in enumerate(cases))
     fc = FiniteCheckResult(False, factors)
     reg = spaces[1].reg
-    ft = exponentiate(prolong(reg, find_entry(spaces[1].catalog, "X0").spec))
+    ft = exponentiate(reg, prolong(reg, find_entry(spaces[1].catalog, "X0").spec))
     transform = report.transform_payload("X0", None, ft, fc)
     verdict = report.render_json(report.verdict_payload(
         Verdict("X0", "theorem", True, (), fc, False)))

@@ -102,7 +102,7 @@ def test_determining_system_reconstructs_residual(spaces):
         d = determining_equations(system, entry.spec, name)
         pg = prolong(reg, entry.spec)
         for split, (_, eq) in zip(d.splits, system.equations()):
-            residual = apply_with_trace(reg, pg, eq)[0]
+            residual = apply_with_trace(pg, eq)[0]
             restricted, power = restrict_to_manifold(residual, system)
             assert split.rho_power == power
             assert recompose(split) == restricted
@@ -219,7 +219,8 @@ def test_solve_unknowns_rejects_nonlinear(spaces):
 
 def _flow(spaces, dim, name):
     reg = spaces[dim].reg
-    return exponentiate(prolong(reg, find_entry(spaces[dim].catalog, name).spec))
+    spec = find_entry(spaces[dim].catalog, name).spec
+    return exponentiate(reg, prolong(reg, spec))
 
 
 def test_finite_check_translation_factors(spaces):

@@ -12,11 +12,11 @@ from liequiv.expr import (COORD, FUNC, MONO_ONE, ZERO, Atom,
                           CyclicSubstitutionError, Expr, MissingBindingError,
                           Monomial, UnknownSymbolError, UnsupportedFormError,
                           as_expr, atoms_of, collect, coordinate,
-                          derivative_of, derive, diff_atom, diff_partial, evaluate,
+                          derivative_of, derive, diff_partial, evaluate,
                           function_symbol, is_zero, replace_atoms, substitute,
                           unknown)
 
-from conftest import random_expr
+from conftest import diff_atom, random_expr
 
 p = coordinate("p")
 rho = coordinate("rho")

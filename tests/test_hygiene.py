@@ -1,0 +1,33 @@
+"""Source hygiene checks over the package modules, with the stdlib only."""
+
+import ast
+from pathlib import Path
+
+import liequiv
+
+PACKAGE = Path(liequiv.__file__).parent
+
+
+def unused_imports(source: str) -> list:
+    """Names a module imports and never reads, in import order."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_unused_imports_are_found():
+    assert unused_imports("import os\nfrom a import b, c as d\nd()\n") == ["os", "b"]
+    assert unused_imports("import os.path\nos.sep\n") == []
+
+
+def test_modules_use_every_import():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    found = {p.name: unused_imports(p.read_text()) for p in modules}
+    assert {name: names for name, names in found.items() if names} == {}

@@ -13,13 +13,23 @@ from liequiv.jets import (JetOrderError, UnsupportedDimensionError,
 from conftest import random_expr
 
 
+def counts(reg):
+    """(independents, dependents, constitutive coordinates)."""
+    return (len(reg.independents), len(reg.u) + 2,
+            len(reg.pi) + len(reg.pi_d) + 2)
+
+
 def test_counts():
-    r1 = build_registry(1)
-    assert r1.counts() == (2, 3, 1 + 1 + 2)
-    r2 = build_registry(2)
-    assert r2.counts() == (3, 4, 3 + 3 * 4 + 2)
-    r3 = build_registry(3)
-    assert r3.counts() == (4, 5, 6 + 6 * 9 + 2)
+    assert counts(build_registry(1)) == (2, 3, 1 + 1 + 2)
+    assert counts(build_registry(2)) == (3, 4, 3 + 3 * 4 + 2)
+    assert counts(build_registry(3)) == (4, 5, 6 + 6 * 9 + 2)
+
+
+def test_stress_advances_to_its_derivative_coordinate():
+    for dim in (1, 2, 3):
+        reg = build_registry(dim)
+        for (i, j, k, l), a in reg.pi_d.items():
+            assert reg.advance(reg.pi[(i, j)], reg.u_x[(k, l)]) == a
 
 
 def test_unsupported_dimension():
