@@ -151,17 +151,10 @@ class StructureTable:
         return self.combos.get((n1, n2), {})
 
 
-def _express(basis, names, target: dict) -> dict | None:
-    """Exact coefficients over ``names`` of the feature vector ``target`` in
-    the span reduced to ``basis``, or None."""
-    combo = express(basis, target)
-    return None if combo is None else {names[i]: c for i, c in combo.items()}
-
-
 def decompose_in_span(reg: JetRegistry, g: GeneratorSpec, entries) -> dict | None:
     """Exact coefficients expressing ``g`` over the entries, or None."""
-    basis = span_basis([_feature_vector(reg, e.spec) for e in entries])
-    return _express(basis, [e.name for e in entries], _feature_vector(reg, g))
+    basis = span_basis({e.name: _feature_vector(reg, e.spec) for e in entries})
+    return express(basis, _feature_vector(reg, g))
 
 
 def structure_constants(reg: JetRegistry, entries) -> StructureTable:
@@ -170,14 +163,14 @@ def structure_constants(reg: JetRegistry, entries) -> StructureTable:
     every pair goes through ``bracket_fields``."""
     names = tuple(e.name for e in entries)
     fields = [first_order_field(reg, e.spec) for e in entries]
-    basis = span_basis([_feature_vector(reg, e.spec) for e in entries])
+    basis = span_basis({e.name: _feature_vector(reg, e.spec) for e in entries})
     combos = {}
     failures = []
     for a in range(len(names)):
         for b in range(a + 1, len(names)):
             n1, n2 = names[a], names[b]
             br = bracket_fields(reg, fields[a], fields[b])
-            combo = _express(basis, names, _feature_vector(reg, br))
+            combo = express(basis, _feature_vector(reg, br))
             if combo is None:
                 failures.append((n1, n2))
                 continue

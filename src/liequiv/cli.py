@@ -24,13 +24,11 @@ from .expr import ExprError
 from .flows import NoClosedFormError, exponentiate
 from .generators import AnsatzError, bracket, prolong
 from .jets import JetOrderError, UnsupportedDimensionError, build_registry
-from .linsolve import InconsistentSystemError
 from .system import build_system
 
 _INPUT_ERRORS = (ExprError, JetOrderError, UnsupportedDimensionError,
                  AnsatzError, DslSyntaxError, UnknownCoordinateError,
-                 NoClosedFormError, InconsistentSystemError, ValueError,
-                 ZeroDivisionError, OSError)
+                 NoClosedFormError, ValueError, ZeroDivisionError, OSError)
 
 
 @functools.cache  # parse_args leaves the parser as it is

@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .expr import Expr, ONE, ZERO, is_zero, unknown
+from .expr import Expr, ONE, ZERO, is_zero, signed_sum, unknown
 from .generators import (GeneratorSpec, base_coefficients, from_coefficients,
                          make_generator)
 from .jets import JetRegistry
@@ -258,19 +258,10 @@ def print_generator(reg: JetRegistry, g: GeneratorSpec) -> str:
     for atom, coeff in base_coefficients(reg, g).items():
         if is_zero(coeff):
             continue
-        negative = False
-        if len(coeff.terms) == 1 and coeff.terms[0][1] < 0:
-            negative = True
+        negative = len(coeff.terms) == 1 and coeff.terms[0][1] < 0
+        if negative:
             coeff = -coeff
         rendered = _coefficient_str(coeff)
         term = f"d/d{atom.name}" if not rendered else f"{rendered}*d/d{atom.name}"
         pieces.append((negative, term))
-    if not pieces:
-        return "0"
-    out = []
-    for i, (negative, term) in enumerate(pieces):
-        if i == 0:
-            out.append(("-" if negative else "") + term)
-        else:
-            out.append((" - " if negative else " + ") + term)
-    return "".join(out)
+    return signed_sum(pieces)

@@ -444,10 +444,8 @@ class Expr:
         return bool(self.terms)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        chunks = []
-        for i, (mono, c) in enumerate(self.terms):
+        pieces = []
+        for mono, c in self.terms:
             mag = abs(c)
             if mono.is_one():
                 body = str(mag)
@@ -455,17 +453,28 @@ class Expr:
                 body = str(mono)
             else:
                 body = f"{mag}*{mono}"
-            if i == 0:
-                chunks.append(("-" if c < 0 else "") + body)
-            else:
-                chunks.append((" - " if c < 0 else " + ") + body)
-        return "".join(chunks)
+            pieces.append((c < 0, body))
+        return signed_sum(pieces)
 
     __repr__ = __str__
 
 
 ZERO = Expr()
 ONE = Expr.const(1)
+
+
+def signed_sum(pieces) -> str:
+    """The ``(negative, body)`` pieces as one signed sum: the first body
+    carries its own sign and the others join with " + " or " - "; "0" when
+    there are none."""
+    out = []
+    for negative, body in pieces:
+        if out:
+            out.append(" - " if negative else " + ")
+        elif negative:
+            out.append("-")
+        out.append(body)
+    return "".join(out) if out else "0"
 
 
 def as_expr(v) -> Expr:

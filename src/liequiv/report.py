@@ -23,6 +23,7 @@ import json
 from . import __version__
 from .catalog import KIND_USER, StructureTable
 from .determining import DeterminingSystem, FiniteCheckResult, Verdict
+from .expr import signed_sum
 from .flows import FiniteTransformation
 
 TOOL = "liequiv"
@@ -75,19 +76,10 @@ def _factor_string(factor) -> str | None:
     return f"{coeff}*{exp_part}"
 
 
-def _combo_string(combo: dict) -> str:
-    if not combo:
-        return "0"
-    parts = []
-    for name in sorted(combo):
-        c = combo[name]
-        if c == 1:
-            parts.append(name)
-        elif c == -1:
-            parts.append(f"-{name}")
-        else:
-            parts.append(f"{c}*{name}")
-    return " + ".join(parts).replace("+ -", "- ")
+def _combo_string(combo) -> str:
+    """The map name -> coefficient as a signed sum; None prints 0."""
+    return signed_sum((c < 0, name if abs(c) == 1 else f"{abs(c)}*{name}")
+                      for name, c in sorted((combo or {}).items()))
 
 
 def verdict_payload(v: Verdict) -> dict:

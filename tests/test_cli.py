@@ -81,6 +81,13 @@ def test_bracket_pair(capsys):
     assert payload["value"] == "2*S"
 
 
+def test_bracket_value_signs():
+    combo = {"Y1": Fraction(-3, 2), "X1": Fraction(1), "S": Fraction(-1)}
+    value = report.bracket_pair_payload("A", "B", combo)["value"]
+    assert value == "-S + X1 - 3/2*Y1"
+    assert report.bracket_pair_payload("A", "B", None)["value"] == "0"
+
+
 def test_bracket_pair_names_may_be_padded_on_either_side(capsys):
     plain = run(capsys, "bracket", "--dim", "3", "--pair", "X0,Y1")
     assert plain[0] == 0 and "[X0, Y1] = X1" in plain[1]

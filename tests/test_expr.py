@@ -13,8 +13,8 @@ from liequiv.expr import (COORD, FUNC, MONO_ONE, ZERO, Atom,
                           Monomial, UnknownSymbolError, UnsupportedFormError,
                           as_expr, atoms_of, collect, coordinate,
                           derivative_of, derive, diff_partial, evaluate,
-                          function_symbol, is_zero, replace_atoms, substitute,
-                          unknown)
+                          function_symbol, is_zero, replace_atoms, signed_sum,
+                          substitute, unknown)
 
 from conftest import diff_atom, random_expr
 
@@ -231,6 +231,14 @@ def test_unknown_atoms():
 def test_canonical_string_is_stable():
     e = Expr.of(G) * u1_x1 + p_t - 2 * rho * u1_x1
     assert str(e) == "G*u1_x1 + p_t - 2*rho*u1_x1"
+
+
+def test_signed_sum():
+    assert signed_sum([]) == "0"
+    assert signed_sum([(True, "a")]) == "-a"
+    assert signed_sum(iter([(False, "a"), (True, "1/2*b"), (False, "c")])) \
+        == "a - 1/2*b + c"
+    assert signed_sum([(True, "a"), (True, "b")]) == "-a - b"
 
 
 # -- normal form against sympy ------------------------------------------------

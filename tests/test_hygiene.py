@@ -1,6 +1,7 @@
 """Source hygiene checks over the package modules, with the stdlib only."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import liequiv
@@ -31,3 +32,26 @@ def test_modules_use_every_import():
     assert modules
     found = {p.name: unused_imports(p.read_text()) for p in modules}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def spanned_targets(source: str) -> list:
+    """The ``(module, attribute)`` pairs of the ``SPANNED`` table in the
+    source of the bench tracer."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "SPANNED":
+            return [(module, attr) for module, attr, _ in ast.literal_eval(node.value)]
+    raise AssertionError("no SPANNED table")
+
+
+def test_bench_spans_name_existing_functions():
+    source = Path(__file__).parents[1] / "bench" / "spans.py"
+    targets = spanned_targets(source.read_text())
+    assert ("linsolve", "solve_linear") in targets
+    missing = []
+    for module, attr in targets:
+        owner = importlib.import_module(f"liequiv.{module}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append((module, attr))
+    assert missing == []

@@ -113,15 +113,18 @@ def test_rows_equal_up_to_a_fraction_scale_are_one_row(monkeypatch):
     reduced = []
     original = linsolve._reduce
 
-    def counting(row, rhs, pivots):
+    def counting(row, pivots):
         reduced.append(dict(row))
-        return original(row, rhs, pivots)
+        return original(row, pivots)
 
     monkeypatch.setattr(linsolve, "_reduce", counting)
     as_ints = ({"a": 2, "b": -4}, 6)
     scaled = ({"a": Fraction(-2, 3), "b": Fraction(4, 3)}, Fraction(-2))
     solution, free = solve_linear([as_ints, scaled], ["a", "b"])
-    assert reduced == [{0: 1, 1: -2}]
+    # one feature (column 0) holding the primitive row a - 2b = 3: the
+    # vectors of a and b with their identity columns 1 and 2, then the
+    # target with its marker column 3
+    assert reduced == [{0: 1, 1: 1}, {0: -2, 2: 1}, {0: 3, 3: 1}]
     assert solution == {"a": Fraction(3), "b": Fraction(0)} and free == ["b"]
     assert all(type(c) is Fraction for c in solution.values())
 
@@ -165,39 +168,54 @@ def spans(draw):
     return vectors, [inside, extra, perturbed]
 
 
+def sympy_columns(vectors, features):
+    """The vectors as the columns of a sympy matrix, one row per feature."""
+    return sympy.Matrix(len(features), len(vectors), lambda r, k: sympy.Rational(
+        str(Fraction(vectors[k].get(features[r], 0)))))
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(spans())
-def test_express_matches_solve_linear_on_the_transposed_system(span):
+def test_express_matches_sympy(span):
     vectors, targets = span
-    basis = span_basis(vectors)
-    variables = list(range(len(vectors)))
+    basis = span_basis(dict(enumerate(vectors)))
     for target in targets:
         features = sorted({f for vec in vectors for f in vec} | target.keys())
-        equations = [({i: vec.get(f, 0) for i, vec in enumerate(vectors)},
-                      target.get(f, Fraction(0))) for f in features]
+        columns = sympy_columns(vectors, features)
+        augmented = columns.row_join(sympy_columns([target], features))
         got = express(basis, target)
-        try:
-            solution, _ = solve_linear(equations, variables)
-        except InconsistentSystemError:
+        if augmented.rank() > columns.rank():
             assert got is None
             continue
-        want = {i: c for i, c in solution.items() if c}
-        assert got is not None and list(got.items()) == list(want.items())
-        assert all(type(c) is Fraction for c in got.values())
+        assert got is not None and list(got) == sorted(got)
+        assert all(type(c) is Fraction and c for c in got.values())
+        for f in features:
+            combined = sum((c * vectors[i].get(f, 0) for i, c in got.items()),
+                           Fraction(0))
+            assert combined == target.get(f, 0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(spans())
+def test_independent_vectors_are_the_rref_pivot_columns(span):
+    vectors, _ = span
+    features = sorted({f for vec in vectors for f in vec})
+    _, pivots = sympy_columns(vectors, features).rref()
+    assert span_basis(dict(enumerate(vectors))).independent == list(pivots)
 
 
 def test_a_basis_is_reduced_once_and_each_target_once(monkeypatch):
     reduced = []
     original = linsolve._reduce
 
-    def counting(row, rhs, pivots):
+    def counting(row, pivots):
         reduced.append(dict(row))
-        return original(row, rhs, pivots)
+        return original(row, pivots)
 
     monkeypatch.setattr(linsolve, "_reduce", counting)
-    basis = span_basis([{"a": 1, "b": 1}, {"b": Fraction(1, 2)},
-                        {"a": 2, "b": 3}])
+    basis = span_basis({"u": {"a": 1, "b": 1}, "v": {"b": Fraction(1, 2)},
+                        "w": {"a": 2, "b": 3}})
     assert len(reduced) == 3
-    assert express(basis, {"a": 3}) == {0: Fraction(3), 1: Fraction(-6)}
+    assert express(basis, {"a": 3}) == {"u": Fraction(3), "v": Fraction(-6)}
     assert express(basis, {"c": 1}) is None
     assert len(reduced) == 4
