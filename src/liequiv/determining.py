@@ -3,11 +3,9 @@
 The invariance residual of a generator on an equation is the directional
 derivative of the equation under the prolonged field, restricted to the
 solution manifold (principal time derivatives eliminated, rho denominators
-cleared) and split by monomials in the parametric coordinates: the spatial
-and mixed (u_tx) second-order velocity jets, the first-order spatial jets
-of u, p and rho, and the constitutive coordinates Pi^{ij}, Pi^{ij}_{kl}, G,
-H.  Everything in t, x, u, p, rho (and any opaque ?constants) stays inside
-the split coefficients.
+cleared) and split by monomials in the coordinates the system leaves free,
+``BalanceSystem.parametric``.  Everything in t, x, u, p, rho (and any
+opaque ?constants) stays inside the split coefficients.
 
 A generator is an equivalence symmetry exactly when every split coefficient
 is the zero expression.  ``check_entry`` is the one verdict routine; its
@@ -33,25 +31,8 @@ from .expr import Expr, collect, is_unknown, is_zero
 from .flows import (SCALE, SCALE_INV, FiniteTransformation, exponentiate,
                     reduce_scale)
 from .generators import GeneratorSpec, apply_with_trace, prolong
-from .jets import JetRegistry
 from .linsolve import solve_linear
 from .system import BalanceSystem, restrict_to_manifold
-
-
-def parametric_atoms(reg: JetRegistry) -> tuple:
-    """The coordinates the restricted residual is split on.
-
-    These are the jets left free on the system manifold in J^2, plus the
-    constitutive coordinates.  The mixed jets u_tx are among them: the
-    system fixes u_t, but u_tx only through D_x of the momentum equation,
-    which is third order, so in J^2 nothing constrains them.
-    """
-    atoms = list(reg.u_xx.values()) + list(reg.u_tx.values())
-    atoms += list(reg.u_x.values())
-    atoms += list(reg.p_x) + list(reg.rho_x)
-    atoms += list(reg.pi.values()) + list(reg.pi_d.values())
-    atoms += [reg.g, reg.h]
-    return tuple(sorted(atoms))
 
 
 @dataclass(frozen=True)
@@ -63,7 +44,6 @@ class EquationSplit:
 
 @dataclass(frozen=True)
 class DeterminingSystem:
-    dim: int
     generator: str
     parametric: tuple
     splits: tuple
@@ -76,16 +56,14 @@ class DeterminingSystem:
 
 def determining_equations(system: BalanceSystem, g: GeneratorSpec,
                           name: str = "generator") -> DeterminingSystem:
-    reg = system.registry
-    pg = prolong(reg, g)
-    parametric = parametric_atoms(reg)
+    pg = prolong(system.registry, g)
     splits = []
     for eq_name, eq in system.equations():
         residual = apply_with_trace(pg, eq)[0]
         restricted, power = restrict_to_manifold(residual, system)
-        buckets = {} if is_zero(restricted) else collect(restricted, parametric)
+        buckets = {} if is_zero(restricted) else collect(restricted, system.parametric)
         splits.append(EquationSplit(eq_name, power, tuple(buckets.items())))
-    return DeterminingSystem(reg.dim, name, parametric, tuple(splits), pg)
+    return DeterminingSystem(name, system.parametric, tuple(splits), pg)
 
 
 @dataclass(frozen=True)

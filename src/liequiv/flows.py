@@ -19,14 +19,16 @@ series, and a shift that vanishes there leaves its coordinate out.
 
 Rotation candidates have no closed form in this exact-rational carrier
 (their flows need cos/sin); ``numeric_flow`` realizes their fully prolonged
-motion pointwise with a hand-written rotation, the independent oracle of
-the finite-difference cross-checks.
+motion pointwise by one tensor law over the registered families, the
+independent oracle of the finite-difference cross-checks: it never reads
+the prolonged field.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import product
 
 from .catalog import rotation_specs
 from .expr import (Atom, Expr, Monomial, ZERO, ONE, as_expr, coordinate,
@@ -166,73 +168,44 @@ def _numeric_closed_form(reg: JetRegistry, ft: FiniteTransformation):
     return flow
 
 
-def _rotation_matrix(dim: int, i: int, j: int, a: float):
-    rot = [[1.0 if r == c else 0.0 for c in range(dim)] for r in range(dim)]
-    rot[i - 1][i - 1] = math.cos(a)
-    rot[j - 1][j - 1] = math.cos(a)
-    rot[i - 1][j - 1] = -math.sin(a)
-    rot[j - 1][i - 1] = math.sin(a)
-    return rot
-
-
 def _numeric_rotation(reg: JetRegistry, i: int, j: int, tensorial: bool):
-    dim = reg.dim
-    rng = range(1, dim + 1)
+    """The prolonged rotation by the angle a in the (x_i, x_j) plane.
+
+    One tensor law moves every coordinate: a row of the table holds a
+    family's atoms by index tuple, the lookup of any index tuple, and the
+    position from which its indices turn.  With R the rotation matrix, the
+    coordinate at ``idx`` goes to the sum over ``sub`` of
+    prod_p R[idx_p][sub_p] * old[idx with ``sub`` at the turned positions];
+    the entries of R that vanish at every angle are skipped.  The tensorial
+    rotation turns every index of Pi^{ij} and Pi^{ij}_{kl}; the naive one
+    turns only the gradient indices (k, l).  Coordinates in no row (t, p,
+    rho, their time derivatives, G and H) are fixed.
+    """
+    rng = range(1, reg.dim + 1)
+    vectors = [{(k,): a for k, a in zip(rng, family)}
+               for family in (reg.x, reg.u, reg.u_t, reg.p_x, reg.rho_x)]
+    stress = 0 if tensorial else 2
+    table = [(v, v.__getitem__, 0) for v in vectors] + [
+        (reg.u_x, reg.u_x.__getitem__, 0),
+        (reg.u_tx, reg.u_tx.__getitem__, 0),
+        (reg.u_xx, lambda idx: reg.u_xx[idx[:1] + tuple(sorted(idx[1:]))], 0),
+        (reg.pi, lambda idx: reg.pi_at(*idx), stress),
+        (reg.pi_d, lambda idx: reg.pi_d_at(*idx), stress),
+    ]
 
     def flow(point: dict, a: float) -> dict:
-        rot = _rotation_matrix(dim, i, j, a)
-
-        def mix(vec):
-            return [sum(rot[r - 1][c - 1] * vec[c - 1] for c in rng) for r in rng]
-
+        # each row r of R as its entries (s, R[r][s]) that can be nonzero
+        rot = {r: [(r, 1.0)] for r in rng}
+        rot[i] = [(i, math.cos(a)), (j, -math.sin(a))]
+        rot[j] = [(i, math.sin(a)), (j, math.cos(a))]
         new = {c: float(point[c]) for c in reg.space_atoms()}
-        for family in (reg.x, reg.u, reg.u_t, reg.p_x, reg.rho_x):
-            mixed = mix([point[family[k - 1]] for k in rng])
-            for k in rng:
-                new[family[k - 1]] = mixed[k - 1]
-
-        grad = [[point[reg.u_x[(k, l)]] for l in rng] for k in rng]
-        for k in rng:
-            for l in rng:
-                new[reg.u_x[(k, l)]] = sum(
-                    rot[k - 1][m - 1] * grad[m - 1][n - 1] * rot[l - 1][n - 1]
-                    for m in rng for n in rng)
-
-        def uxx(k, l, m):
-            return point[reg.u_xx[(k, min(l, m), max(l, m))]]
-
-        for (k, l, m) in sorted(reg.u_xx):
-            new[reg.u_xx[(k, l, m)]] = sum(
-                rot[k - 1][b - 1] * rot[l - 1][r - 1] * rot[m - 1][s - 1]
-                * uxx(b, r, s)
-                for b in rng for r in rng for s in rng)
-        for (k, l) in sorted(reg.u_tx):
-            new[reg.u_tx[(k, l)]] = sum(
-                rot[k - 1][b - 1] * rot[l - 1][n - 1] * point[reg.u_tx[(b, n)]]
-                for b in rng for n in rng)
-
-        def pival(r, c):
-            return point[reg.pi_at(r, c)]
-
-        if tensorial:
-            for (r, c) in reg.pi_pairs():
-                new[reg.pi[(r, c)]] = sum(
-                    rot[r - 1][b - 1] * rot[c - 1][d - 1] * pival(b, d)
-                    for b in rng for d in rng)
-
-        for (r, c, k, l) in sorted(reg.pi_d):
-            if tensorial:
-                val = sum(
-                    rot[r - 1][b - 1] * rot[c - 1][d - 1]
-                    * rot[k - 1][kk - 1] * rot[l - 1][ll - 1]
-                    * point[reg.pi_d_at(b, d, kk, ll)]
-                    for b in rng for d in rng for kk in rng for ll in rng)
-            else:
-                val = sum(
-                    rot[k - 1][kk - 1] * rot[l - 1][ll - 1]
-                    * point[reg.pi_d_at(r, c, kk, ll)]
-                    for kk in rng for ll in rng)
-            new[reg.pi_d[(r, c, k, l)]] = val
+        for atoms, lookup, turn in table:
+            for idx, c in atoms.items():
+                total = 0.0
+                for sub in product(*(rot[r] for r in idx[turn:])):
+                    total += (math.prod(w for _, w in sub)
+                              * point[lookup(idx[:turn] + tuple(s for s, _ in sub))])
+                new[c] = total
         return new
 
     return flow
@@ -240,7 +213,7 @@ def _numeric_rotation(reg: JetRegistry, i: int, j: int, tensorial: bool):
 
 def numeric_flow(reg: JetRegistry, g: GeneratorSpec):
     """Pointwise prolonged flow of ``g``: the closed form when
-    ``exponentiate`` finds one, the hand-written flow of a rotation
+    ``exponentiate`` finds one, the tensor-law flow of a rotation
     candidate, else None."""
     try:
         return _numeric_closed_form(reg, exponentiate(reg, prolong(reg, g)))

@@ -70,7 +70,6 @@ class GeneratorSpec:
     coefficients are not free data, they are produced by prolongation.
     """
 
-    dim: int
     xi_t: Expr
     xi_x: tuple
     eta_u: tuple
@@ -91,7 +90,7 @@ def _check_atoms(coeff: Expr, allowed: set, slot: str):
 
 def validate_ansatz(reg: JetRegistry, g: GeneratorSpec):
     """Raise AnsatzError when a coefficient leaves its admitted atom set."""
-    point = {reg.t, reg.p, reg.rho} | set(reg.x) | set(reg.u)
+    point = set(reg.point)
     _check_atoms(g.xi_t, point, "xi^t")
     for i, c in enumerate(g.xi_x, start=1):
         _check_atoms(c, point, f"xi^x{i}")
@@ -117,7 +116,7 @@ def make_generator(reg: JetRegistry, *, xi_t=0, xi_x=None, eta_u=None,
     mu_pi = tuple(as_expr(v) for v in (mu_pi or (0,) * len(pairs)))
     if len(xi_x) != dim or len(eta_u) != dim or len(mu_pi) != len(pairs):
         raise ValueError("coefficient tuple lengths do not match the dimension")
-    g = GeneratorSpec(dim, as_expr(xi_t), xi_x, eta_u, as_expr(eta_p),
+    g = GeneratorSpec(as_expr(xi_t), xi_x, eta_u, as_expr(eta_p),
                       as_expr(eta_rho), mu_pi, as_expr(mu_g), as_expr(mu_h))
     validate_ansatz(reg, g)
     return g
@@ -134,8 +133,8 @@ def combine(reg: JetRegistry, parts) -> GeneratorSpec:
 
 def _base_directions(reg: JetRegistry) -> tuple:
     """The unprolonged directions in slot order."""
-    return ((reg.t,) + reg.x + reg.u + (reg.p, reg.rho)
-            + tuple(reg.pi[pair] for pair in reg.pi_pairs()) + (reg.g, reg.h))
+    return (reg.point + tuple(reg.pi[pair] for pair in reg.pi_pairs())
+            + (reg.g, reg.h))
 
 
 def base_coefficients(reg: JetRegistry, g: GeneratorSpec) -> dict:

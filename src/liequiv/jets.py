@@ -7,7 +7,8 @@ jets referenced by second prolongation), and the constitutive coordinates:
 the symmetric stress components Pi^{ij} declared over all velocity-gradient
 jets, the state functions G and H declared over (p, rho), and one coordinate
 Pi^{ij}_{kl} for each formal derivative of a stress component by a gradient
-jet.
+jet.  ``space_atoms()`` lists them all in that order; its head ``point`` is
+(t, x1..xN, u1..uN, p, rho).
 
 Every coordinate has a frozen ASCII name (documented in docs/names.md):
 ``t``, ``x2``, ``u1``, ``p``, ``rho``, ``u1_t``, ``u1_x2``, ``p_x1``,
@@ -46,6 +47,7 @@ class JetRegistry:
         self.u = tuple(coordinate(f"u{k}") for k in rng)
         self.p = coordinate("p")
         self.rho = coordinate("rho")
+        self.point = (self.t,) + self.x + self.u + (self.p, self.rho)
 
         self.u_t = tuple(coordinate(f"u{k}_t") for k in rng)
         self.u_x = {(k, l): coordinate(f"u{k}_x{l}") for k in rng for l in rng}
@@ -67,8 +69,7 @@ class JetRegistry:
         self.h = function_symbol("H", ("p", "rho"))
 
         self._space = (
-            (self.t,) + self.x + self.u + (self.p, self.rho)
-            + self.u_t + tuple(self.u_x[k] for k in sorted(self.u_x))
+            self.point + self.u_t + tuple(self.u_x[k] for k in sorted(self.u_x))
             + (self.p_t,) + self.p_x + (self.rho_t,) + self.rho_x
             + tuple(self.u_xx[k] for k in sorted(self.u_xx))
             + tuple(self.u_tx[k] for k in sorted(self.u_tx))

@@ -24,11 +24,12 @@ coefficient ``-c_i / m``, and a dependent vector has coefficient 0.
 
 ``solve_linear`` takes the same two steps on the transposed system.  Each
 equation ``{variable: coefficient}``, ``rhs`` becomes a primitive row with
-the rhs in a column of its own; equations equal up to a nonzero rational
-scale give equal rows, so each distinct row is one feature.  Each
-variable's coefficient column is one vector and the rhs column is the
-target, so the independent vectors are the pivot variables, and ``express``
-gives their values with every free variable at 0.  None of this depends on
+the rhs in a column of its own, and exact repeats are scaled once;
+equations equal up to a nonzero rational scale give equal rows, so each
+distinct row is one feature.  Each variable's coefficient column is one
+vector and the rhs column is the target, so the independent vectors are
+the pivot variables, and ``express`` gives their values with every free
+variable at 0.  None of this depends on
 the order or the repetition of the equations.
 """
 
@@ -69,8 +70,8 @@ def solve_linear(equations, variables):
     index = {v: i for i, v in enumerate(variables)}
     rhs_col = index[_RHS] = len(variables)
     rows = {}
-    for coeff, rhs in equations:
-        row, _ = _integer_row({**coeff, _RHS: rhs}, index)
+    for key in dict.fromkeys(frozenset({**c, _RHS: r}.items()) for c, r in equations):
+        row, _ = _integer_row(dict(key), index)
         if row:
             _make_primitive(row)
             rows.setdefault(frozenset(row.items()), row)

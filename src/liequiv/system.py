@@ -14,6 +14,15 @@ solutions carry a denominator rho, so the table binds each u^i_t to its
 numerator.  Restriction scales every term by the power of rho that clears
 its denominators, then makes one ``replace_atoms`` pass over the table, and
 reports the power.
+
+The registered coordinates after the point (t, x, u, p, rho) that the table
+does not bind are left free on the solution manifold, and the restricted
+invariance residual is split on them: ``BalanceSystem.parametric``, sorted
+by atom key.  They are the first-order spatial jets of u, p and rho, the
+second-order velocity jets and the constitutive coordinates Pi^{ij},
+Pi^{ij}_{kl}, G, H.  The mixed jets u_tx are among them: the system fixes
+u_t, but u_tx only through D_x of the momentum equation, which is third
+order, so in J^2 nothing constrains them.
 """
 
 from __future__ import annotations
@@ -28,16 +37,19 @@ class BalanceSystem:
     ``principal`` maps rho_t and p_t to their polynomial solutions and each
     u^i_t to the numerator rho*u^i_t - momentum_i of its solution
     numerator / rho.  No binding contains a principal derivative.
+    ``parametric`` holds the coordinates the system leaves free.
     """
 
     def __init__(self, reg: JetRegistry, mass: Expr, momentum: tuple,
-                 pressure: Expr, dissipation: Expr, principal: dict):
+                 pressure: Expr, dissipation: Expr, principal: dict,
+                 parametric: tuple):
         self.registry = reg
         self.mass = mass
         self.momentum = momentum
         self.pressure = pressure
         self.dissipation = dissipation
         self.principal = principal
+        self.parametric = parametric
 
     def equations(self) -> tuple:
         named = [("mass", self.mass)]
@@ -91,7 +103,10 @@ def build_system(dim: int, reg: JetRegistry) -> BalanceSystem:
                 f"principal solution depends on principal derivative "
                 f"{sorted(hit)[0].name}")
 
-    return BalanceSystem(reg, mass, tuple(momentum), pressure, phi, principal)
+    parametric = tuple(sorted(a for a in reg.space_atoms()[len(reg.point):]
+                              if a not in principal))
+    return BalanceSystem(reg, mass, tuple(momentum), pressure, phi, principal,
+                         parametric)
 
 
 def restrict_to_manifold(e, system: BalanceSystem) -> tuple:

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from liequiv.catalog import KIND_USER, CatalogEntry, find_entry
 from liequiv.determining import (check_entry, determining_equations,
-                                 finite_check, parametric_atoms,
-                                 solve_unknowns)
+                                 finite_check, solve_unknowns)
 from liequiv.expr import (ZERO, Expr, atoms_of, evaluate, is_unknown,
                           substitute, unknown)
 from liequiv.flows import exponentiate
@@ -108,11 +107,31 @@ def test_determining_system_reconstructs_residual(spaces):
             assert recompose(split) == restricted
 
 
+def hand_written_parametric(reg):
+    """The split set written out family by family: the reference for the
+    one derived from the registry and the system's principal table."""
+    atoms = list(reg.u_xx.values()) + list(reg.u_tx.values())
+    atoms += list(reg.u_x.values())
+    atoms += list(reg.p_x) + list(reg.rho_x)
+    atoms += list(reg.pi.values()) + list(reg.pi_d.values())
+    atoms += [reg.g, reg.h]
+    return tuple(sorted(atoms))
+
+
+def test_parametric_set_follows_the_registry(spaces):
+    for dim in (1, 2, 3):
+        system = spaces[dim].system
+        assert system.parametric == hand_written_parametric(spaces[dim].reg)
+        entry = find_entry(spaces[dim].catalog, "T")
+        d = determining_equations(system, entry.spec, entry.name)
+        assert d.parametric is system.parametric
+
+
 def assert_coefficients_on_base(reg, d):
     """Every split coefficient lives on t, x, u, p, rho and ?constants: the
     parametric coordinates, u_tx among them, are all split off."""
     base = {reg.t, reg.p, reg.rho, *reg.x, *reg.u}
-    parametric = set(parametric_atoms(reg))
+    parametric = set(d.parametric)
     for coeff in d.coefficients():
         atoms = set(atoms_of(coeff))
         assert not parametric & atoms

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liequiv import flows
-from liequiv.catalog import build_catalog, find_entry, verified_entries
+from liequiv.catalog import (build_catalog, find_entry, rotation_specs,
+                             verified_entries)
 from liequiv.cli import main
 from liequiv.determining import finite_check
 from liequiv.expr import (ONE, ZERO, Expr, atoms_of, coordinate, evaluate,
@@ -369,6 +370,42 @@ def test_numeric_rotation_is_a_rotation(spaces):
                         rel_tol=1e-12)
     assert new[reg.pi[(1, 1)]] == point[reg.pi[(1, 1)]]
     assert new[reg.t] == point[reg.t]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_rotation_flows_turn_the_equations_as_tensors(spaces, dim):
+    """At random points the tensorial rotation keeps the values of mass and
+    pressure and turns the momentum residuals by R; the naive one, which
+    leaves Pi fixed, changes pressure and momentum."""
+    reg, system = spaces[dim].reg, spaces[dim].system
+    rnd = random.Random(dim)
+    close = dict(rel_tol=1e-9, abs_tol=1e-9)
+    for i in range(1, dim + 1):
+        for j in range(i + 1, dim + 1):
+            naive, tensorial = rotation_specs(reg, i, j)
+            for _ in range(3):
+                point = {c: rnd.uniform(0.5, 1.5) for c in reg.space_atoms()}
+                a = rnd.uniform(0.2, 1.2)
+                rot = [[float(r == c) for c in range(dim)] for r in range(dim)]
+                rot[i - 1][i - 1] = rot[j - 1][j - 1] = math.cos(a)
+                rot[i - 1][j - 1], rot[j - 1][i - 1] = -math.sin(a), math.sin(a)
+                old = [evaluate(e, point) for e in system.momentum]
+                turned = [sum(r * v for r, v in zip(row, old)) for row in rot]
+
+                new = numeric_flow(reg, tensorial)(point, a)
+                for eq in (system.mass, system.pressure):
+                    assert math.isclose(evaluate(eq, new), evaluate(eq, point),
+                                        **close)
+                for got, want in zip((evaluate(e, new) for e in system.momentum),
+                                     turned):
+                    assert math.isclose(got, want, **close)
+
+                new = numeric_flow(reg, naive)(point, a)
+                assert not math.isclose(evaluate(system.pressure, new),
+                                        evaluate(system.pressure, point), **close)
+                assert not all(
+                    math.isclose(evaluate(e, new), want, **close)
+                    for e, want in zip(system.momentum, turned))
 
 
 def _richardson(flow, point, atom, h=1e-4):

@@ -41,6 +41,9 @@ def _run_to_bytes(tmp_path, argv):
     # the largest structure table, every cell a decomposition over the span
     ("bracket_dim3.txt",
      ["bracket", "--dim", "3"], 0),
+    # every split of the catalog at N = 2, on the parametric coordinates
+    ("deteq_dim2_all.json",
+     ["deteq", "--dim", "2", "--gen", "all", "--format", "json"], 0),
 ])
 def test_reports_match_goldens(tmp_path, golden, argv, expect_code):
     code, got = _run_to_bytes(tmp_path, argv)

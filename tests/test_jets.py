@@ -56,6 +56,15 @@ def test_registration_is_unique(spaces):
         assert len({a.name for a in atoms}) == len(atoms)
 
 
+def test_space_starts_with_the_point(spaces):
+    for dim in (1, 2, 3):
+        reg = spaces[dim].reg
+        names = ["t", *(f"x{i}" for i in range(1, dim + 1)),
+                 *(f"u{k}" for k in range(1, dim + 1)), "p", "rho"]
+        assert [a.name for a in reg.point] == names
+        assert reg.space_atoms()[:len(names)] == reg.point
+
+
 def test_symmetric_stress_resolution(spaces):
     reg = spaces[3].reg
     assert reg.pi_at(3, 1) == reg.pi_at(1, 3)
