@@ -10,14 +10,16 @@ The verified families, for spatial dimension N:
     Z1       space/velocity scaling with weight-2 action on p, Pi, G
     Z2       density/pressure/stress/G scaling
 
-(N + N + 5 entries).  For N >= 2 rotation candidates J{i}{j} are exposed in
-two readings: ``naive`` leaves the constitutive coordinates fixed, and
-``tensorial`` conjugates the stress through the infinitesimal rotation,
-delta Pi = Omega Pi - Pi Omega.  Candidates are exploratory; their flows
-need cos/sin, so only the verified entries carry a closed-form flow
-(``has_flow``, derived from the kind).  Generators given outside the
-catalog, as DSL text, travel as entries of kind ``"user"``, which are
-checked infinitesimally only.
+(N + N + 5 entries), each one table {direction: coefficient} over the
+keys of ``reg.ansatz`` given to ``from_coefficients``, e.g.
+Y_i = {x_i: t, u_i: 1}.  For N >= 2 rotation candidates J{i}{j} are exposed
+in two readings: ``naive``, {x_i: -x_j, x_j: x_i, u_i: -u_j, u_j: u_i},
+leaves the constitutive coordinates fixed, and ``tensorial`` conjugates the
+stress through the infinitesimal rotation, delta Pi = Omega Pi - Pi Omega.
+Candidates are exploratory; their flows need cos/sin, so only the verified
+entries carry a closed-form flow (``has_flow``, derived from the kind).
+Generators given outside the catalog, as DSL text, travel as entries of kind
+``"user"``, which are checked infinitesimally only.
 
 ``structure_constants`` prolongs each entry and builds its feature vector
 once per table, reduces the span of those vectors once, brackets every pair
@@ -29,9 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expr import Expr, ZERO
 from .generators import (GeneratorSpec, base_coefficients, bracket_fields,
-                         first_order_field, make_generator)
+                         first_order_field, from_coefficients)
 from .jets import JetRegistry, UnsupportedDimensionError
 from .linsolve import express, span_basis
 
@@ -51,30 +52,26 @@ class CatalogEntry:
         return self.kind == KIND_VERIFIED
 
 
-def _unit(dim: int, idx: int) -> tuple:
-    return tuple(Expr.const(1) if k == idx else ZERO for k in range(dim))
-
-
 def rotation_specs(reg: JetRegistry, i: int, j: int):
     """(naive, tensorial) rotation generators in the x_i-x_j plane.
 
     Omega has two nonzero entries, so (Omega v)_i = -v_j, (Omega v)_j = v_i,
     and for symmetric Pi delta Pi = Omega Pi - Pi Omega = Omega Pi + (Omega Pi)^T.
     """
-    def omega(r, v):
-        return -Expr.of(v(j)) if r == i else Expr.of(v(i)) if r == j else ZERO
+    def omega_pi(r, c):
+        """(Omega Pi)_rc."""
+        return -reg.pi_at(j, c) if r == i else reg.pi_at(i, c) if r == j else 0
 
-    rng = range(1, reg.dim + 1)
-    xi_x = tuple(omega(r, lambda m: reg.x[m - 1]) for r in rng)
-    eta_u = tuple(omega(r, lambda m: reg.u[m - 1]) for r in rng)
-    naive = make_generator(reg, xi_x=xi_x, eta_u=eta_u)
-    mu_pi = tuple(omega(r, lambda m: reg.pi_at(m, c))
-                  + omega(c, lambda m: reg.pi_at(m, r)) for (r, c) in reg.pi_pairs())
-    tensorial = make_generator(reg, xi_x=xi_x, eta_u=eta_u, mu_pi=mu_pi)
-    return naive, tensorial
+    xi, xj, ui, uj = reg.x[i - 1], reg.x[j - 1], reg.u[i - 1], reg.u[j - 1]
+    naive = {xi: -xj, xj: xi, ui: -uj, uj: ui}
+    stress = {reg.pi[rc]: omega_pi(*rc) + omega_pi(*rc[::-1])
+              for rc in reg.pi_pairs()}
+    return from_coefficients(reg, naive), from_coefficients(reg, {**naive, **stress})
 
 
 def build_catalog(dim: int, reg: JetRegistry) -> tuple:
+    """The entries in catalog order; each theorem entry is one table
+    {direction: coefficient}."""
     if dim not in (1, 2, 3):
         raise UnsupportedDimensionError(f"dimension must be 1, 2 or 3, got {dim!r}")
     if dim != reg.dim:
@@ -82,42 +79,28 @@ def build_catalog(dim: int, reg: JetRegistry) -> tuple:
     rng = range(1, dim + 1)
     entries = []
 
-    def add(name, kind, spec):
-        entries.append(CatalogEntry(name, kind, spec))
+    def theorem(name, table):
+        entries.append(CatalogEntry(name, KIND_VERIFIED, from_coefficients(reg, table)))
 
-    add("X0", KIND_VERIFIED, make_generator(reg, xi_t=1))
+    stress = tuple(reg.pi.values())
+    theorem("X0", {reg.t: 1})
     for i in rng:
-        add(f"X{i}", KIND_VERIFIED, make_generator(reg, xi_x=_unit(dim, i - 1)))
-    add("S", KIND_VERIFIED, make_generator(reg, eta_p=1))
+        theorem(f"X{i}", {reg.x[i - 1]: 1})
+    theorem("S", {reg.p: 1})
     for i in rng:
-        add(f"Y{i}", KIND_VERIFIED, make_generator(
-            reg,
-            xi_x=tuple(Expr.of(reg.t) if k == i - 1 else ZERO for k in range(dim)),
-            eta_u=_unit(dim, i - 1)))
-    add("T", KIND_VERIFIED, make_generator(
-        reg,
-        mu_pi=tuple(Expr.const(1) if a == b else ZERO for (a, b) in reg.pi_pairs()),
-        mu_g=-Expr.of(reg.h)))
-    add("Z1", KIND_VERIFIED, make_generator(
-        reg,
-        xi_x=tuple(Expr.of(a) for a in reg.x),
-        eta_u=tuple(Expr.of(a) for a in reg.u),
-        eta_p=2 * Expr.of(reg.p),
-        mu_pi=tuple(2 * Expr.of(reg.pi[pair]) for pair in reg.pi_pairs()),
-        mu_g=2 * Expr.of(reg.g)))
-    add("Z2", KIND_VERIFIED, make_generator(
-        reg,
-        eta_rho=Expr.of(reg.rho),
-        eta_p=Expr.of(reg.p),
-        mu_pi=tuple(Expr.of(reg.pi[pair]) for pair in reg.pi_pairs()),
-        mu_g=Expr.of(reg.g)))
+        theorem(f"Y{i}", {reg.x[i - 1]: reg.t, reg.u[i - 1]: 1})
+    theorem("T", {**{reg.pi[(k, k)]: 1 for k in rng}, reg.g: -reg.h})
+    theorem("Z1", {**{a: a for a in reg.x + reg.u}, reg.p: 2 * reg.p,
+                   **{a: 2 * a for a in stress}, reg.g: 2 * reg.g})
+    theorem("Z2", {reg.rho: reg.rho, reg.p: reg.p, **{a: a for a in stress},
+                   reg.g: reg.g})
 
     planes = [(i, j) for i in rng for j in rng if i < j]
     rotations = [(pair, rotation_specs(reg, *pair)) for pair in planes]
     for (i, j), (naive, _) in rotations:
-        add(f"J{i}{j}_naive", KIND_CANDIDATE, naive)
+        entries.append(CatalogEntry(f"J{i}{j}_naive", KIND_CANDIDATE, naive))
     for (i, j), (_, tensorial) in rotations:
-        add(f"J{i}{j}_tensorial", KIND_CANDIDATE, tensorial)
+        entries.append(CatalogEntry(f"J{i}{j}_tensorial", KIND_CANDIDATE, tensorial))
     return tuple(entries)
 
 

@@ -28,8 +28,7 @@ from fractions import Fraction
 
 from .catalog import CatalogEntry
 from .expr import Expr, collect, is_unknown, is_zero
-from .flows import (SCALE, SCALE_INV, FiniteTransformation, exponentiate,
-                    reduce_scale)
+from .flows import SCALE, SCALE_INV, FiniteTransformation, exponentiate
 from .generators import GeneratorSpec, apply_with_trace, prolong
 from .linsolve import solve_linear
 from .system import BalanceSystem, restrict_to_manifold
@@ -97,19 +96,13 @@ def finite_check(system: BalanceSystem, ft: FiniteTransformation) -> FiniteCheck
     for eq_name, eq in system.equations():
         pullback = ft.transform(eq)
         found = None
-        lead_mono, lead_coeff = eq.terms[0]
-        for mono, c in pullback.terms:
-            q = mono.try_divide(lead_mono)
-            if q is None:
-                continue
-            if any(a != SCALE and a != SCALE_INV for a in q.atoms()):
-                continue
-            ratio = Fraction(c, lead_coeff)
-            lam = Expr(((q, ratio),))
-            if reduce_scale(lam * eq) == pullback:
-                k = q.exponent(SCALE) - q.exponent(SCALE_INV)
-                found = (ratio, k)
-                break
+        # a form-invariant pullback has one bucket by its scale monomial
+        buckets = collect(pullback, (SCALE, SCALE_INV))
+        if len(buckets) == 1:
+            (scale, part), = buckets.items()
+            ratio = Fraction(part.terms[0][1], eq.terms[0][1])
+            if part == ratio * eq:
+                found = (ratio, scale.exponent(SCALE) - scale.exponent(SCALE_INV))
         factors.append(FiniteFactor(eq_name, found, pullback))
     return FiniteCheckResult(all(f.factor is not None for f in factors),
                              tuple(factors))

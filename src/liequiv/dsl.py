@@ -24,8 +24,7 @@ import re
 from fractions import Fraction
 
 from .expr import Expr, ONE, ZERO, is_zero, signed_sum, unknown
-from .generators import (GeneratorSpec, base_coefficients, from_coefficients,
-                         make_generator)
+from .generators import GeneratorSpec, base_coefficients, from_coefficients
 from .jets import JetRegistry
 
 
@@ -120,11 +119,12 @@ class _Parser:
         return total
 
     def parse_sign(self) -> int:
-        sign = 1
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            if self.next().text == "-":
-                sign = -sign
-        return sign
+        """At most one sign, as in ``[ sign ]`` of the grammar."""
+        tok = self.peek()
+        if tok.kind == "op" and tok.text in "+-":
+            self.next()
+            return -1 if tok.text == "-" else 1
+        return 1
 
     def parse_product(self) -> Expr:
         total = self.parse_power()
@@ -172,7 +172,6 @@ class _Parser:
 
     def parse_generator(self) -> dict:
         """Map base direction -> accumulated coefficient."""
-        directions = base_coefficients(self.reg, make_generator(self.reg))
         coeffs = {}
         tok = self.peek()
         if tok.kind == "number" and tok.text == "0":
@@ -189,7 +188,7 @@ class _Parser:
             coeff, tok = self.parse_term()
             name = tok.text[len("d/d"):]
             atom = self.resolve_name(tok, name)
-            if atom not in directions:
+            if atom not in self.reg.ansatz:
                 raise DslSyntaxError(
                     f"d/d{name} is not a base direction; jet and stress-derivative "
                     "coordinates are prolonged automatically", tok.line, tok.column)

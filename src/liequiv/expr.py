@@ -313,14 +313,6 @@ class Monomial:
             raise UnsupportedFormError(f"unsupported exponent {n!r}")
         return Monomial(tuple((a, e * n) for a, e in self.factors))
 
-    def try_divide(self, other: "Monomial"):
-        """Quotient monomial, or None when ``other`` does not divide ``self``."""
-        mine = dict(self.factors)
-        if any(mine.get(a, 0) < e for a, e in other.factors):
-            return None
-        theirs = dict(other.factors)
-        return Monomial((a, e - theirs.get(a, 0)) for a, e in self.factors)
-
     def __eq__(self, other):
         return self is other or (isinstance(other, Monomial) and self.key == other.key)
 

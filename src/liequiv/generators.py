@@ -5,10 +5,11 @@ A generator is a vector field on the extended space,
     X = xi^t d/dt + xi^{x_i} d/dx_i + eta^{u_i} d/du_i + eta^p d/dp
         + eta^rho d/drho + mu^{Pi_ij} d/dPi_ij + mu^G d/dG + mu^H d/dH,
 
-restricted to the classical ansatz: xi and eta coefficients live on
-(t, x, u, p, rho); mu coefficients on Pi components live on the velocity
-gradient jets and the Pi components; mu^G and mu^H live on (p, rho, G, H).
-Opaque ``?name`` constants are admitted everywhere for ansatz exploration.
+restricted to the classical ansatz ``reg.ansatz``: xi and eta coefficients
+live on (t, x, u, p, rho); mu coefficients on Pi components live on the
+velocity gradient jets and the Pi components; mu^G and mu^H live on
+(p, rho, G, H).  Opaque ``?name`` constants are admitted everywhere for
+ansatz exploration.  ``validate_ansatz`` is one loop over that table.
 
 A prolonged field is one table {coordinate: coefficient}: the base
 directions, then every prolonged coordinate, all from one rule (Olver 1986,
@@ -43,9 +44,9 @@ need only the first prolongation, since a base coefficient depends on no
 jet beyond the velocity gradient.  ``bracket`` and the structure-constant
 table both take it through ``bracket_fields``; the table prolongs each
 entry once.  ``base_coefficients`` and
-``from_coefficients`` convert between a generator and its ordered map
-direction -> coefficient, which ``prolong`` and ``first_order_field``
-extend to the prolonged table.
+``from_coefficients`` convert between a generator and its table
+{direction: coefficient} over the keys of ``reg.ansatz``, which ``prolong``
+and ``first_order_field`` extend to the prolonged table.
 """
 
 from __future__ import annotations
@@ -80,31 +81,21 @@ class GeneratorSpec:
     mu_h: Expr
 
 
-def _check_atoms(coeff: Expr, allowed: set, slot: str):
-    for a in atoms_of(coeff):
-        if is_unknown(a):
-            continue
-        if a not in allowed:
-            raise AnsatzError(f"{slot} may not depend on {a.name}")
+def _slot_values(g: GeneratorSpec) -> tuple:
+    """The coefficients of ``g`` in slot order, the order of ``reg.ansatz``."""
+    return ((g.xi_t,) + g.xi_x + g.eta_u + (g.eta_p, g.eta_rho) + g.mu_pi
+            + (g.mu_g, g.mu_h))
 
 
 def validate_ansatz(reg: JetRegistry, g: GeneratorSpec):
     """Raise AnsatzError when a coefficient leaves its admitted atom set."""
-    point = set(reg.point)
-    _check_atoms(g.xi_t, point, "xi^t")
-    for i, c in enumerate(g.xi_x, start=1):
-        _check_atoms(c, point, f"xi^x{i}")
-    for k, c in enumerate(g.eta_u, start=1):
-        _check_atoms(c, point, f"eta^u{k}")
-    _check_atoms(g.eta_p, point, "eta^p")
-    _check_atoms(g.eta_rho, point, "eta^rho")
-
-    gradient = set(reg.u_x.values()) | set(reg.pi.values())
-    for (i, j), c in zip(reg.pi_pairs(), g.mu_pi):
-        _check_atoms(c, gradient, f"mu^Pi{i}{j}")
-    state = {reg.p, reg.rho, reg.g, reg.h}
-    _check_atoms(g.mu_g, state, "mu^G")
-    _check_atoms(g.mu_h, state, "mu^H")
+    for (direction, admitted), coeff in zip(reg.ansatz.items(), _slot_values(g)):
+        for a in atoms_of(coeff):
+            if a not in admitted and not is_unknown(a):
+                slot = ("xi" if direction in reg.independents
+                        else "eta" if direction in reg.point else "mu")
+                raise AnsatzError(
+                    f"{slot}^{direction.name} may not depend on {a.name}")
 
 
 def make_generator(reg: JetRegistry, *, xi_t=0, xi_x=None, eta_u=None,
@@ -131,29 +122,23 @@ def combine(reg: JetRegistry, parts) -> GeneratorSpec:
     return from_coefficients(reg, acc)
 
 
-def _base_directions(reg: JetRegistry) -> tuple:
-    """The unprolonged directions in slot order."""
-    return (reg.point + tuple(reg.pi[pair] for pair in reg.pi_pairs())
-            + (reg.g, reg.h))
-
-
 def base_coefficients(reg: JetRegistry, g: GeneratorSpec) -> dict:
-    """Ordered map coordinate -> coefficient over the unprolonged directions."""
-    return dict(zip(_base_directions(reg),
-                    (g.xi_t,) + g.xi_x + g.eta_u + (g.eta_p, g.eta_rho)
-                    + g.mu_pi + (g.mu_g, g.mu_h)))
+    """Ordered map direction -> coefficient over ``reg.ansatz``."""
+    return dict(zip(reg.ansatz, _slot_values(g)))
 
 
 def from_coefficients(reg: JetRegistry, table: dict) -> GeneratorSpec:
-    """Inverse of ``base_coefficients``; absent directions are zero."""
-    def c(a):
-        return table.get(a, ZERO)
-
+    """Inverse of ``base_coefficients``; absent directions are zero, and a
+    key that is not a base direction raises AnsatzError."""
+    for a in table:
+        if a not in reg.ansatz:
+            raise AnsatzError(f"{a.name} is not a base direction")
+    c = [table.get(a, ZERO) for a in reg.ansatz]
+    n = 1 + 2 * reg.dim
     return make_generator(
-        reg, xi_t=c(reg.t), xi_x=tuple(c(a) for a in reg.x),
-        eta_u=tuple(c(a) for a in reg.u), eta_p=c(reg.p), eta_rho=c(reg.rho),
-        mu_pi=tuple(c(reg.pi[pair]) for pair in reg.pi_pairs()),
-        mu_g=c(reg.g), mu_h=c(reg.h))
+        reg, xi_t=c[0], xi_x=c[1:1 + reg.dim], eta_u=c[1 + reg.dim:n],
+        eta_p=c[n], eta_rho=c[n + 1], mu_pi=c[n + 2:-2], mu_g=c[-2],
+        mu_h=c[-1])
 
 
 def _derivatives(table: dict, vs: tuple, D) -> dict:
@@ -241,7 +226,7 @@ def bracket_fields(reg: JetRegistry, p1: dict, p2: dict) -> GeneratorSpec:
     """[X1, X2] on the base directions from two first-order fields."""
     return from_coefficients(reg, {
         a: apply_with_trace(p1, p2[a])[0] - apply_with_trace(p2, p1[a])[0]
-        for a in _base_directions(reg)})
+        for a in reg.ansatz})
 
 
 def bracket(reg: JetRegistry, g1: GeneratorSpec, g2: GeneratorSpec) -> GeneratorSpec:

@@ -10,6 +10,13 @@ Pi^{ij}_{kl} for each formal derivative of a stress component by a gradient
 jet.  ``space_atoms()`` lists them all in that order; its head ``point`` is
 (t, x1..xN, u1..uN, p, rho).
 
+``ansatz`` is the classical ansatz of the equivalence generators, the one
+table of the unprolonged directions: an ordered dict {direction: frozenset
+of admitted atoms} over ``point``, the Pi components by sorted pair, then G
+and H.  A coefficient along a point direction lives on the point; along
+Pi^{ij}, on the velocity-gradient jets and the Pi components; along G or H,
+on (p, rho, G, H).
+
 Every coordinate has a frozen ASCII name (documented in docs/names.md):
 ``t``, ``x2``, ``u1``, ``p``, ``rho``, ``u1_t``, ``u1_x2``, ``p_x1``,
 ``rho_t``, ``u1_x1x2``, ``u1_tx2``, ``Pi12``, ``Pi12_d_u1x2``, ``G``,
@@ -67,6 +74,16 @@ class JetRegistry:
                      for (i, j) in self.pi for k in rng for l in rng}
         self.g = function_symbol("G", ("p", "rho"))
         self.h = function_symbol("H", ("p", "rho"))
+
+        # the classical ansatz: each base direction in slot order, with the
+        # coordinates its coefficient may depend on
+        point = frozenset(self.point)
+        gradient = frozenset(self.u_x.values()) | frozenset(self.pi.values())
+        state = frozenset((self.p, self.rho, self.g, self.h))
+        self.ansatz = {**dict.fromkeys(self.point, point),
+                       **dict.fromkeys((self.pi[k] for k in sorted(self.pi)),
+                                       gradient),
+                       self.g: state, self.h: state}
 
         self._space = (
             self.point + self.u_t + tuple(self.u_x[k] for k in sorted(self.u_x))

@@ -9,6 +9,7 @@ from liequiv.catalog import (KIND_CANDIDATE, KIND_USER, CatalogEntry,
                              rotation_specs, structure_constants,
                              verified_entries)
 from liequiv.determining import check_entry
+from liequiv.dsl import parse_generator
 from liequiv.expr import Expr
 from liequiv.generators import bracket, make_generator
 from liequiv.jets import UnsupportedDimensionError, build_registry
@@ -178,3 +179,31 @@ def test_catalog_order_is_stable(spaces):
     assert names == ["X0", "X1", "X2", "X3", "S", "Y1", "Y2", "Y3", "T",
                      "Z1", "Z2", "J12_naive", "J13_naive", "J23_naive",
                      "J12_tensorial", "J13_tensorial", "J23_tensorial"]
+
+
+def paper_definitions(dim):
+    """The theorem entries as the paper defines them, in DSL, in catalog
+    order."""
+    rng = range(1, dim + 1)
+    pairs = [f"{i}{j}" for i in rng for j in rng if i <= j]
+    out = {"X0": "d/dt"}
+    out.update({f"X{i}": f"d/dx{i}" for i in rng})
+    out["S"] = "d/dp"
+    out.update({f"Y{i}": f"t*d/dx{i} + d/du{i}" for i in rng})
+    out["T"] = " + ".join(f"d/dPi{k}{k}" for k in rng) + " - H*d/dG"
+    out["Z1"] = " + ".join(
+        [f"x{i}*d/dx{i}" for i in rng] + [f"u{i}*d/du{i}" for i in rng]
+        + ["2*p*d/dp"] + [f"2*Pi{ij}*d/dPi{ij}" for ij in pairs] + ["2*G*d/dG"])
+    out["Z2"] = " + ".join(["rho*d/drho", "p*d/dp"]
+                           + [f"Pi{ij}*d/dPi{ij}" for ij in pairs] + ["G*d/dG"])
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_entries_match_the_paper_definitions(spaces, dim):
+    reg = spaces[dim].reg
+    defined = paper_definitions(dim)
+    entries = verified_entries(spaces[dim].catalog)
+    assert [e.name for e in entries] == list(defined)
+    for e in entries:
+        assert e.spec == parse_generator(reg, defined[e.name]), e.name

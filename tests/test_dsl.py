@@ -131,6 +131,19 @@ def test_whitespace_and_signs(spaces):
     assert g2.xi_t == Expr.const(1)
 
 
+@pytest.mark.parametrize("src", ["- -t*d/dx1", "d/dt + - d/dx1", "(--x1)*d/dt"])
+def test_at_most_one_sign_before_a_term(spaces, src):
+    with pytest.raises(DslSyntaxError):
+        parse_generator(spaces[1].reg, src)
+
+
+def test_a_sign_inside_parentheses_still_parses(spaces):
+    reg = spaces[1].reg
+    assert parse_generator(reg, "-(-x1)*d/dt") == make_generator(reg, xi_t=reg.x[0])
+    with pytest.raises(DslSyntaxError):
+        parse_expr(reg, "--x1")
+
+
 @st.composite
 def specs(draw):
     """(registry, generator): every slot a small polynomial in its admitted

@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 from liequiv import generators
 from liequiv.catalog import build_catalog, find_entry
 from liequiv.dsl import parse_generator, print_generator
-from liequiv.expr import (Expr, UnknownSymbolError, UnsupportedFormError,
-                          atoms_of, is_unknown, is_zero, unknown)
-from liequiv.generators import (AnsatzError, apply_with_trace, bracket,
-                                base_coefficients, combine, make_generator,
-                                prolong)
+from liequiv.expr import (ONE, ZERO, Expr, UnknownSymbolError,
+                          UnsupportedFormError, atoms_of, is_unknown, is_zero,
+                          unknown)
+from liequiv.generators import (AnsatzError, GeneratorSpec, apply_with_trace,
+                                bracket, base_coefficients, combine,
+                                from_coefficients, make_generator, prolong)
 from liequiv.jets import build_registry, total_derivative
 
 from conftest import diff_atom, random_expr
@@ -36,6 +37,80 @@ def test_ansatz_rejects_forbidden_atoms(spaces):
         make_generator(reg, mu_pi=(Expr.of(reg.t),))
     # gradient jets are allowed inside mu_pi
     make_generator(reg, mu_pi=(Expr.of(reg.u_x[(1, 1)]),))
+
+
+def slot_by_slot_reference(reg, g):
+    """The ansatz check written out per slot, each slot with its own admitted
+    set and label: the reference for the one table ``reg.ansatz``."""
+    def check(coeff, allowed, slot):
+        for a in atoms_of(coeff):
+            if not is_unknown(a) and a not in allowed:
+                raise AnsatzError(f"{slot} may not depend on {a.name}")
+
+    point = set(reg.point)
+    check(g.xi_t, point, "xi^t")
+    for i, c in enumerate(g.xi_x, start=1):
+        check(c, point, f"xi^x{i}")
+    for k, c in enumerate(g.eta_u, start=1):
+        check(c, point, f"eta^u{k}")
+    check(g.eta_p, point, "eta^p")
+    check(g.eta_rho, point, "eta^rho")
+    gradient = set(reg.u_x.values()) | set(reg.pi.values())
+    for (i, j), c in zip(reg.pi_pairs(), g.mu_pi):
+        check(c, gradient, f"mu^Pi{i}{j}")
+    state = {reg.p, reg.rho, reg.g, reg.h}
+    check(g.mu_g, state, "mu^G")
+    check(g.mu_h, state, "mu^H")
+
+
+ANSATZ_REGISTRIES = {dim: build_registry(dim) for dim in (1, 2, 3)}
+
+
+@st.composite
+def unchecked_specs(draw):
+    """(registry, GeneratorSpec built without the ansatz check): up to four
+    products of atoms, each drawn from every registered coordinate and a
+    ?constant or from the atoms some slot admits, added into random slots."""
+    reg = ANSATZ_REGISTRIES[draw(st.integers(1, 3))]
+    d, m = reg.dim, 1 + 2 * reg.dim
+    anywhere = [*reg.space_atoms(), unknown("c")]
+    admitted = [*reg.point, *reg.u_x.values(), *reg.pi.values(), reg.g, reg.h]
+    atom = st.one_of(st.sampled_from(anywhere), st.sampled_from(admitted))
+    slots = [ZERO] * (m + 2 + len(reg.pi) + 2)
+    for k, atoms in draw(st.lists(st.tuples(st.integers(0, len(slots) - 1),
+                                            st.lists(atom, max_size=3)),
+                                  max_size=4)):
+        term = ONE
+        for a in atoms:
+            term = term * Expr.of(a)
+        slots[k] = slots[k] + term
+    return reg, GeneratorSpec(
+        slots[0], tuple(slots[1:1 + d]), tuple(slots[1 + d:m]), slots[m],
+        slots[m + 1], tuple(slots[m + 2:-2]), slots[-2], slots[-1])
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(unchecked_specs())
+def test_validate_ansatz_matches_the_slot_by_slot_checker(case):
+    reg, g = case
+
+    def outcome(check):
+        try:
+            check(reg, g)
+        except AnsatzError as err:
+            return str(err)
+        return None
+
+    assert outcome(generators.validate_ansatz) == outcome(slot_by_slot_reference)
+
+
+def test_from_coefficients_rejects_a_key_off_the_base_directions(spaces):
+    reg = spaces[1].reg
+    with pytest.raises(AnsatzError, match="u1_x1 is not a base direction"):
+        from_coefficients(reg, {reg.u_x[(1, 1)]: 1})
+    with pytest.raises(AnsatzError, match="Pi11_d_u1x1"):
+        from_coefficients(reg, {reg.t: 1, reg.pi_d[(1, 1, 1, 1)]: reg.t})
+    assert from_coefficients(reg, {reg.t: 1}) == make_generator(reg, xi_t=1)
 
 
 def test_prolong_translation_has_zero_jets(spaces):
