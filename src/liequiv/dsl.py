@@ -11,7 +11,13 @@ names from the frozen grammar, opaque constants ``?name``, parenthesized
 sums, and ``**`` powers.  Directions name the base coordinates only (t, x_i,
 u_k, p, rho, Pi_ij, G, H); jet and stress-derivative directions are produced
 by prolongation and are rejected here.  ``Pi21`` resolves to the symmetric
-representative ``Pi12``.  The grammar is frozen in docs/dsl_grammar.ebnf.
+representative ``Pi12``.  The input ``0`` alone is the zero generator;
+anywhere else ``0`` is an ordinary rational factor.  The grammar is frozen
+in docs/dsl_grammar.ebnf.
+
+One regular-expression pass turns the input into ``(kind, text, offset)``
+tokens.  Line and column are computed from the offset only when a
+DslSyntaxError or UnknownCoordinateError is raised.
 
 ``parse_generator(print_generator(g))`` returns a structurally identical
 generator; the same holds for the expression sublanguage through
@@ -48,187 +54,141 @@ _TOKEN = re.compile(r"""
   | (?P<unknown>\?[A-Za-z_][A-Za-z0-9_]*)
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<op>\*\*|[-+*()])
-""", re.VERBOSE)
-
-
-class _Token:
-    __slots__ = ("kind", "text", "line", "column")
-
-    def __init__(self, kind, text, line, column):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.column = column
-
-
-def _tokenize(src: str):
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN.match(src, pos)
-        if m is None:
-            raise DslSyntaxError(f"unexpected character {src[pos]!r}", line, col)
-        kind = m.lastgroup
-        text = m.group()
-        if kind != "ws":
-            tokens.append(_Token(kind, text, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    tokens.append(_Token("end", "", line, col))
-    return tokens
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
 
 class _Parser:
     def __init__(self, reg: JetRegistry, src: str):
+        """Split ``src`` into (kind, text, offset) tokens, dropping
+        whitespace and closing with an end token."""
         self.reg = reg
-        self.tokens = _tokenize(src)
+        self.src = src
         self.pos = 0
+        self.tokens = []
+        for m in _TOKEN.finditer(src):
+            tok = (m.lastgroup, m.group(), m.start())
+            if tok[0] == "bad":
+                self.fail(f"unexpected character {tok[1]!r}", tok)
+            if tok[0] != "ws":
+                self.tokens.append(tok)
+        self.tokens.append(("end", "", len(src)))
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def accept(self, *ops: str):
+        """Consume the next token and return its text if it is one of ``ops``."""
+        kind, text, _ = self.peek()
+        if kind == "op" and text in ops:
+            self.pos += 1
+            return text
+        return None
 
-    def expect_op(self, op: str):
-        tok = self.next()
-        if tok.kind != "op" or tok.text != op:
-            raise DslSyntaxError(f"expected {op!r}, found {tok.text or 'end of input'!r}",
-                                 tok.line, tok.column)
+    def position(self, tok: tuple):
+        """1-based (line, column) of a token, from its offset."""
+        offset = tok[2]
+        return self.src.count("\n", 0, offset) + 1, offset - self.src.rfind("\n", 0, offset)
 
-    def fail(self, message: str):
-        tok = self.peek()
-        raise DslSyntaxError(message, tok.line, tok.column)
+    def fail(self, message: str, tok: tuple | None = None):
+        """Raise DslSyntaxError at ``tok``, by default the next token."""
+        raise DslSyntaxError(message, *self.position(tok or self.peek()))
 
     # -- expression sublanguage ------------------------------------------
 
-    def parse_sum(self) -> Expr:
-        sign = self.parse_sign()
-        total = sign * self.parse_product()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            sign = 1 if self.next().text == "+" else -1
-            total = total + sign * self.parse_product()
-        return total
-
     def parse_sign(self) -> int:
         """At most one sign, as in ``[ sign ]`` of the grammar."""
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in "+-":
-            self.next()
-            return -1 if tok.text == "-" else 1
-        return 1
+        return -1 if self.accept("+", "-") == "-" else 1
+
+    def parse_sum(self) -> Expr:
+        total = self.parse_sign() * self.parse_product()
+        while op := self.accept("+", "-"):
+            total = total + (1 if op == "+" else -1) * self.parse_product()
+        return total
 
     def parse_product(self) -> Expr:
+        """power { "*" power }; a "*" before a direction is consumed and ends
+        the product, which a generator term then closes with the direction."""
         total = self.parse_power()
-        while self.peek().kind == "op" and self.peek().text == "*":
-            self.next()
+        while self.accept("*") and self.peek()[0] != "direction":
             total = total * self.parse_power()
         return total
 
     def parse_power(self) -> Expr:
         base = self.parse_primary()
-        if self.peek().kind == "op" and self.peek().text == "**":
-            self.next()
-            tok = self.next()
-            if tok.kind != "number" or "/" in tok.text:
-                raise DslSyntaxError("expected a non-negative integer exponent",
-                                     tok.line, tok.column)
-            return base ** int(tok.text)
-        return base
+        if not self.accept("**"):
+            return base
+        kind, text, _ = self.peek()
+        if kind != "number" or "/" in text:
+            self.fail("expected a non-negative integer exponent")
+        self.pos += 1
+        return base ** int(text)
 
     def parse_primary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "number":
-            self.next()
-            return Expr.const(Fraction(tok.text))
-        if tok.kind == "unknown":
-            self.next()
-            return Expr.of(unknown(tok.text[1:]))
-        if tok.kind == "name":
-            self.next()
-            return Expr.of(self.resolve_name(tok, tok.text))
-        if tok.kind == "op" and tok.text == "(":
-            self.next()
+        tok = kind, text, _ = self.peek()
+        self.pos += 1
+        if kind == "number":
+            try:
+                return Expr.const(Fraction(text))
+            except ZeroDivisionError:
+                self.fail(f"rational literal {text} has a zero denominator", tok)
+        if kind == "unknown":
+            return Expr.of(unknown(text[1:]))
+        if kind == "name":
+            return Expr.of(self.resolve_name(tok))
+        if text == "(":
             inner = self.parse_sum()
-            self.expect_op(")")
+            if not self.accept(")"):
+                self.fail(f"expected ')', found {self.peek()[1] or 'end of input'!r}")
             return inner
-        self.fail(f"expected a coefficient factor, found {tok.text or 'end of input'!r}")
+        self.fail(f"expected a coefficient factor, found {text or 'end of input'!r}", tok)
 
-    def resolve_name(self, tok: _Token, name: str):
-        resolved = _resolve_symmetric(name)
+    def resolve_name(self, tok: tuple):
+        """The coordinate a name or direction token names; ``Pi21`` is ``Pi12``."""
+        name = tok[1].removeprefix("d/d")
+        m = re.fullmatch(r"Pi(\d)(\d)", name)
+        resolved = f"Pi{m[2]}{m[1]}" if m and m[1] > m[2] else name
         if not self.reg.has_name(resolved):
-            raise UnknownCoordinateError(name, tok.line, tok.column)
+            raise UnknownCoordinateError(name, *self.position(tok))
         return self.reg.coordinate(resolved)
 
     # -- generator level ---------------------------------------------------
 
     def parse_generator(self) -> dict:
-        """Map base direction -> accumulated coefficient."""
+        """Map base direction -> accumulated coefficient.  The input ``0``
+        alone is the zero generator; elsewhere ``0`` is a rational factor."""
         coeffs = {}
-        tok = self.peek()
-        if tok.kind == "number" and tok.text == "0":
-            self.next()
-            if self.peek().kind != "end":
-                self.fail("trailing input after zero generator")
+        if len(self.tokens) == 2 and self.tokens[0][1] == "0":
             return coeffs
-        first = True
+        sign = self.parse_sign()
+        if sign == 1 and self.peek()[0] == "end":
+            self.fail("empty generator")
         while True:
-            sign = self.parse_sign()
-            if first and sign == 1 and self.peek().kind == "end":
-                self.fail("empty generator")
-            first = False
-            coeff, tok = self.parse_term()
-            name = tok.text[len("d/d"):]
-            atom = self.resolve_name(tok, name)
+            coeff = ONE
+            if self.peek()[0] != "direction":
+                coeff = self.parse_product()
+                if self.tokens[self.pos - 1][1] != "*":  # no "*" joins it to a direction
+                    self.fail("a term must end in a direction d/d<coordinate>")
+            tok = self.peek()
+            self.pos += 1
+            atom = self.resolve_name(tok)
             if atom not in self.reg.ansatz:
-                raise DslSyntaxError(
-                    f"d/d{name} is not a base direction; jet and stress-derivative "
-                    "coordinates are prolonged automatically", tok.line, tok.column)
+                self.fail(f"{tok[1]} is not a base direction; jet and stress-derivative "
+                          "coordinates are prolonged automatically", tok)
             coeffs[atom] = coeffs.get(atom, ZERO) + sign * coeff
-            tok = self.peek()
-            if tok.kind == "end":
+            if self.peek()[0] == "end":
                 return coeffs
-            if not (tok.kind == "op" and tok.text in "+-"):
-                self.fail(f"expected '+', '-' or end of input, found {tok.text!r}")
-
-    def parse_term(self):
-        coeff = ONE
-        while True:
-            tok = self.peek()
-            if tok.kind == "direction":
-                self.next()
-                return coeff, tok
-            part = self.parse_power()
-            coeff = coeff * part
-            tok = self.peek()
-            if tok.kind == "op" and tok.text == "*":
-                self.next()
-                continue
-            self.fail("a term must end in a direction d/d<coordinate>")
-
-
-def _resolve_symmetric(name: str) -> str:
-    m = re.fullmatch(r"Pi(\d)(\d)", name)
-    if m and int(m.group(1)) > int(m.group(2)):
-        return f"Pi{m.group(2)}{m.group(1)}"
-    return name
+            if self.peek()[1] not in ("+", "-"):
+                self.fail(f"expected '+', '-' or end of input, found {self.peek()[1]!r}")
+            sign = self.parse_sign()
 
 
 def parse_expr(reg: JetRegistry, src: str) -> Expr:
     """Parse the coefficient sublanguage into a canonical expression."""
     parser = _Parser(reg, src)
     out = parser.parse_sum()
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise DslSyntaxError(f"trailing input: {tok.text!r}", tok.line, tok.column)
+    if parser.peek()[0] != "end":
+        parser.fail(f"trailing input: {parser.peek()[1]!r}")
     return out
 
 

@@ -54,6 +54,9 @@ def test_usage_errors_exit_2(capsys):
     code, _, err = run(capsys, "verify", "--dim", "2", "--gen", "q*d/dp")
     assert code == 2
     assert "unknown coordinate: q" in err
+    code, _, err = run(capsys, "verify", "--dim", "1", "--gen", "1/0*d/dt")
+    assert code == 2
+    assert "line 1, column 1: rational literal 1/0" in err
     assert run(capsys, "transform", "--dim", "2", "--gen", "J12_naive")[0] == 2
 
 
@@ -245,8 +248,9 @@ def test_dsl_and_file_selectors_build_no_catalog(tmp_path, monkeypatch, capsys):
 def test_zero_generator_selector(capsys):
     for dim in ("1", "3"):
         for cmd in ("verify", "deteq", "transform"):
-            code, _, err = run(capsys, cmd, "--dim", dim, "--gen", "0")
-            assert (code, err) == (0, ""), (cmd, dim)
+            for gen in ("0", "0*d/dt"):
+                code, _, err = run(capsys, cmd, "--dim", dim, "--gen", gen)
+                assert (code, err) == (0, ""), (cmd, dim, gen)
 
 
 def test_transform_help_lists_only_single_generators(monkeypatch, capsys):

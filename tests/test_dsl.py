@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,6 +55,12 @@ def test_syntax_errors_carry_position(spaces):
         parse_generator(reg, "p**(-1)*d/dp")
     with pytest.raises(DslSyntaxError):
         parse_expr(reg, "p**1/2")
+    with pytest.raises(DslSyntaxError) as err:
+        parse_generator(reg, "d/dt +\n  2*p d/dp")
+    assert err.value.line == 2 and err.value.column == 7
+    with pytest.raises(UnknownCoordinateError) as err:
+        parse_generator(reg, "d/dt\n+ q*d/dp")
+    assert str(err.value).startswith("line 2, column 3: ")
 
 
 def test_prolonged_directions_are_rejected(spaces):
@@ -84,6 +92,23 @@ def test_zero_generator_round_trip(spaces):
     g = make_generator(reg)
     assert print_generator(reg, g) == "0"
     assert parse_generator(reg, "0") == g
+
+
+@pytest.mark.parametrize("src, same_as", [("0*d/dt", "0"), ("0*p*d/dp + d/dt", "d/dt")])
+def test_zero_is_a_factor_unless_it_is_the_whole_input(spaces, src, same_as):
+    reg = spaces[1].reg
+    assert parse_generator(reg, src) == parse_generator(reg, same_as)
+
+
+@pytest.mark.parametrize("parse, src, column", [
+    (parse_generator, "x1*d/dt + 1/0*d/dp", 11),
+    (parse_expr, "1/0", 1),
+])
+def test_zero_denominator_is_a_syntax_error(spaces, parse, src, column):
+    with pytest.raises(DslSyntaxError) as err:
+        parse(spaces[1].reg, src)
+    assert (err.value.line, err.value.column) == (1, column)
+    assert "1/0" in str(err.value)
 
 
 def test_unknown_constants_round_trip(spaces):
@@ -181,3 +206,34 @@ def specs(draw):
 def test_print_parse_round_trip_on_random_specs(case):
     reg, g = case
     assert parse_generator(reg, print_generator(reg, g)) == g
+
+
+_TOKENS = ("t", "x1", "p", "rho", "Pi21", "u1_x1", "q", "?a", "0", "3/4", "1/0",
+           "+", "-", "*", "**", "(", ")", "d/dt", "d/du1_x1", "d/dq", "$")
+_POSITION = re.compile(r"line (\d+), column (\d+): ")
+
+
+@st.composite
+def token_strings(draw):
+    """(src, token start offsets): drawn tokens, each followed by a run of
+    spaces and newlines, so that every drawn token is one token of ``src``."""
+    src, starts = draw(st.sampled_from(["", " ", "\n"])), []
+    for tok in draw(st.lists(st.sampled_from(_TOKENS), max_size=10)):
+        starts.append(len(src))
+        src += tok + draw(st.text(" \n", min_size=1, max_size=3))
+    return src, starts
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.sampled_from([1, 2]), token_strings())
+def test_random_token_strings_fail_only_with_input_errors_at_a_token(dim, case):
+    src, starts = case
+    for parse in (parse_generator, parse_expr):
+        try:
+            parse(REGISTRIES[dim], src)
+        except AnsatzError:
+            pass
+        except (DslSyntaxError, UnknownCoordinateError) as err:
+            line, column = map(int, _POSITION.match(str(err)).groups())
+            offset = sum(len(text) + 1 for text in src.split("\n")[:line - 1]) + column - 1
+            assert offset in starts or offset == len(src), (src, str(err))
