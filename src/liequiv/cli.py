@@ -28,7 +28,7 @@ from .system import build_system
 
 _INPUT_ERRORS = (ExprError, JetOrderError, UnsupportedDimensionError,
                  AnsatzError, DslSyntaxError, UnknownCoordinateError,
-                 NoClosedFormError, ValueError, ZeroDivisionError, OSError)
+                 NoClosedFormError, ValueError, OSError)
 
 
 @functools.cache  # parse_args leaves the parser as it is

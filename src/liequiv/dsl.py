@@ -19,6 +19,9 @@ One regular-expression pass turns the input into ``(kind, text, offset)``
 tokens.  Line and column are computed from the offset only when a
 DslSyntaxError or UnknownCoordinateError is raised.
 
+``print_generator`` writes each nonzero coefficient as ``str`` does, moving
+the sign of a one-term coefficient into the separator, leaving out a
+coefficient of one and parenthesizing a sum of more than one term.
 ``parse_generator(print_generator(g))`` returns a structurally identical
 generator; the same holds for the expression sublanguage through
 ``parse_expr`` and ``str()``.
@@ -196,21 +199,6 @@ def parse_generator(reg: JetRegistry, src: str) -> GeneratorSpec:
     return from_coefficients(reg, _Parser(reg, src).parse_generator())
 
 
-def _coefficient_str(coeff: Expr) -> str:
-    """Render a coefficient for a generator term; '' means coefficient one.
-    Single-term signs are folded into the separator by the caller."""
-    if coeff == ONE:
-        return ""
-    if len(coeff.terms) == 1:
-        mono, c = coeff.terms[0]
-        if mono.is_one():
-            return str(c)
-        if c == 1:
-            return str(mono)
-        return f"{c}*{mono}"
-    return f"({coeff})"
-
-
 def print_generator(reg: JetRegistry, g: GeneratorSpec) -> str:
     """Canonical DSL form; directions in registry order, zero slots omitted."""
     pieces = []
@@ -220,7 +208,8 @@ def print_generator(reg: JetRegistry, g: GeneratorSpec) -> str:
         negative = len(coeff.terms) == 1 and coeff.terms[0][1] < 0
         if negative:
             coeff = -coeff
-        rendered = _coefficient_str(coeff)
-        term = f"d/d{atom.name}" if not rendered else f"{rendered}*d/d{atom.name}"
+        term = f"d/d{atom.name}"
+        if coeff != ONE:
+            term = f"({coeff})*{term}" if len(coeff.terms) > 1 else f"{coeff}*{term}"
         pieces.append((negative, term))
     return signed_sum(pieces)

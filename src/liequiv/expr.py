@@ -412,9 +412,13 @@ class Expr:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise UnsupportedFormError(f"unsupported exponent {n!r}")
-        out = ONE
-        for _ in range(n):
-            out = out * self
+        out, base = ONE, self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __truediv__(self, s):

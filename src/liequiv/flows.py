@@ -13,9 +13,11 @@ A coordinate without a prolonged action (u_tx when xi^t depends on more than
 t) or a series that breaks either rule raises NoClosedFormError naming the
 coordinate.  The scale factors are carried symbolically through the
 reserved atoms ``exp(a)`` and ``exp(-a)``, which cancel pairwise inside
-monomials.  A flow holds one table, the image of each coordinate it moves,
-in registry order.  An exact rational group parameter is bound inside the
-series, and a shift that vanishes there leaves its coordinate out.
+monomials.  A flow is its public ``images`` table: the image of each
+coordinate it moves, in registry order.  A group parameter given as an int
+or a Fraction is bound inside the series (any other type raises
+UnsupportedFormError), and a shift that vanishes there leaves its
+coordinate out.
 
 Rotation candidates have no closed form in this exact-rational carrier
 (their flows need cos/sin); ``numeric_flow`` realizes their fully prolonged
@@ -27,11 +29,10 @@ the prolonged field.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import product
 
 from .catalog import rotation_specs
-from .expr import (Atom, Expr, Monomial, ZERO, ONE, as_expr, coordinate,
+from .expr import (Atom, Expr, Monomial, ZERO, as_expr, coordinate,
                    evaluate, is_unknown, is_zero, replace_atoms)
 from .generators import GeneratorSpec, apply_with_trace, prolong
 from .jets import JetRegistry
@@ -46,11 +47,7 @@ class NoClosedFormError(Exception):
 
 
 def scale_power(d: int) -> Expr:
-    if d == 0:
-        return ONE
-    if d > 0:
-        return Expr.of(SCALE) ** d
-    return Expr.of(SCALE_INV) ** (-d)
+    return Expr.of(SCALE if d > 0 else SCALE_INV) ** abs(d)
 
 
 def reduce_scale(e) -> Expr:
@@ -74,22 +71,17 @@ class FiniteTransformation:
     both.  Every other coordinate is fixed.
     """
 
-    def __init__(self, reg: JetRegistry, images: dict):
-        self.registry = reg
-        self._images = images
+    def __init__(self, images: dict):
+        self.images = images
 
     def image(self, a: Atom) -> Expr:
         """The transformed coordinate as an expression over the space plus
         the parameter and scale atoms."""
-        return self._images.get(a, Expr.of(a))
-
-    def images(self) -> tuple:
-        """(coordinate, image) pairs for every non-identity coordinate map."""
-        return tuple(self._images.items())
+        return self.images.get(a, Expr.of(a))
 
     def transform(self, e) -> Expr:
         """Pull an expression through the coordinate maps, scale-reduced."""
-        return reduce_scale(replace_atoms(e, self._images))
+        return reduce_scale(replace_atoms(e, self.images))
 
 
 _NO_FLOW = "no closed-form flow in the exact carrier"
@@ -101,8 +93,8 @@ def _weight(xc: Expr, c: Atom):
         return 0
     if len(xc.terms) == 1:
         mono, k = xc.terms[0]
-        if mono.factors == ((c, 1),) and k.denominator == 1:
-            return int(k)
+        if mono.factors == ((c, 1),) and type(k) is int:
+            return k
     return None
 
 
@@ -135,13 +127,13 @@ def _lie_series(pg: dict, c: Atom, bound: int, a: Expr) -> Expr:
 
 def exponentiate(reg: JetRegistry, pg: dict, param=None) -> FiniteTransformation:
     """The flow exp(aX) of a prolonged field; ``param`` optionally binds the
-    group parameter to an exact rational."""
+    group parameter to an int or a Fraction."""
     space = reg.space_atoms()
     for c in space:
         if c not in pg:
             raise NoClosedFormError(
                 f"{_NO_FLOW}: the prolonged field gives {c.name} no action")
-    a = Expr.of(PARAM) if param is None else Expr.const(Fraction(param))
+    a = Expr.of(PARAM) if param is None else Expr.const(param)
     images = {}
     for c in space:
         k = _weight(pg[c], c)
@@ -151,7 +143,7 @@ def exponentiate(reg: JetRegistry, pg: dict, param=None) -> FiniteTransformation
                 images[c] = c + shift
         elif k:
             images[c] = scale_power(k) * c
-    return FiniteTransformation(reg, images)
+    return FiniteTransformation(images)
 
 
 # -- pointwise numeric flows ----------------------------------------------

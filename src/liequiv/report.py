@@ -145,7 +145,7 @@ def transform_payload(generator: str, param, ft: FiniteTransformation,
         "generator": generator,
         "parameter": "a" if param is None else str(param),
         "maps": [{"coordinate": a.name, "image": str(img)}
-                 for a, img in ft.images()],
+                 for a, img in ft.images.items()],
         "equations": [
             {"equation": f.equation,
              "factor": _factor_string(f.factor) or _NO_FACTOR,

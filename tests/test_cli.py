@@ -3,6 +3,8 @@ import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
+import pytest
+
 from liequiv import cli, generators, report
 from liequiv.catalog import CatalogEntry, find_entry
 from liequiv.cli import main
@@ -231,6 +233,17 @@ def test_selectors_resolve_to_catalog_entries(spaces, tmp_path):
         assert all(isinstance(e, CatalogEntry) for e in entries), sel
         if sel in user:
             assert all(e.kind == "user" and not e.has_flow for e in entries)
+
+
+def test_engine_errors_are_not_input_errors(monkeypatch):
+    # exit 2 means the input was wrong; a division by zero inside the
+    # engine is a fault of the program and must not be reported as one
+    def divide(*args):
+        raise ZeroDivisionError("division by zero inside the engine")
+
+    monkeypatch.setattr(cli, "check_entry", divide)
+    with pytest.raises(ZeroDivisionError):
+        main(["verify", "--dim", "1", "--gen", "X0"])
 
 
 def test_dsl_and_file_selectors_build_no_catalog(tmp_path, monkeypatch, capsys):

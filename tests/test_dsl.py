@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from liequiv.catalog import find_entry
 from liequiv.dsl import (DslSyntaxError, UnknownCoordinateError, parse_expr,
                          parse_generator, print_generator)
-from liequiv.expr import ONE, ZERO, Expr, unknown
-from liequiv.generators import AnsatzError, make_generator
+from liequiv.expr import ONE, ZERO, Expr, is_zero, signed_sum, unknown
+from liequiv.generators import AnsatzError, base_coefficients, make_generator
 from liequiv.jets import build_registry
 
 REGISTRIES = {dim: build_registry(dim) for dim in (1, 2, 3)}
@@ -206,6 +206,43 @@ def specs(draw):
 def test_print_parse_round_trip_on_random_specs(case):
     reg, g = case
     assert parse_generator(reg, print_generator(reg, g)) == g
+
+
+def _reference_coefficient_str(coeff: Expr) -> str:
+    """The generator printer's former coefficient rule, written out term by
+    term: '' means coefficient one, and the caller folds a one-term sign
+    into the separator."""
+    if coeff == ONE:
+        return ""
+    if len(coeff.terms) == 1:
+        mono, c = coeff.terms[0]
+        if mono.is_one():
+            return str(c)
+        if c == 1:
+            return str(mono)
+        return f"{c}*{mono}"
+    return f"({coeff})"
+
+
+def _reference_print_generator(reg, g) -> str:
+    pieces = []
+    for atom, coeff in base_coefficients(reg, g).items():
+        if is_zero(coeff):
+            continue
+        negative = len(coeff.terms) == 1 and coeff.terms[0][1] < 0
+        if negative:
+            coeff = -coeff
+        rendered = _reference_coefficient_str(coeff)
+        term = f"d/d{atom.name}" if not rendered else f"{rendered}*d/d{atom.name}"
+        pieces.append((negative, term))
+    return signed_sum(pieces)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(specs())
+def test_printer_matches_the_term_by_term_reference(case):
+    reg, g = case
+    assert print_generator(reg, g) == _reference_print_generator(reg, g)
 
 
 _TOKENS = ("t", "x1", "p", "rho", "Pi21", "u1_x1", "q", "?a", "0", "3/4", "1/0",

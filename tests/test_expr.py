@@ -488,6 +488,26 @@ expressions = st.lists(st.tuples(monomials, term_coefficients),
                        max_size=6).map(Expr)
 
 
+def test_power_squares_and_multiplies(monkeypatch):
+    calls = []
+    original = Expr.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(Expr, "__mul__", counting)
+    assert Expr.of(p) ** 1000 == Expr([(Monomial([(p, 1000)]), 1)])
+    assert len(calls) <= 2 * (1000).bit_length()
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.lists(st.tuples(monomials, term_coefficients), max_size=3).map(Expr),
+       st.integers(0, 9))
+def test_power_is_repeated_product(e, n):
+    assert e ** n == reduce(mul, [e] * n, Expr.const(1))
+
+
 def assert_same(got: Expr, want: Expr):
     assert got.terms == want.terms
     assert [(m.factors, m.key, hash(m)) for m, _ in got.terms] == \
