@@ -20,15 +20,13 @@ from .catalog import (KIND_USER, CatalogEntry, build_catalog,
 from .determining import check_entry, determining_equations, finite_check
 from .dsl import (DslSyntaxError, UnknownCoordinateError, parse_generator,
                   print_generator)
-from .expr import ExprError
 from .flows import NoClosedFormError, exponentiate
 from .generators import AnsatzError, bracket, prolong
-from .jets import JetOrderError, UnsupportedDimensionError, build_registry
+from .jets import JetOrderError, build_registry
 from .system import build_system
 
-_INPUT_ERRORS = (ExprError, JetOrderError, UnsupportedDimensionError,
-                 AnsatzError, DslSyntaxError, UnknownCoordinateError,
-                 NoClosedFormError, ValueError, OSError)
+_INPUT_ERRORS = (JetOrderError, AnsatzError, DslSyntaxError,
+                 UnknownCoordinateError, NoClosedFormError, ValueError, OSError)
 
 
 @functools.cache  # parse_args leaves the parser as it is

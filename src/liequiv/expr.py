@@ -308,11 +308,6 @@ class Monomial:
             return other
         return Monomial._trusted(_merge(self.factors, other.factors))
 
-    def __pow__(self, n: int) -> "Monomial":
-        if not isinstance(n, int) or n < 0:
-            raise UnsupportedFormError(f"unsupported exponent {n!r}")
-        return Monomial(tuple((a, e * n) for a, e in self.factors))
-
     def __eq__(self, other):
         return self is other or (isinstance(other, Monomial) and self.key == other.key)
 
@@ -321,9 +316,6 @@ class Monomial:
 
     def __reduce__(self):
         return Monomial, (self.factors,)
-
-    def __lt__(self, other):
-        return self.key < other.key
 
     def __str__(self):
         if not self.factors:
@@ -390,20 +382,14 @@ class Expr:
 
     def __mul__(self, other):
         a, b = self.terms, as_expr(other).terms
-        if len(b) == 1:
-            (m2, c2), = b
-            if m2.is_one():
-                return Expr._trusted(tuple((m1, _rational(c1 * c2))
-                                           for m1, c1 in a))
-            products = ((m1 * m2, _rational(c1 * c2)) for m1, c1 in a)
-        elif len(a) == 1:
-            (m1, c1), = a
-            if m1.is_one():
-                return Expr._trusted(tuple((m2, _rational(c1 * c2))
-                                           for m2, c2 in b))
-            products = ((m1 * m2, _rational(c1 * c2)) for m2, c2 in b)
-        else:
+        if len(a) == 1:  # the product commutes: keep a one-term operand in b
+            a, b = b, a
+        if len(b) != 1:
             return Expr((m1 * m2, c1 * c2) for m1, c1 in a for m2, c2 in b)
+        (m2, c2), = b
+        if m2.is_one():
+            return Expr._trusted(tuple((m1, _rational(c1 * c2)) for m1, c1 in a))
+        products = ((m1 * m2, _rational(c1 * c2)) for m1, c1 in a)
         # products by one monomial never coincide: sort, nothing to merge
         return Expr._trusted(tuple(sorted(products, key=_first_key)))
 

@@ -128,17 +128,16 @@ def _lie_series(pg: dict, c: Atom, bound: int, a: Expr) -> Expr:
 def exponentiate(reg: JetRegistry, pg: dict, param=None) -> FiniteTransformation:
     """The flow exp(aX) of a prolonged field; ``param`` optionally binds the
     group parameter to an int or a Fraction."""
-    space = reg.space_atoms()
-    for c in space:
+    for c in reg.space:
         if c not in pg:
             raise NoClosedFormError(
                 f"{_NO_FLOW}: the prolonged field gives {c.name} no action")
     a = Expr.of(PARAM) if param is None else Expr.const(param)
     images = {}
-    for c in space:
+    for c in reg.space:
         k = _weight(pg[c], c)
         if k is None:
-            shift = _lie_series(pg, c, len(space) + 1, a)
+            shift = _lie_series(pg, c, len(reg.space) + 1, a)
             if not is_zero(shift):
                 images[c] = c + shift
         elif k:
@@ -155,8 +154,7 @@ def _numeric_closed_form(reg: JetRegistry, ft: FiniteTransformation):
         bind[PARAM] = a
         bind[SCALE] = math.exp(a)
         bind[SCALE_INV] = math.exp(-a)
-        return {c: float(evaluate(ft.image(c), bind))
-                for c in reg.space_atoms()}
+        return {c: float(evaluate(ft.image(c), bind)) for c in reg.space}
     return flow
 
 
@@ -190,7 +188,7 @@ def _numeric_rotation(reg: JetRegistry, i: int, j: int, tensorial: bool):
         rot = {r: [(r, 1.0)] for r in rng}
         rot[i] = [(i, math.cos(a)), (j, -math.sin(a))]
         rot[j] = [(i, math.sin(a)), (j, math.cos(a))]
-        new = {c: float(point[c]) for c in reg.space_atoms()}
+        new = {c: float(point[c]) for c in reg.space}
         for atoms, lookup, turn in table:
             for idx, c in atoms.items():
                 total = 0.0

@@ -7,8 +7,9 @@ jets referenced by second prolongation), and the constitutive coordinates:
 the symmetric stress components Pi^{ij} declared over all velocity-gradient
 jets, the state functions G and H declared over (p, rho), and one coordinate
 Pi^{ij}_{kl} for each formal derivative of a stress component by a gradient
-jet.  ``space_atoms()`` lists them all in that order; its head ``point`` is
-(t, x1..xN, u1..uN, p, rho).
+jet.  ``space`` lists them all in that order; its head ``point`` is
+(t, x1..xN, u1..uN, p, rho), and the head of that, ``independents``, is
+(t, x1..xN).
 
 ``ansatz`` is the classical ansatz of the equivalence generators, the one
 table of the unprolonged directions: an ordered dict {direction: frozenset
@@ -54,7 +55,8 @@ class JetRegistry:
         self.u = tuple(coordinate(f"u{k}") for k in rng)
         self.p = coordinate("p")
         self.rho = coordinate("rho")
-        self.point = (self.t,) + self.x + self.u + (self.p, self.rho)
+        self.independents = (self.t,) + self.x
+        self.point = self.independents + self.u + (self.p, self.rho)
 
         self.u_t = tuple(coordinate(f"u{k}_t") for k in rng)
         self.u_x = {(k, l): coordinate(f"u{k}_x{l}") for k in rng for l in rng}
@@ -85,7 +87,7 @@ class JetRegistry:
                                        gradient),
                        self.g: state, self.h: state}
 
-        self._space = (
+        self.space = (
             self.point + self.u_t + tuple(self.u_x[k] for k in sorted(self.u_x))
             + (self.p_t,) + self.p_x + (self.rho_t,) + self.rho_x
             + tuple(self.u_xx[k] for k in sorted(self.u_xx))
@@ -95,7 +97,7 @@ class JetRegistry:
             + (self.g, self.h)
         )
         by_name = {}
-        for a in self._space:
+        for a in self.space:
             if a.name in by_name:
                 raise ValueError(f"duplicate coordinate registration: {a.name}")
             by_name[a.name] = a
@@ -123,14 +125,10 @@ class JetRegistry:
         # Names of the coordinates a total derivative chains through, in
         # registry order after the leading independents; second-order and
         # mixed jets catch out-of-order input.
-        self._chain = {c.name: c for c in self._space[1 + dim:]
+        self._chain = {c.name: c for c in self.space[1 + dim:]
                        if c.kind == COORD}
 
     # -- lookups ---------------------------------------------------------
-
-    @property
-    def independents(self) -> tuple:
-        return (self.t,) + self.x
 
     def coordinate(self, name: str) -> Atom:
         try:
@@ -152,9 +150,6 @@ class JetRegistry:
 
     def pi_pairs(self) -> tuple:
         return tuple(sorted(self.pi))
-
-    def space_atoms(self) -> tuple:
-        return self._space
 
     def advance(self, c: Atom, w: Atom):
         """The coordinate representing d(c)/d(w), or None when unregistered:

@@ -103,7 +103,7 @@ def build_system(dim: int, reg: JetRegistry) -> BalanceSystem:
                 f"principal solution depends on principal derivative "
                 f"{sorted(hit)[0].name}")
 
-    parametric = tuple(sorted(a for a in reg.space_atoms()[len(reg.point):]
+    parametric = tuple(sorted(a for a in reg.space[len(reg.point):]
                               if a not in principal))
     return BalanceSystem(reg, mass, tuple(momentum), pressure, phi, principal,
                          parametric)

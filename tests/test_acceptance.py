@@ -164,7 +164,7 @@ def test_acceptance_7_prolongation_matches_flows(spaces):
                 continue
             coeffs = prolong(reg, entry.spec)
             for _ in range(10):
-                point = {a: rnd.uniform(0.6, 1.7) for a in reg.space_atoms()}
+                point = {a: rnd.uniform(0.6, 1.7) for a in reg.space}
                 fp, fm = flow(point, h), flow(point, -h)
                 fp2, fm2 = flow(point, 2 * h), flow(point, -2 * h)
                 for atom, coeff in coeffs.items():

@@ -143,6 +143,15 @@ def test_table_builds_each_feature_vector_once(spaces, monkeypatch):
     assert sum(built.values()) == 11 + 55
 
 
+def test_table_that_does_not_close(spaces):
+    reg, cat = spaces[1].reg, spaces[1].catalog
+    # [X0, Y1] = X1 lies outside the span of the two
+    table = structure_constants(reg, [find_entry(cat, "X0"), find_entry(cat, "Y1")])
+    assert table.failures == (("X0", "Y1"),)
+    assert table.closed is False
+    assert table.cell("X0", "Y1") == {}
+
+
 def test_decompose_detects_outside_span(spaces):
     reg = spaces[1].reg
     entries = verified_entries(spaces[1].catalog)

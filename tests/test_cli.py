@@ -9,7 +9,7 @@ from liequiv import cli, generators, report
 from liequiv.catalog import CatalogEntry, find_entry
 from liequiv.cli import main
 from liequiv.determining import FiniteCheckResult, FiniteFactor, Verdict
-from liequiv.expr import Expr
+from liequiv.expr import Expr, UnknownSymbolError, UnsupportedFormError
 from liequiv.flows import exponentiate
 from liequiv.generators import prolong
 
@@ -49,7 +49,7 @@ def test_verify_dsl_generator(capsys):
     assert payload["results"][0]["finite"]["available"] is False
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(capsys, tmp_path):
     assert run(capsys, "verify", "--dim", "5", "--gen", "all")[0] == 2
     assert run(capsys, "verify", "--dim", "2", "--gen", "nonsense")[0] == 2
     assert run(capsys, "nope")[0] == 2
@@ -60,6 +60,18 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
     assert "line 1, column 1: rational literal 1/0" in err
     assert run(capsys, "transform", "--dim", "2", "--gen", "J12_naive")[0] == 2
+    empty = tmp_path / "empty.dsl"
+    empty.write_text("# nothing but a comment\n\n", encoding="utf-8")
+    for argv, message in (
+            (("verify", "--dim", "1", "--gen", f"@{empty}"),
+             f"no generators found in {empty}"),
+            (("bracket", "--dim", "1", "--pair", "X0,Q"),
+             "--pair must name two verified entries, got X0,Q"),
+            (("transform", "--dim", "1", "--gen", "X0", "--param", "x"),
+             "--param must be an exact rational, got 'x'")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"liequiv: error: {message}\n"
 
 
 def test_bracket_table_cell(capsys):
@@ -122,6 +134,18 @@ def test_deteq_reports_split_system(capsys):
     assert momentum_terms, "splitting the scaling family must constrain it"
     coeffs = {t["monomial"]: t["coefficient"] for t in momentum_terms}
     assert any("?a" in c or "?b" in c or "?c" in c for c in coeffs.values())
+
+
+def test_deteq_text_prints_one_line_per_term(capsys):
+    argv = ("deteq", "--dim", "2", "--gen", "J12_naive")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    payload = json.loads(run(capsys, *argv, "--format", "json")[1])
+    expected = [f"    [{term['monomial']}] {term['coefficient']} = 0"
+                for eq in payload["results"][0]["equations"]
+                for term in eq["terms"]]
+    assert len(expected) > 1
+    assert [line for line in out.splitlines() if line.startswith("    [")] == expected
 
 
 def test_transform_scaling(capsys):
@@ -236,14 +260,16 @@ def test_selectors_resolve_to_catalog_entries(spaces, tmp_path):
 
 
 def test_engine_errors_are_not_input_errors(monkeypatch):
-    # exit 2 means the input was wrong; a division by zero inside the
-    # engine is a fault of the program and must not be reported as one
-    def divide(*args):
-        raise ZeroDivisionError("division by zero inside the engine")
+    # exit 2 means the input was wrong; a division by zero or a kernel
+    # error inside the engine is a fault of the program and must not be
+    # reported as one
+    for error in (ZeroDivisionError, UnknownSymbolError, UnsupportedFormError):
+        def fail(*args):
+            raise error("raised inside the engine")
 
-    monkeypatch.setattr(cli, "check_entry", divide)
-    with pytest.raises(ZeroDivisionError):
-        main(["verify", "--dim", "1", "--gen", "X0"])
+        monkeypatch.setattr(cli, "check_entry", fail)
+        with pytest.raises(error):
+            main(["verify", "--dim", "1", "--gen", "X0"])
 
 
 def test_dsl_and_file_selectors_build_no_catalog(tmp_path, monkeypatch, capsys):

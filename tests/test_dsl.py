@@ -58,6 +58,13 @@ def test_syntax_errors_carry_position(spaces):
     with pytest.raises(DslSyntaxError) as err:
         parse_generator(reg, "d/dt +\n  2*p d/dp")
     assert err.value.line == 2 and err.value.column == 7
+    with pytest.raises(DslSyntaxError) as err:
+        parse_generator(reg, "d/dt +\n (t*(p + 1)*d/dp")
+    assert (err.value.line, err.value.column) == (2, 13)
+    assert str(err.value) == "line 2, column 13: expected ')', found 'd/dp'"
+    with pytest.raises(DslSyntaxError) as err:
+        parse_expr(reg, "(t + 1")
+    assert str(err.value) == "line 1, column 7: expected ')', found 'end of input'"
     with pytest.raises(UnknownCoordinateError) as err:
         parse_generator(reg, "d/dt\n+ q*d/dp")
     assert str(err.value).startswith("line 2, column 3: ")

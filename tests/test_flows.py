@@ -86,7 +86,7 @@ def test_exponentiate_matches_reference_tables(spaces):
         for entry in verified_entries(spaces[dim].catalog):
             ft = exponentiate(reg, prolong(reg, entry.spec))
             want = reference_images(reg, entry.name)
-            for c in reg.space_atoms():
+            for c in reg.space:
                 assert ft.image(c) == want.get(c, Expr.of(c)), (entry.name, c)
             assert ft.images == want, entry.name
 
@@ -237,7 +237,7 @@ def test_build_catalog_prolongs_nothing(spaces, monkeypatch):
 
 def identity_at_zero(reg, ft: FiniteTransformation) -> bool:
     at0 = {PARAM: ZERO, SCALE: ONE, SCALE_INV: ONE}
-    for a in reg.space_atoms():
+    for a in reg.space:
         img = replace_atoms(ft.image(a), at0)
         if img != Expr.of(a):
             return False
@@ -369,7 +369,7 @@ def test_numeric_rotation_is_a_rotation(spaces):
     reg = spaces[2].reg
     flow = numeric_flow(reg, find_entry(spaces[2].catalog, "J12_naive").spec)
     rnd = random.Random(1)
-    point = {a: rnd.uniform(0.5, 1.5) for a in reg.space_atoms()}
+    point = {a: rnd.uniform(0.5, 1.5) for a in reg.space}
     a = 0.3
     new = flow(point, a)
     # x rotates, norms preserved, stress components unchanged
@@ -392,7 +392,7 @@ def test_rotation_flows_turn_the_equations_as_tensors(spaces, dim):
         for j in range(i + 1, dim + 1):
             naive, tensorial = rotation_specs(reg, i, j)
             for _ in range(3):
-                point = {c: rnd.uniform(0.5, 1.5) for c in reg.space_atoms()}
+                point = {c: rnd.uniform(0.5, 1.5) for c in reg.space}
                 a = rnd.uniform(0.2, 1.2)
                 rot = [[float(r == c) for c in range(dim)] for r in range(dim)]
                 rot[i - 1][i - 1] = rot[j - 1][j - 1] = math.cos(a)
@@ -432,7 +432,7 @@ def test_flow_derivative_matches_prolongation(spaces):
         reg = spaces[dim].reg
         pg = prolong(reg, spec)
         flow = numeric_flow(reg, spec)
-        point = {a: rnd.uniform(0.6, 1.6) for a in reg.space_atoms()}
+        point = {a: rnd.uniform(0.6, 1.6) for a in reg.space}
         for atom, coeff in pg.items():
             want = float(evaluate(coeff, point))
             got = _richardson(flow, point, atom)

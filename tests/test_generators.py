@@ -73,7 +73,7 @@ def unchecked_specs(draw):
     ?constant or from the atoms some slot admits, added into random slots."""
     reg = ANSATZ_REGISTRIES[draw(st.integers(1, 3))]
     d, m = reg.dim, 1 + 2 * reg.dim
-    anywhere = [*reg.space_atoms(), unknown("c")]
+    anywhere = [*reg.space, unknown("c")]
     admitted = [*reg.point, *reg.u_x.values(), *reg.pi.values(), reg.g, reg.h]
     atom = st.one_of(st.sampled_from(anywhere), st.sampled_from(admitted))
     slots = [ZERO] * (m + 2 + len(reg.pi) + 2)
@@ -113,12 +113,21 @@ def test_from_coefficients_rejects_a_key_off_the_base_directions(spaces):
     assert from_coefficients(reg, {reg.t: 1}) == make_generator(reg, xi_t=1)
 
 
+def test_make_generator_rejects_tuples_of_another_dimension(spaces):
+    reg = spaces[2].reg
+    message = "coefficient tuple lengths do not match the dimension"
+    for kwargs in ({"xi_x": (reg.t,)}, {"eta_u": (0, 0, 1)},
+                   {"mu_pi": (0,) * 4}):
+        with pytest.raises(ValueError, match=message):
+            make_generator(reg, **kwargs)
+
+
 def test_prolong_translation_has_zero_jets(spaces):
     for dim in (1, 2, 3):
         reg = spaces[dim].reg
         pg = prolong(reg, _spec(spaces, dim, "X0"))
         assert pg.get(reg.t) == Expr.const(1)
-        assert all(is_zero(pg.get(a)) for a in reg.space_atoms()
+        assert all(is_zero(pg.get(a)) for a in reg.space
                    if a != reg.t)
 
 
@@ -496,7 +505,7 @@ def actions(draw):
     if draw(st.booleans()):
         xi_t = Expr.of(draw(st.sampled_from(reg.x)))
         parts.append((1, make_generator(reg, xi_t=xi_t)))
-    pool = list(reg.space_atoms()) + [unknown("a"), unknown("b2")]
+    pool = list(reg.space) + [unknown("a"), unknown("b2")]
     e = Expr()
     factors = st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 3)),
                        max_size=3)

@@ -55,3 +55,9 @@ def test_bench_spans_name_existing_functions():
         if not callable(owner):
             missing.append((module, attr))
     assert missing == []
+
+
+def test_every_export_resolves():
+    namespace = {}
+    exec("from liequiv import *", namespace)
+    assert sorted(set(liequiv.__all__) - namespace.keys()) == []

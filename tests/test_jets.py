@@ -52,7 +52,7 @@ def test_frozen_names(spaces):
 
 def test_registration_is_unique(spaces):
     for dim in (1, 2, 3):
-        atoms = spaces[dim].reg.space_atoms()
+        atoms = spaces[dim].reg.space
         assert len({a.name for a in atoms}) == len(atoms)
 
 
@@ -62,7 +62,7 @@ def test_space_starts_with_the_point(spaces):
         names = ["t", *(f"x{i}" for i in range(1, dim + 1)),
                  *(f"u{k}" for k in range(1, dim + 1)), "p", "rho"]
         assert [a.name for a in reg.point] == names
-        assert reg.space_atoms()[:len(names)] == reg.point
+        assert reg.space[:len(names)] == reg.point
 
 
 def test_symmetric_stress_resolution(spaces):
@@ -159,7 +159,7 @@ def reference_total_derivative(e, w, reg):
     """The partial by ``w`` plus the chain through every registered
     coordinate that is not an independent one, in registry order."""
     out = diff_partial(e, w)
-    for c in reg.space_atoms():
+    for c in reg.space:
         if c.kind != COORD or c in reg.independents:
             continue
         d = diff_partial(e, c)
@@ -181,7 +181,7 @@ def atom_pool(reg):
     second = [derivative_of(derivative_of(reg.g, "p"), "rho"),
               derivative_of(derivative_of(reg.h, "rho"), "rho"),
               derivative_of(reg.pi_d[(1, 1, 1, 1)], reg.pi[(1, 1)].args[-1])]
-    return list(reg.space_atoms()) + first + second + [unknown("c1"), unknown("c2")]
+    return list(reg.space) + first + second + [unknown("c1"), unknown("c2")]
 
 
 POOLS = {dim: atom_pool(reg) for dim, reg in REGISTRIES.items()}

@@ -118,7 +118,7 @@ def test_mass_equation_vanishes_at_consistent_point(spaces):
     system = spaces[2].system
     rnd = random.Random(42)
     point = {a: Fraction(rnd.randint(1, 9), rnd.randint(1, 5))
-             for a in reg.space_atoms()}
+             for a in reg.space}
     point[reg.rho_t] = evaluate(system.principal[reg.rho_t], point)
     assert evaluate(system.mass, point) == 0
 
