@@ -1,15 +1,18 @@
 """Command-line interface.
 
-Commands: verify, deteq, bracket, transform, list, system-dump.  Exit codes:
-0 on success (for verify: all selected generators pass), 1 when verification
-finds a failing generator, 2 on usage or input errors.  Output is
-deterministic; two runs over the same inputs produce byte-identical reports.
+Commands: verify, deteq, bracket, transform, list, system-dump.  Each
+subparser carries its handler, and ``console_entry`` is the one entry point
+(``liequiv`` and ``python -m liequiv``).  Exit codes: 0 on success (for
+verify: all selected generators pass), 1 when verification finds a failing
+generator, 2 on usage or input errors.  Output is deterministic; two runs
+over the same inputs produce byte-identical reports.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from fractions import Fraction
 
@@ -18,8 +21,8 @@ from .catalog import (KIND_USER, CatalogEntry, build_catalog,
                       decompose_in_span, find_entry, structure_constants,
                       verified_entries)
 from .determining import check_entry, determining_equations, finite_check
-from .dsl import (DslSyntaxError, UnknownCoordinateError, parse_generator,
-                  print_generator)
+from .dsl import (RATIONAL, DslSyntaxError, UnknownCoordinateError,
+                  parse_generator, print_generator)
 from .flows import NoClosedFormError, exponentiate
 from .generators import AnsatzError, bracket, prolong
 from .jets import JetOrderError, build_registry
@@ -27,46 +30,6 @@ from .system import build_system
 
 _INPUT_ERRORS = (JetOrderError, AnsatzError, DslSyntaxError,
                  UnknownCoordinateError, NoClosedFormError, ValueError, OSError)
-
-
-@functools.cache  # parse_args leaves the parser as it is
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="liequiv",
-        description="symbolic equivalence-generator analysis of the viscous "
-                    "balance-law system")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, gen=None, param=False):
-        p.add_argument("--dim", type=int, required=True, choices=(1, 2, 3))
-        if gen:
-            p.add_argument("--gen", required=True, help=gen)
-        if param:
-            p.add_argument("--param", default=None,
-                           help="exact rational group parameter, e.g. 3/2")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--out", default=None, help="write the report to a file")
-
-    many = "catalog name, all-theorem, all, @file.dsl, or a DSL string"
-    common(sub.add_parser("verify", help="check generators infinitesimally "
-                                         "and by finite transformation"), gen=many)
-    common(sub.add_parser("deteq", help="emit the split determining system"),
-           gen=many)
-    p = sub.add_parser("bracket", help="Lie brackets over the built-in span")
-    common(p)
-    shape = p.add_mutually_exclusive_group()
-    shape.add_argument("--table", action="store_true",
-                       help="full table over the verified entries (the "
-                            "default)")
-    shape.add_argument("--pair", default=None, metavar="A,B",
-                       help="single bracket, e.g. X0,Y1")
-    common(sub.add_parser("transform", help="pull the system back through a "
-                                            "finite transformation"),
-           gen="catalog name, a DSL string, or @file.dsl holding one generator",
-           param=True)
-    common(sub.add_parser("list", help="print the catalog in DSL syntax"))
-    common(sub.add_parser("system-dump", help="print the equations"))
-    return parser
 
 
 def _select_generators(args, reg) -> tuple:
@@ -80,13 +43,18 @@ def _select_generators(args, reg) -> tuple:
                 line = raw.strip()
                 if not line or line.startswith("#"):
                     continue
+                name, body = f"user_{idx}", line
                 if "=" in line.split("d/d")[0]:
                     label, _, body = line.partition("=")
                     name = label.strip()
-                else:
-                    name, body = f"user_{idx}", line
-                out.append(CatalogEntry(name, KIND_USER,
-                                        parse_generator(reg, body.strip())))
+                try:
+                    spec = parse_generator(reg, body)
+                except (DslSyntaxError, UnknownCoordinateError):
+                    # the same error again, at the body's line and column in the file
+                    pad = len(raw.rstrip()) - len(body)
+                    parse_generator(reg, "\n" * (idx - 1) + " " * pad + body)
+                    raise
+                out.append(CatalogEntry(name, KIND_USER, spec))
         if not out:
             raise ValueError(f"no generators found in {sel[1:]}")
         return tuple(out)
@@ -141,12 +109,14 @@ def _cmd_bracket(args, reg, payload) -> int:
 
 def _cmd_transform(args, reg, payload) -> int:
     system = build_system(args.dim, reg)
-    if args.param is None:
-        param = None
-    else:
-        try:
-            param = Fraction(args.param)
-        except (ValueError, ZeroDivisionError):
+    param = None
+    if args.param is not None:
+        try:  # an optional sign and the DSL's rational literal, not all Fraction reads
+            if re.fullmatch(f"[-+]?{RATIONAL}", args.param):
+                param = Fraction(args.param)
+        except (ValueError, ZeroDivisionError):  # too long for int, or n/0
+            pass
+        if param is None:
             raise ValueError(f"--param must be an exact rational, got {args.param!r}")
     selected = _select_generators(args, reg)
     if len(selected) != 1:
@@ -174,41 +144,53 @@ def _cmd_system_dump(args, reg, payload) -> int:
     return 0
 
 
-_HANDLERS = {
-    "verify": _cmd_verify,
-    "deteq": _cmd_deteq,
-    "bracket": _cmd_bracket,
-    "transform": _cmd_transform,
-    "list": _cmd_list,
-    "system-dump": _cmd_system_dump,
-}
+@functools.cache  # parse_args leaves the parser as it is
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="liequiv",
+        description="symbolic equivalence-generator analysis of the viscous "
+                    "balance-law system")
+    sub = parser.add_subparsers(dest="command", required=True)
 
+    def common(name, run, about, gen=None):
+        p = sub.add_parser(name, help=about)
+        p.set_defaults(run=run)
+        p.add_argument("--dim", type=int, required=True, choices=(1, 2, 3))
+        if gen:
+            p.add_argument("--gen", required=True, help=gen)
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--out", default=None, help="write the report to a file")
+        return p
 
-def _join_negative_params(argv: list) -> list:
-    """Rewrite ``--param -3/2`` as ``--param=-3/2``.
-
-    argparse reads a token that starts with '-' and is not a plain negative
-    number as an option, so a negative rational would otherwise be rejected.
-    """
-    out = []
-    for tok in argv:
-        if out and out[-1] == "--param" and tok.startswith("-"):
-            try:
-                Fraction(tok)
-            except (ValueError, ZeroDivisionError):
-                pass
-            else:
-                out[-1] = f"--param={tok}"
-                continue
-        out.append(tok)
-    return out
+    many = "catalog name, all-theorem, all, @file.dsl, or a DSL string"
+    common("verify", _cmd_verify, "check generators infinitesimally and by "
+           "finite transformation", gen=many)
+    common("deteq", _cmd_deteq, "emit the split determining system", gen=many)
+    p = common("bracket", _cmd_bracket, "Lie brackets over the built-in span")
+    shape = p.add_mutually_exclusive_group()
+    shape.add_argument("--table", action="store_true",
+                       help="full table over the verified entries (the "
+                            "default)")
+    shape.add_argument("--pair", default=None, metavar="A,B",
+                       help="single bracket, e.g. X0,Y1")
+    p = common("transform", _cmd_transform, "pull the system back through a "
+               "finite transformation", gen="catalog name, a DSL string, or "
+               "@file.dsl holding one generator")
+    p.add_argument("--param", default=None, help="exact group parameter: an "
+                   "optional sign and n or n/d, e.g. -3/2")
+    common("list", _cmd_list, "print the catalog in DSL syntax")
+    common("system-dump", _cmd_system_dump, "print the equations")
+    return parser
 
 
 def main(argv=None) -> int:
     """Parse, let the command's handler fill the report skeleton and choose
     the exit code, then render and write the report once."""
     parser = _build_parser()
-    argv = _join_negative_params(sys.argv[1:] if argv is None else list(argv))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    while "--param" in argv[:-1]:  # its value may start with "-"
+        i = argv.index("--param")
+        argv[i:i + 2] = [f"--param={argv[i + 1]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -216,7 +198,7 @@ def main(argv=None) -> int:
     try:
         reg = build_registry(args.dim)
         payload = report.skeleton(args.command, args.dim)
-        code = _HANDLERS[args.command](args, reg, payload)
+        code = args.run(args, reg, payload)
         payload.setdefault("status", "ok")  # verify sets pass or fail
         text = (report.render_json(payload) if args.format == "json"
                 else report.render_text(payload))
@@ -234,6 +216,3 @@ def main(argv=None) -> int:
 def console_entry() -> None:
     raise SystemExit(main())
 
-
-if __name__ == "__main__":
-    console_entry()

@@ -50,10 +50,12 @@ class UnknownCoordinateError(Exception):
         self.coordinate = name
 
 
-_TOKEN = re.compile(r"""
+RATIONAL = r"\d+(?:/\d+)?"  # the rational literal, also read by ``transform --param``
+
+_TOKEN = re.compile(rf"""
     (?P<ws>\s+)
   | (?P<direction>d/d[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<number>\d+(?:/\d+)?)
+  | (?P<number>{RATIONAL})
   | (?P<unknown>\?[A-Za-z_][A-Za-z0-9_]*)
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<op>\*\*|[-+*()])
@@ -121,20 +123,27 @@ class _Parser:
         base = self.parse_primary()
         if not self.accept("**"):
             return base
-        kind, text, _ = self.peek()
+        tok = kind, text, _ = self.peek()
         if kind != "number" or "/" in text:
             self.fail("expected a non-negative integer exponent")
         self.pos += 1
-        return base ** int(text)
+        return base ** self.number(tok).numerator
+
+    def number(self, tok: tuple) -> Fraction:
+        """The value of a number token; a zero denominator or a literal
+        longer than ``int`` reads is a syntax error at the token."""
+        try:
+            return Fraction(tok[1])
+        except ZeroDivisionError:
+            self.fail(f"rational literal {tok[1]} has a zero denominator", tok)
+        except ValueError:
+            self.fail(f"rational literal of {len(tok[1])} characters is too long", tok)
 
     def parse_primary(self) -> Expr:
         tok = kind, text, _ = self.peek()
         self.pos += 1
         if kind == "number":
-            try:
-                return Expr.const(Fraction(text))
-            except ZeroDivisionError:
-                self.fail(f"rational literal {text} has a zero denominator", tok)
+            return Expr.const(self.number(tok))
         if kind == "unknown":
             return Expr.of(unknown(text[1:]))
         if kind == "name":

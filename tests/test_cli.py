@@ -68,7 +68,13 @@ def test_usage_errors_exit_2(capsys, tmp_path):
             (("bracket", "--dim", "1", "--pair", "X0,Q"),
              "--pair must name two verified entries, got X0,Q"),
             (("transform", "--dim", "1", "--gen", "X0", "--param", "x"),
-             "--param must be an exact rational, got 'x'")):
+             "--param must be an exact rational, got 'x'"),
+            # --param reads an optional sign and the DSL's rational literal
+            # only: no decimals, no exponents and no zero denominator
+            *((("transform", "--dim", "1", "--gen", "X0", "--param", value),
+               f"--param must be an exact rational, got {value!r}")
+              for value in ("1e99999999", "-1e99999999", "0.5", "1/0", "1/00",
+                            "--format"))):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err == f"liequiv: error: {message}\n"
@@ -171,14 +177,17 @@ def test_transform_with_rational_parameter(capsys):
 
 
 def test_transform_negative_parameter(capsys):
-    for argv in (["--param", "-3/2"], ["--param=-3/2"]):
+    for argv, param, image in ((["--param", "-3/2"], "-3/2", "-3/2 + t"),
+                               (["--param=-3/2"], "-3/2", "-3/2 + t"),
+                               (["--param", "+3/2"], "3/2", "3/2 + t"),
+                               (["--param", "-0"], "0", None)):
         code, out, _ = run(capsys, "transform", "--dim", "1", "--gen", "X0",
                            *argv, "--format", "json")
         assert code == 0
         payload = json.loads(out)
-        assert payload["parameter"] == "-3/2"
+        assert payload["parameter"] == param
         maps = {m["coordinate"]: m["image"] for m in payload["maps"]}
-        assert maps["t"] == "-3/2 + t"
+        assert maps.get("t") == image  # identity maps are omitted
 
 
 def test_list_catalog(capsys):
@@ -207,6 +216,17 @@ def test_generator_file_selector(tmp_path, capsys):
     assert [r["generator"] for r in payload["results"]] == ["boost1", "user_3"]
     assert all(r["infinitesimal"]["status"] == "zero"
                for r in payload["results"])
+
+
+def test_generator_file_errors_point_into_the_file(tmp_path, capsys):
+    for last, message in (
+            ("b =  x1*d/dt + q*d/dp", "line 3, column 16: unknown coordinate: q"),
+            ("  t*d/dx1 + + d/du1",
+             "line 3, column 13: expected a coefficient factor, found '+'")):
+        path = tmp_path / "gens.dsl"
+        path.write_text(f"a = d/dt\n# comment\n{last}\n", encoding="utf-8")
+        code, out, err = run(capsys, "verify", "--dim", "1", "--gen", f"@{path}")
+        assert (code, out, err) == (2, "", f"liequiv: error: {message}\n")
 
 
 def test_out_writes_file(tmp_path, capsys):

@@ -68,6 +68,14 @@ def test_syntax_errors_carry_position(spaces):
     with pytest.raises(UnknownCoordinateError) as err:
         parse_generator(reg, "d/dt\n+ q*d/dp")
     assert str(err.value).startswith("line 2, column 3: ")
+    # literals too long for int() are reported where they stand
+    long = "1" * 5000
+    for src, column in ((f"x1*d/dt + {long}*d/dt", 11), (f"1/{long}*d/dt", 1),
+                        (f"p**{long}*d/dp", 4)):
+        with pytest.raises(DslSyntaxError) as err:
+            parse_generator(reg, src)
+        assert (err.value.line, err.value.column) == (1, column)
+        assert "rational literal of " in str(err.value)
 
 
 def test_prolonged_directions_are_rejected(spaces):
