@@ -214,5 +214,8 @@ def main(argv=None) -> int:
 
 
 def console_entry() -> None:
+    # exact coefficients may have more digits than str(int) prints by default
+    if hasattr(sys, "set_int_max_str_digits"):  # Python 3.10.7 and later
+        sys.set_int_max_str_digits(0)
     raise SystemExit(main())
 

@@ -160,9 +160,9 @@ class _Parser:
         name = tok[1].removeprefix("d/d")
         m = re.fullmatch(r"Pi(\d)(\d)", name)
         resolved = f"Pi{m[2]}{m[1]}" if m and m[1] > m[2] else name
-        if not self.reg.has_name(resolved):
+        if (a := self.reg.by_name.get(resolved)) is None:
             raise UnknownCoordinateError(name, *self.position(tok))
-        return self.reg.coordinate(resolved)
+        return a
 
     # -- generator level ---------------------------------------------------
 

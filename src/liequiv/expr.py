@@ -289,12 +289,6 @@ class Monomial:
         self.key = tuple(key)
         self._hash = hash(self.key)
 
-    def is_one(self) -> bool:
-        return not self.factors
-
-    def atoms(self) -> tuple:
-        return tuple(a for a, _ in self.factors)
-
     def exponent(self, a: Atom) -> int:
         for b, e in self.factors:
             if b == a:
@@ -387,7 +381,7 @@ class Expr:
         if len(b) != 1:
             return Expr((m1 * m2, c1 * c2) for m1, c1 in a for m2, c2 in b)
         (m2, c2), = b
-        if m2.is_one():
+        if not m2.factors:
             return Expr._trusted(tuple((m1, _rational(c1 * c2)) for m1, c1 in a))
         products = ((m1 * m2, _rational(c1 * c2)) for m1, c1 in a)
         # products by one monomial never coincide: sort, nothing to merge
@@ -429,7 +423,7 @@ class Expr:
         pieces = []
         for mono, c in self.terms:
             mag = abs(c)
-            if mono.is_one():
+            if not mono.factors:
                 body = str(mag)
             elif mag == 1:
                 body = str(mono)
@@ -476,7 +470,7 @@ def is_zero(e) -> bool:
 def atoms_of(e) -> tuple:
     seen = set()
     for mono, _ in as_expr(e).terms:
-        seen.update(mono.atoms())
+        seen.update(a for a, _ in mono.factors)
     return tuple(sorted(seen))
 
 

@@ -14,7 +14,7 @@ ansatz exploration.  ``validate_ansatz`` is one loop over that table.
 A prolonged field is one table {coordinate: coefficient}: the base
 directions, then every prolonged coordinate, all from one rule (Olver 1986,
 Thm 2.36).  For a coordinate c with coefficient table[c] and a direction w,
-the coordinate c_w = reg.advance(c, w) gets
+the coordinate c_w = reg.advance[(c, w)] gets
 
     table[c_w] = D_w(table[c]) - sum_v D_w(table[v]) c_v
 
@@ -43,10 +43,11 @@ base components
 need only the first prolongation, since a base coefficient depends on no
 jet beyond the velocity gradient.  ``bracket`` and the structure-constant
 table both take it through ``bracket_fields``; the table prolongs each
-entry once.  ``base_coefficients`` and
-``from_coefficients`` convert between a generator and its table
-{direction: coefficient} over the keys of ``reg.ansatz``, which ``prolong``
-and ``first_order_field`` extend to the prolonged table.
+entry once.  ``base_coefficients`` and ``from_coefficients`` convert
+between a generator and its table {direction: coefficient} over the keys of
+``reg.ansatz``.  ``first_order_field`` extends it by the first-order jets,
+and ``prolong`` goes on from that same first prolongation; every key they
+add is a value of the registry table ``reg.advance``.
 """
 
 from __future__ import annotations
@@ -148,28 +149,32 @@ def _derivatives(table: dict, vs: tuple, D) -> dict:
 
 
 def _prolong(reg: JetRegistry, table: dict, pairs, D, dv: dict):
-    """Enter c_w = reg.advance(c, w) for each (c, w) of ``pairs`` into
+    """Enter c_w = reg.advance[(c, w)] for each (c, w) of ``pairs`` into
     ``table``, with the coefficient D_w(table[c]) - sum_v D_w(table[v]) c_v;
     ``dv`` holds the nonzero D_w(table[v]) as ``_derivatives`` gives them."""
     for c, w in pairs:
         val = D(table[c], w)
         for v, d in dv[w].items():
-            val = val - d * reg.advance(c, v)
-        table[reg.advance(c, w)] = val
+            val = val - d * reg.advance[(c, v)]
+        table[reg.advance[(c, w)]] = val
 
 
-def _first_jets(reg: JetRegistry) -> list:
-    """The pairs (c, w) that name the first-order jets, in table order."""
-    return [(a, w) for a in reg.u + (reg.p, reg.rho) for w in reg.independents]
-
-
-def prolong(reg: JetRegistry, g: GeneratorSpec) -> dict:
-    """The prolonged field of ``g`` as one table {coordinate: coefficient}."""
+def _first_order(reg: JetRegistry, g: GeneratorSpec) -> tuple:
+    """(table, D, d_xi): the first prolongation of ``g`` over the base
+    directions and the first-order jets, the total derivative D it was taken
+    with, and the nonzero D_w(xi^v) as ``_derivatives`` gives them."""
     validate_ansatz(reg, g)
     D = partial(total_derivative, reg=reg)
     table = base_coefficients(reg, g)
     d_xi = _derivatives(table, reg.independents, D)
-    _prolong(reg, table, _first_jets(reg), D, d_xi)
+    _prolong(reg, table, [(a, w) for a in reg.u + (reg.p, reg.rho)
+                          for w in reg.independents], D, d_xi)
+    return table, D, d_xi
+
+
+def prolong(reg: JetRegistry, g: GeneratorSpec) -> dict:
+    """The prolonged field of ``g`` as one table {coordinate: coefficient}."""
+    table, D, d_xi = _first_order(reg, g)
     second = [(reg.u_x[(k, l)], reg.x[j - 1]) for k, l, j in sorted(reg.u_xx)]
     # the D_x(xi^t) u_tt term of zeta^u_tx needs the unregistered u_tt
     if not any(reg.t in d_xi[w] for w in reg.x):
@@ -214,12 +219,7 @@ def apply_with_trace(pg: dict, e) -> tuple:
 
 def first_order_field(reg: JetRegistry, g: GeneratorSpec) -> dict:
     """The first prolongation of ``g``: base directions and first-order jets."""
-    validate_ansatz(reg, g)
-    D = partial(total_derivative, reg=reg)
-    table = base_coefficients(reg, g)
-    _prolong(reg, table, _first_jets(reg), D,
-             _derivatives(table, reg.independents, D))
-    return table
+    return _first_order(reg, g)[0]
 
 
 def bracket_fields(reg: JetRegistry, p1: dict, p2: dict) -> GeneratorSpec:

@@ -11,6 +11,11 @@ jet.  ``space`` lists them all in that order; its head ``point`` is
 (t, x1..xN, u1..uN, p, rho), and the head of that, ``independents``, is
 (t, x1..xN).
 
+Two plain dicts look coordinates up: ``by_name`` maps each frozen name to
+its coordinate, and ``advance`` maps a pair (c, w) to the coordinate c_w
+representing d(c)/d(w), a jet along t or x or Pi^{ij}_{kl} for Pi^{ij}
+along u^k_{x_l}; a pair with no registered advance has no entry.
+
 ``ansatz`` is the classical ansatz of the equivalence generators, the one
 table of the unprolonged directions: an ordered dict {direction: frozenset
 of admitted atoms} over ``point``, the Pi components by sorted pair, then G
@@ -96,14 +101,13 @@ class JetRegistry:
             + tuple(self.pi_d[k] for k in sorted(self.pi_d))
             + (self.g, self.h)
         )
-        by_name = {}
+        self.by_name = {}
         for a in self.space:
-            if a.name in by_name:
+            if a.name in self.by_name:
                 raise ValueError(f"duplicate coordinate registration: {a.name}")
-            by_name[a.name] = a
-        self._by_name = by_name
+            self.by_name[a.name] = a
 
-        adv = {}
+        self.advance = adv = {}
         for k in rng:
             adv[(self.u[k - 1], self.t)] = self.u_t[k - 1]
             for l in rng:
@@ -120,7 +124,6 @@ class JetRegistry:
             adv[(self.rho, self.x[i - 1])] = self.rho_x[i - 1]
         for (i, j, k, l), a in self.pi_d.items():
             adv[(self.pi[(i, j)], self.u_x[(k, l)])] = a
-        self._advance = adv
 
         # Names of the coordinates a total derivative chains through, in
         # registry order after the leading independents; second-order and
@@ -129,15 +132,6 @@ class JetRegistry:
                        if c.kind == COORD}
 
     # -- lookups ---------------------------------------------------------
-
-    def coordinate(self, name: str) -> Atom:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise UnknownSymbolError(f"unknown coordinate: {name}") from None
-
-    def has_name(self, name: str) -> bool:
-        return name in self._by_name
 
     def pi_at(self, i: int, j: int) -> Atom:
         """Stress component with the symmetric pair resolved to i <= j."""
@@ -150,11 +144,6 @@ class JetRegistry:
 
     def pi_pairs(self) -> tuple:
         return tuple(sorted(self.pi))
-
-    def advance(self, c: Atom, w: Atom):
-        """The coordinate representing d(c)/d(w), or None when unregistered:
-        a jet along t or x, or Pi^{ij}_{kl} for Pi^{ij} along u^k_{x_l}."""
-        return self._advance.get((c, w))
 
 
 def build_registry(dim: int) -> JetRegistry:
@@ -185,7 +174,7 @@ def total_derivative(e, w: Atom, reg: JetRegistry) -> Expr:
         if n == w.name:
             return MONO_ONE
         c = reg._chain.get(n)
-        a = c and reg._advance.get((c, w))
+        a = c and reg.advance.get((c, w))
         if c and not a:
             stuck.add(n)
         return a and Monomial._trusted(((a, 1),))

@@ -190,6 +190,24 @@ def test_transform_negative_parameter(capsys):
         assert maps.get("t") == image  # identity maps are omitted
 
 
+def test_console_entry_prints_big_integers():
+    """``python -m liequiv`` prints a coefficient of more digits than
+    ``str(int)`` allows by default."""
+    import os
+    import subprocess
+
+    done = subprocess.run(
+        [sys.executable, "-m", "liequiv", "transform", "--dim", "1",
+         "--gen", "2**20000*d/dt", "--format", "json"],
+        capture_output=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.returncode == 0, done.stderr.decode()
+    maps = {m["coordinate"]: m["image"] for m in json.loads(done.stdout)["maps"]}
+    digits = maps["t"].removesuffix("*a + t")
+    assert len(digits) == 6021 and digits.isdigit()
+    assert digits.endswith(str(2 ** 20000 % 10 ** 30).zfill(30))
+
+
 def test_list_catalog(capsys):
     code, out, _ = run(capsys, "list", "--dim", "2", "--format", "json")
     assert code == 0

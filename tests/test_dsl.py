@@ -231,7 +231,7 @@ def _reference_coefficient_str(coeff: Expr) -> str:
         return ""
     if len(coeff.terms) == 1:
         mono, c = coeff.terms[0]
-        if mono.is_one():
+        if not mono.factors:
             return str(c)
         if c == 1:
             return str(mono)

@@ -373,7 +373,7 @@ def collect_one(e, sym, parametric, pick):
     assert strictly_increasing([key.key for key in keys])
     back = Expr()
     for key, coeff in buckets.items():
-        assert set(key.atoms()) <= set(parametric)
+        assert {a for a, _ in key.factors} <= set(parametric)
         assert coeff and not set(atoms_of(coeff)) & set(parametric)
         back = back + Expr(((key, 1),)) * coeff
     assert back == e
@@ -462,7 +462,7 @@ def test_flat_key_and_trusted_constructor(monos, parametric, coeffs):
     assert [nested_key(m) for m in by_flat] == sorted(map(nested_key, monos))
     for m1 in monos:
         assert m1 * MONO_ONE is m1
-        assert MONO_ONE * m1 is m1 or m1.is_one()
+        assert MONO_ONE * m1 is m1 or not m1.factors
         for m2 in monos:
             assert (m1.key < m2.key) == (nested_key(m1) < nested_key(m2))
             assert (m1 == m2) == (m1.key == m2.key) == (m1.factors == m2.factors)
@@ -663,7 +663,7 @@ def test_pickled_atoms_and_monomials_hash_in_a_new_process():
         "e = pickle.loads(sys.stdin.buffer.read())\n"
         "monos = {Monomial(m.factors) for m, _ in e.terms}\n"
         "assert all(m in monos for m, _ in e.terms)\n"
-        "atoms = [a for m, _ in e.terms for a in m.atoms()]\n"
+        "atoms = [a for m, _ in e.terms for a, _ in m.factors]\n"
         "fresh = {Atom(a.kind, a.name) for a in atoms}\n"
         "assert all(a in fresh for a in atoms)\n")
     for seed in ("1", "2"):

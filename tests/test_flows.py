@@ -262,7 +262,7 @@ def composition_is_additive(reg, ft: FiniteTransformation) -> bool:
         first = replace_atoms(sh, {PARAM: Expr.of(a1)})
         second = replace_atoms(sh, {PARAM: Expr.of(a2)})
         moved = {z: replace_atoms(ft.image(z), {PARAM: Expr.of(a1)})
-                 for z in atoms_of(second) if reg.has_name(z.name)}
+                 for z in atoms_of(second) if z.name in reg.by_name}
         second = replace_atoms(second, moved)
         combined = replace_atoms(sh, {PARAM: Expr.of(a1) + a2})
         if reduce_scale(first + second) != reduce_scale(combined):

@@ -16,7 +16,8 @@ from liequiv.expr import (ONE, ZERO, Expr, UnknownSymbolError,
                           unknown)
 from liequiv.generators import (AnsatzError, GeneratorSpec, apply_with_trace,
                                 bracket, base_coefficients, combine,
-                                from_coefficients, make_generator, prolong)
+                                first_order_field, from_coefficients,
+                                make_generator, prolong)
 from liequiv.jets import build_registry, total_derivative
 
 from conftest import diff_atom, random_expr
@@ -181,7 +182,7 @@ def test_second_prolongation_is_symmetric_in_the_pair(spaces):
             for v, xi in zip(dirs, xis):
                 d = total_derivative(xi, reg.x[0], reg)
                 if not is_zero(d):
-                    val = val - d * reg.advance(reg.u_x[(k, 2)], v)
+                    val = val - d * reg.advance[(reg.u_x[(k, 2)], v)]
             assert val == pg.get(reg.u_xx[(k, 1, 2)])
 
 
@@ -359,7 +360,7 @@ def jet_table(reg):
     for a in reg.u + (reg.p, reg.rho):
         table[a] = sympy.Function(a.name)(*ind)
         for v, s in zip(reg.independents, ind):
-            table[reg.advance(a, v)] = sympy.diff(table[a], s)
+            table[reg.advance[(a, v)]] = sympy.diff(table[a], s)
     for (k, l, j), a in reg.u_xx.items():
         table[a] = sympy.diff(table[reg.u[k - 1]], xs[l - 1], xs[j - 1])
     for (k, l), a in reg.u_tx.items():
@@ -373,7 +374,7 @@ def element_table(reg):
     grad = {a: sympy.Symbol(a.name) for a in reg.u_x.values()}
     table = dict(grad)
     for a in reg.pi.values():
-        table[a] = sympy.Function(a.name)(*(grad[reg.coordinate(n)] for n in a.args))
+        table[a] = sympy.Function(a.name)(*(grad[reg.by_name[n]] for n in a.args))
     for (i, j, k, l), a in reg.pi_d.items():
         table[a] = sympy.diff(table[reg.pi[(i, j)]], grad[reg.u_x[(k, l)]])
     return table
@@ -434,7 +435,7 @@ def test_prolongation_matches_sympy(spaces):
             for alpha, eta in zip(reg.u + (reg.p, reg.rho),
                                   g.eta_u + (g.eta_p, g.eta_rho)):
                 for v, w in zip(reg.independents, ind):
-                    jet = reg.advance(alpha, v)
+                    jet = reg.advance[(alpha, v)]
                     assert_same(to_sympy(pg.get(jet), jets),
                                 zeta(jets[alpha], to_sympy(eta, jets), w), jet)
             for (k, l, j), jet in reg.u_xx.items():
@@ -457,6 +458,21 @@ def test_prolongation_matches_sympy(spaces):
                                  arg)
                     for (r, s) in reg.u_x)
                 assert_same(to_sympy(pg.get(a), elem), want, a)
+
+
+def test_first_order_field_is_the_head_of_the_prolongation(spaces):
+    # the brackets take the first order alone; it must be the same table as
+    # the full prolongation's base directions and first-order jets
+    for dim in (1, 2, 3):
+        reg = spaces[dim].reg
+        rnd = random.Random(40 + dim)
+        specs = [e.spec for e in spaces[dim].catalog]
+        specs += [random_generator(reg, rnd, time_only=n % 2 == 0)
+                  for n in range(6)]
+        for g in specs:
+            first, pg = first_order_field(reg, g), prolong(reg, g)
+            assert list(pg)[:len(first)] == list(first)
+            assert {a: pg[a] for a in first} == first
 
 
 # -- the one-pass action against its definition --------------------------------
