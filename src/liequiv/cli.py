@@ -6,6 +6,14 @@ subparser carries its handler, and ``console_entry`` is the one entry point
 verify: all selected generators pass), 1 when verification finds a failing
 generator, 2 on usage or input errors.  Output is deterministic; two runs
 over the same inputs produce byte-identical reports.
+
+Each dimension's registry, system and catalog depend on the dimension alone
+and are immutable (the catalog is a tuple of frozen entries), so the CLI
+builds each of them once per process, on first use, and every later command
+at that dimension shares it; a DSL or @file selector still builds no
+catalog.  Nothing computed from a generator is kept between commands.  A
+library caller that runs many checks should likewise build the three once
+per dimension and pass them around.
 """
 
 from __future__ import annotations
@@ -28,8 +36,28 @@ from .generators import AnsatzError, bracket, prolong
 from .jets import JetOrderError, build_registry
 from .system import build_system
 
-_INPUT_ERRORS = (JetOrderError, AnsatzError, DslSyntaxError,
-                 UnknownCoordinateError, NoClosedFormError, ValueError, OSError)
+
+class UsageError(Exception):
+    """An argument the CLI's own checks refuse."""
+
+
+_INPUT_ERRORS = (UsageError, JetOrderError, AnsatzError, DslSyntaxError,
+                 UnknownCoordinateError, NoClosedFormError, OSError)
+
+
+@functools.cache
+def _registry(dim: int):
+    return build_registry(dim)
+
+
+@functools.cache
+def _system(dim: int):
+    return build_system(dim, _registry(dim))
+
+
+@functools.cache
+def _catalog(dim: int) -> tuple:
+    return build_catalog(dim, _registry(dim))
 
 
 def _select_generators(args, reg) -> tuple:
@@ -56,24 +84,24 @@ def _select_generators(args, reg) -> tuple:
                     raise
                 out.append(CatalogEntry(name, KIND_USER, spec))
         if not out:
-            raise ValueError(f"no generators found in {sel[1:]}")
+            raise UsageError(f"no generators found in {sel[1:]}")
         return tuple(out)
     # "0", the zero generator, is the only DSL string without a direction
     if "d/d" in sel or sel.strip() == "0":
         return (CatalogEntry("user", KIND_USER, parse_generator(reg, sel)),)
-    catalog = build_catalog(args.dim, reg)
+    catalog = _catalog(args.dim)
     if sel == "all-theorem":
         return verified_entries(catalog)
     if sel == "all":
         return catalog
     entry = find_entry(catalog, sel)
     if entry is None:
-        raise ValueError(f"unknown generator selector: {sel}")
+        raise UsageError(f"unknown generator selector: {sel}")
     return (entry,)
 
 
 def _cmd_verify(args, reg, payload) -> int:
-    system = build_system(args.dim, reg)
+    system = _system(args.dim)
     verdicts = [check_entry(system, entry) for entry in
                 sorted(_select_generators(args, reg), key=lambda e: e.name)]
     all_pass = all(v.zero and v.agreement is not False for v in verdicts)
@@ -83,7 +111,7 @@ def _cmd_verify(args, reg, payload) -> int:
 
 
 def _cmd_deteq(args, reg, payload) -> int:
-    system = build_system(args.dim, reg)
+    system = _system(args.dim)
     payload["results"] = [
         report.determining_payload(determining_equations(system, e.spec, e.name))
         for e in sorted(_select_generators(args, reg), key=lambda e: e.name)]
@@ -91,13 +119,13 @@ def _cmd_deteq(args, reg, payload) -> int:
 
 
 def _cmd_bracket(args, reg, payload) -> int:
-    entries = verified_entries(build_catalog(args.dim, reg))
+    entries = verified_entries(_catalog(args.dim))
     if args.pair:
         left, _, right = args.pair.partition(",")
         left, right = left.strip(), right.strip()
         specs = {e.name: e.spec for e in entries}
         if left not in specs or right not in specs:
-            raise ValueError(f"--pair must name two verified entries, got {args.pair}")
+            raise UsageError(f"--pair must name two verified entries, got {args.pair}")
         combo = decompose_in_span(
             reg, bracket(reg, specs[left], specs[right]), entries)
         payload.update(report.bracket_pair_payload(left, right, combo))
@@ -108,7 +136,7 @@ def _cmd_bracket(args, reg, payload) -> int:
 
 
 def _cmd_transform(args, reg, payload) -> int:
-    system = build_system(args.dim, reg)
+    system = _system(args.dim)
     param = None
     if args.param is not None:
         try:  # an optional sign and the DSL's rational literal, not all Fraction reads
@@ -117,10 +145,10 @@ def _cmd_transform(args, reg, payload) -> int:
         except (ValueError, ZeroDivisionError):  # too long for int, or n/0
             pass
         if param is None:
-            raise ValueError(f"--param must be an exact rational, got {args.param!r}")
+            raise UsageError(f"--param must be an exact rational, got {args.param!r}")
     selected = _select_generators(args, reg)
     if len(selected) != 1:
-        raise ValueError(f"transform needs exactly one generator, "
+        raise UsageError(f"transform needs exactly one generator, "
                          f"got {len(selected)} from {args.gen}")
     ft = exponentiate(reg, prolong(reg, selected[0].spec), param)
     payload.update(report.transform_payload(args.gen, param, ft,
@@ -132,12 +160,12 @@ def _cmd_list(args, reg, payload) -> int:
     payload["entries"] = [
         {"name": e.name, "kind": e.kind, "has_flow": e.has_flow,
          "dsl": print_generator(reg, e.spec)}
-        for e in build_catalog(args.dim, reg)]
+        for e in _catalog(args.dim)]
     return 0
 
 
 def _cmd_system_dump(args, reg, payload) -> int:
-    system = build_system(args.dim, reg)
+    system = _system(args.dim)
     payload["equations"] = [{"name": name, "expression": str(eq)}
                             for name, eq in system.equations()]
     payload["dissipation"] = str(system.dissipation)
@@ -196,7 +224,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        reg = build_registry(args.dim)
+        reg = _registry(args.dim)
         payload = report.skeleton(args.command, args.dim)
         code = args.run(args, reg, payload)
         payload.setdefault("status", "ok")  # verify sets pass or fail

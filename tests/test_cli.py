@@ -301,7 +301,8 @@ def test_engine_errors_are_not_input_errors(monkeypatch):
     # exit 2 means the input was wrong; a division by zero or a kernel
     # error inside the engine is a fault of the program and must not be
     # reported as one
-    for error in (ZeroDivisionError, UnknownSymbolError, UnsupportedFormError):
+    for error in (ZeroDivisionError, ValueError, UnknownSymbolError,
+                  UnsupportedFormError):
         def fail(*args):
             raise error("raised inside the engine")
 
@@ -314,6 +315,7 @@ def test_dsl_and_file_selectors_build_no_catalog(tmp_path, monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("build_catalog called")
 
+    cli._catalog.cache_clear()  # an earlier command may have built it
     monkeypatch.setattr(cli, "build_catalog", refuse)
     path = tmp_path / "boost.dsl"
     path.write_text("# one boost\nt*d/dx1 + d/du1\n", encoding="utf-8")

@@ -2,12 +2,15 @@
 stable byte-for-byte, and live reports validate against the shipped schema."""
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+from liequiv import build_catalog, build_registry, build_system, cli
 from liequiv.cli import main
+from liequiv.dsl import print_generator
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -19,7 +22,7 @@ def _run_to_bytes(tmp_path, argv):
     return code, target.read_bytes()
 
 
-@pytest.mark.parametrize("golden,argv,expect_code", [
+GOLDENS = [
     ("verify_dim1_theorem.json",
      ["verify", "--dim", "1", "--gen", "all-theorem", "--format", "json"], 0),
     ("system_dump_dim1.txt",
@@ -44,11 +47,58 @@ def _run_to_bytes(tmp_path, argv):
     # every split of the catalog at N = 2, on the parametric coordinates
     ("deteq_dim2_all.json",
      ["deteq", "--dim", "2", "--gen", "all", "--format", "json"], 0),
-])
+]
+
+
+@pytest.mark.parametrize("golden,argv,expect_code", GOLDENS)
 def test_reports_match_goldens(tmp_path, golden, argv, expect_code):
     code, got = _run_to_bytes(tmp_path, argv)
     assert code == expect_code
     assert got == (GOLDEN / golden).read_bytes()
+
+
+def test_each_model_is_built_once_per_dimension(tmp_path, monkeypatch):
+    # the goldens interleave dims 1-3 and reach each dimension's registry,
+    # system and catalog; from cold caches each is built exactly once
+    built = Counter()
+    for name in ("build_registry", "build_system", "build_catalog"):
+        def counting(dim, *rest, name=name, build=getattr(cli, name)):
+            built[name, dim] += 1
+            return build(dim, *rest)
+
+        monkeypatch.setattr(cli, name, counting)
+    for cache in (cli._registry, cli._system, cli._catalog):
+        cache.cache_clear()
+    for golden, argv, expect_code in GOLDENS:
+        assert _run_to_bytes(tmp_path, argv) == (
+            expect_code, (GOLDEN / golden).read_bytes()), golden
+    assert built == {(name, dim): 1 for dim in (1, 2, 3) for name in
+                     ("build_registry", "build_system", "build_catalog")}
+
+
+def test_no_command_mutates_the_shared_models(tmp_path):
+    # every command at a dimension reads the one cached registry, system
+    # and catalog; after all the goldens they still equal fresh builds
+    for golden, argv, expect_code in GOLDENS:
+        assert _run_to_bytes(tmp_path, argv)[0] == expect_code, golden
+    for dim in (1, 2, 3):
+        reg = build_registry(dim)
+        shared = cli._registry(dim)
+        assert shared.space == reg.space
+        assert shared.by_name == reg.by_name
+        assert shared.advance == reg.advance
+        assert shared.ansatz == reg.ansatz
+        shared, fresh = cli._system(dim), build_system(dim, reg)
+        assert shared.equations() == fresh.equations()
+        assert shared.dissipation == fresh.dissipation
+        assert shared.principal == fresh.principal
+        assert shared.parametric == fresh.parametric
+
+        def rows(catalog):
+            return [(e.name, e.kind, print_generator(reg, e.spec))
+                    for e in catalog]
+
+        assert rows(cli._catalog(dim)) == rows(build_catalog(dim, reg))
 
 
 def _schema():
