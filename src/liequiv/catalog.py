@@ -119,7 +119,7 @@ def _feature_vector(reg: JetRegistry, g: GeneratorSpec) -> dict:
     vec = {}
     for direction, coeff in base_coefficients(reg, g).items():
         for mono, c in coeff.terms:
-            vec[(direction.name, mono.key)] = c
+            vec[(direction.name, mono)] = c
     return vec
 
 

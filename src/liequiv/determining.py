@@ -141,7 +141,7 @@ def solve_unknowns(dsys: DeterminingSystem) -> dict:
             var = None
             mixed = False
             rest = []
-            for a, k in mono.factors:
+            for a, k in mono:
                 if is_unknown(a):
                     if k > 1:
                         raise ValueError(

@@ -8,14 +8,29 @@ atoms:
 * formal derivatives of function symbols, stored as a sorted multiset of
   differentiation arguments so that mixed partials coincide structurally.
 
-Every constructor and operator returns the canonical form directly: terms
-carry nonzero rational coefficients, monomials map atoms to positive integer
-exponents, and both are kept sorted under a fixed total order (atoms by kind
-rank then name, with function symbols first, their formal derivatives second
-and coordinates last; monomials lexicographically on their (atom, exponent)
-sequences).  Structural equality therefore decides mathematical equality and
-normalization is idempotent by construction.  Output is byte-stable across
-runs and platforms.
+The representation rests on CPython's own hashing and ordering:
+
+* An ``Atom`` is the string ``chr(rank) + name``, rank 0 for function
+  symbols, 1 for their formal derivatives and 2 for coordinates, with its
+  kind, name and arguments in slots.  Its hash, ``==`` and ``<`` are
+  ``str``'s, and they agree with the key ``(rank, name)``: atoms sort by
+  kind rank, then by name.  An atom prints, and formats, as its name.
+* A ``Monomial`` is the tuple of its ``(atom, exponent)`` pairs, sorted by
+  atom, with positive int exponents; the empty tuple is 1.  Its hash,
+  ``==`` and ``<`` are ``tuple``'s: monomials sort lexicographically on
+  their pair sequences.  Only ``*`` multiplies monomials; tuple's ``+``
+  remains and concatenates plain tuples.  The empty monomial is falsy, so
+  no code tests a monomial's truth: the unit is compared with ``MONO_ONE``
+  and a missing monomial with ``None``.
+* An ``Expr`` holds ``coeffs``, a dict from monomial to nonzero rational
+  coefficient, never mutated once built.  Equality and hash are the
+  dict's and need no order.  Sums, products and every routine below add
+  into dicts; order is made in two places only: ``Expr.terms``, the terms
+  sorted by monomial, built on first read and kept (the write is
+  idempotent, so expressions stay safe to share), and ``collect``, which
+  sorts its buckets and their terms inside the call.  Every output reads
+  ``terms``, so output is byte-stable across runs, platforms and hash
+  seeds, whatever order the dicts were filled in.
 
 A coefficient is a Python ``int`` when it is integral and a ``Fraction``
 otherwise; ``_rational`` applies this rule wherever a coefficient is made,
@@ -23,39 +38,21 @@ and refuses anything but an ``int`` or a ``Fraction``.  Almost every
 coefficient of a jet expression is an integer, and a sum or product of
 small ints costs tens of nanoseconds where one of ``Fraction``s costs about
 a microsecond.  ``Fraction(2) == 2`` and both hash alike, so the rule
-changes no equality, only the cost.
+changes no equality, only the cost.  ``rational_str`` prints a coefficient
+whatever the interpreter's limit on the digits of ``str(int)``.
 
 The normal-form rule lives in one routine, ``_normal_form``: it adds
-(item, number) pairs with equal items, drops zero sums and sorts by the
-items' ``.key``.  It builds every ``Expr.terms`` (monomials with
-coefficients) and every ``Monomial.factors`` (atoms with exponents) made
-from arbitrary input.  Operands that are canonical already skip it:
-
-* ``_merge`` combines two canonical tuples in one linear pass and gives the
-  tuple ``_normal_form`` gives for their concatenation.  It serves the
-  monomial product and the sum and difference of expressions.
-* Negation and scaling by a constant keep the order of the terms.  A
-  product with a one-term expression ``c1*m1`` makes monomials ``m*m1``
-  that never coincide, so they are sorted but never merged.  Every other
-  product of expressions goes through ``_normal_form``.
-* ``Monomial._trusted`` and ``Expr._trusted`` take a tuple that is
-  canonical as it stands: sorted by key, with distinct items and nonzero
-  numbers (positive int exponents; coefficients that keep the coefficient
-  rule).  A run cut from a canonical tuple qualifies; ``collect`` cuts each
-  monomial into a parametric and a remaining run.  So does a single term,
-  which ``Expr.of`` and ``Expr.const`` build.
+(item, number) pairs with equal items and drops zero sums.  It builds every
+``Monomial`` (then sorted) and every ``Expr`` made from arbitrary input.
+Operands that are canonical already skip it: a sum folds one operand's dict
+into a copy of the other's, and a product with a one-term expression makes
+monomials that never coincide.  ``Monomial._trusted`` and
+``Expr._trusted`` take input that is canonical as it stands.
 
 The Leibniz rule lives in one routine, ``derive``, which applies the
 derivation fixed by an image for each atom.  Every derivative in the engine,
 partial, per atom, total or the action of a prolonged field, is an image
 table over it.
-
-An atom's key is ``(rank, name)``.  A monomial's key is flat, the atom keys
-and exponents in factor order, ``(rank1, name1, e1, rank2, name2, e2, ...)``;
-it holds only strings and ints, so the cyclic garbage collector untracks
-it, and it sorts exactly as the nested ``((rank1, name1), e1), ...`` sequence
-would, since the fields of every factor sit at the same positions.  Atoms
-and monomials are immutable and compute their hash once, at construction.
 
 Division and negative or fractional exponents are deliberately unsupported;
 callers that need a denominator clear it explicitly.
@@ -65,7 +62,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from operator import itemgetter, mul
+from operator import mul
 from typing import Iterable, Mapping
 
 COORD = "coord"
@@ -74,6 +71,9 @@ DERIV = "deriv"
 
 _KIND_RANK = {FUNC: 0, DERIV: 1, COORD: 2}
 _UNSEEN = object()
+# fewer digits than the least limit an interpreter accepts for str(int), 640
+_CHUNK_DIGITS = 600
+_CHUNK = 10 ** _CHUNK_DIGITS
 
 
 class ExprError(Exception):
@@ -97,42 +97,40 @@ class MissingBindingError(ExprError):
     """Numeric evaluation hit an atom with no bound value."""
 
 
-class Atom:
+class Atom(str):
     """An indivisible symbol: coordinate, function symbol, or formal derivative.
 
-    Atoms are immutable value objects; identity is the pair (kind, name).
-    Function symbols carry the ordered tuple of coordinate names they are
-    declared over; formal derivatives additionally carry the base symbol name
-    and the sorted multiset of differentiation arguments.
+    Atoms are immutable value objects; identity is the pair (kind, name),
+    the ``key``, held as the string ``chr(rank) + name``.  Function symbols
+    carry the ordered tuple of coordinate names they are declared over;
+    formal derivatives additionally carry the base symbol name and the
+    sorted multiset of differentiation arguments.
     """
 
-    __slots__ = ("kind", "name", "args", "base", "wrt", "key", "_hash")
+    __slots__ = ("kind", "name", "args", "base", "wrt", "key")
 
-    def __init__(self, kind: str, name: str, args: tuple = (), base: str = "",
-                 wrt: tuple = ()):
+    def __new__(cls, kind: str, name: str, args: tuple = (), base: str = "",
+                wrt: tuple = ()):
+        rank = _KIND_RANK[kind]
+        self = super().__new__(cls, chr(rank) + name)
         self.kind = kind
         self.name = name
         self.args = tuple(args)
         self.base = base
         self.wrt = tuple(wrt)
-        self.key = (_KIND_RANK[kind], name)
-        self._hash = hash(self.key)
-
-    def __eq__(self, other):
-        return self is other or (isinstance(other, Atom) and self.key == other.key)
-
-    def __hash__(self):
-        return self._hash
+        self.key = (rank, name)
+        return self
 
     def __reduce__(self):
-        # string hashes differ between processes: unpickling rehashes
         return Atom, (self.kind, self.name, self.args, self.base, self.wrt)
-
-    def __lt__(self, other):
-        return self.key < other.key
 
     def __repr__(self):
         return self.name
+
+    __str__ = __repr__
+
+    def __format__(self, spec):
+        return format(self.name, spec)
 
     # arithmetic promotes to Expr, so atoms compose directly
 
@@ -203,17 +201,13 @@ def derivative_of(a: Atom, arg: str) -> Atom:
     return Atom(DERIV, _derivative_name(base, wrt), args=args, base=base, wrt=wrt)
 
 
-def _first_key(pair):
-    return pair[0].key
-
-
-def _normal_form(pairs) -> tuple:
-    """Sum the numbers of equal items, drop zero sums, sort by item key."""
+def _normal_form(pairs) -> dict:
+    """Sum the numbers of equal items and drop zero sums."""
     acc = {}
     for item, n in pairs:
         prev = acc.get(item)
         acc[item] = n if prev is None else prev + n
-    return tuple(sorted(filter(itemgetter(1), acc.items()), key=_first_key))
+    return {item: n for item, n in acc.items() if n}
 
 
 def _rational(c):
@@ -229,93 +223,77 @@ def _rational(c):
     raise UnsupportedFormError(f"coefficient {c!r} is not an int or a Fraction")
 
 
-def _merge(a: tuple, b: tuple) -> tuple:
-    """``_normal_form(a + b)`` for canonical ``a`` and ``b``, in one pass."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        pa, pb = a[i], b[j]
-        ka, kb = pa[0].key, pb[0].key
-        if ka < kb:
-            out.append(pa)
-            i += 1
-        elif kb < ka:
-            out.append(pb)
-            j += 1
-        else:
-            n = pa[1] + pb[1]
-            if n:
-                out.append((pa[0], _rational(n)))
-            i += 1
-            j += 1
-    return (*out, *a[i:], *b[j:])
+def rational_str(c) -> str:
+    """``str(c)`` of an int or a Fraction, whatever the interpreter's limit
+    on the digits of ``str(int)``: a longer integer is written in chunks of
+    fewer digits than any limit."""
+    if isinstance(c, Fraction):
+        num = rational_str(c.numerator)
+        return num if c.denominator == 1 else f"{num}/{rational_str(c.denominator)}"
+    n, chunks = abs(c), []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(str(low).zfill(_CHUNK_DIGITS))
+    chunks.append(str(n))
+    return "-" * (c < 0) + "".join(reversed(chunks))
 
 
-class Monomial:
-    """Product of atoms with positive integer exponents; the empty product is 1."""
+class Monomial(tuple):
+    """Product of atoms with positive integer exponents, as the tuple of its
+    (atom, exponent) pairs sorted by atom; the empty product is 1."""
 
-    __slots__ = ("factors", "key", "_hash")
+    __slots__ = ()
 
-    def __init__(self, factors: Iterable = ()):
+    def __new__(cls, factors: Iterable = ()):
         factors = tuple(factors)
         for a, e in factors:
             if not isinstance(e, int) or e < 0:
                 raise UnsupportedFormError(f"unsupported exponent {e!r} on {a!r}")
-        self._set(_normal_form(factors))
+        return tuple.__new__(cls, sorted(_normal_form(factors).items()))
 
     @classmethod
     def _trusted(cls, factors: tuple) -> "Monomial":
         """The monomial of ``factors``, taken as they are.
 
-        Precondition: ``factors`` is canonical, sorted by atom key with
-        distinct atoms and positive int exponents, such as a run cut from
-        some ``Monomial.factors``.
+        Precondition: ``factors`` is canonical, sorted by atom with distinct
+        atoms and positive int exponents, such as a run cut from a monomial.
         """
-        m = cls.__new__(cls)
-        m._set(factors)
-        return m
+        return tuple.__new__(cls, factors)
 
-    def _set(self, factors: tuple):
-        key = []
-        for a, e in factors:
-            key += a.key
-            key.append(e)
-        self.factors = factors
-        self.key = tuple(key)
-        self._hash = hash(self.key)
+    factors = property(tuple, doc="The (atom, exponent) pairs as a plain tuple.")
 
     def exponent(self, a: Atom) -> int:
-        for b, e in self.factors:
+        for b, e in self:
             if b == a:
                 return e
         return 0
 
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        if not other.factors:
+    def __mul__(self, other):
+        if type(other) is not Monomial:
+            return NotImplemented
+        if other == MONO_ONE:
             return self
-        if not self.factors:
+        if self == MONO_ONE:
             return other
-        return Monomial._trusted(_merge(self.factors, other.factors))
+        factors = sorted(self + other)
+        if len(dict(factors)) == len(factors):  # no atom in both
+            return tuple.__new__(Monomial, factors)
+        mine = dict(self)
+        for a, e in other:
+            mine[a] = mine.get(a, 0) + e
+        return tuple.__new__(Monomial, sorted(mine.items()))
 
-    def __eq__(self, other):
-        return self is other or (isinstance(other, Monomial) and self.key == other.key)
-
-    def __hash__(self):
-        return self._hash
+    def __rmul__(self, other):
+        # tuple's repetition must not answer int * monomial
+        return NotImplemented
 
     def __reduce__(self):
-        return Monomial, (self.factors,)
+        return Monomial, (tuple(self),)
 
     def __str__(self):
-        if not self.factors:
+        if self == MONO_ONE:
             return "1"
-        return "*".join(a.name if e == 1 else f"{a.name}**{e}"
-                        for a, e in self.factors)
+        return "*".join(a.name if e == 1 else f"{a.name}**{e}" for a, e in self)
 
     __repr__ = __str__
 
@@ -327,65 +305,77 @@ class Expr:
     """Canonical sum of rational multiples of monomials.  Immutable.
 
     The zero expression is the empty sum.  Construction from an iterable of
-    (monomial, coefficient) pairs merges duplicates, drops zero coefficients
-    and sorts, so any Expr in circulation is canonical.
+    (monomial, coefficient) pairs merges duplicates and drops zero
+    coefficients, so any Expr in circulation is canonical.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("coeffs", "_terms")
 
     def __init__(self, terms=()):
-        self.terms = tuple((mono, _rational(c))
-                           for mono, c in _normal_form(terms))
+        self.coeffs = {mono: _rational(c) for mono, c in _normal_form(terms).items()}
+        self._terms = None
 
     @classmethod
-    def _trusted(cls, terms: tuple) -> "Expr":
-        """The expression of ``terms``, taken as they are.
+    def _trusted(cls, coeffs: dict, terms: tuple | None = None) -> "Expr":
+        """The expression of ``coeffs``, taken as it is, and of its sorted
+        ``terms`` when the caller has them.
 
-        Precondition: ``terms`` is canonical, sorted by monomial key with
-        distinct monomials and nonzero coefficients, each an int when it is
-        integral and a ``Fraction`` otherwise.
+        Precondition: ``coeffs`` maps distinct monomials to nonzero
+        coefficients, each an int when it is integral and a ``Fraction``
+        otherwise, and no one else holds it.
         """
         e = cls.__new__(cls)
-        e.terms = terms
+        e.coeffs = coeffs
+        e._terms = terms
         return e
+
+    @property
+    def terms(self) -> tuple:
+        """The (monomial, coefficient) pairs sorted by monomial."""
+        if self._terms is None:
+            # monomials are distinct: the pairs sort by monomial alone
+            self._terms = tuple(sorted(self.coeffs.items()))
+        return self._terms
 
     @staticmethod
     def of(a: Atom) -> "Expr":
-        return Expr._trusted(((Monomial._trusted(((a, 1),)), 1),))
+        return Expr._trusted({Monomial._trusted(((a, 1),)): 1})
 
     @staticmethod
     def const(c) -> "Expr":
         c = _rational(c)
-        return Expr._trusted(((MONO_ONE, c),) if c else ())
+        return Expr._trusted({MONO_ONE: c} if c else {})
 
     # -- ring operators -------------------------------------------------
 
     def __add__(self, other):
-        return Expr._trusted(_merge(self.terms, as_expr(other).terms))
+        a, b = self.coeffs, as_expr(other).coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return Expr._trusted(_folded(dict(a), b.items()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Expr._trusted(tuple((m, -c) for m, c in self.terms))
+        return Expr._trusted({m: -c for m, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        return self + (-as_expr(other))
+        return Expr._trusted(_folded(
+            dict(self.coeffs), ((m, -c) for m, c in as_expr(other).coeffs.items())))
 
     def __rsub__(self, other):
-        return as_expr(other) + (-self)
+        return as_expr(other) - self
 
     def __mul__(self, other):
-        a, b = self.terms, as_expr(other).terms
+        a, b = self.coeffs, as_expr(other).coeffs
         if len(a) == 1:  # the product commutes: keep a one-term operand in b
             a, b = b, a
         if len(b) != 1:
-            return Expr((m1 * m2, c1 * c2) for m1, c1 in a for m2, c2 in b)
-        (m2, c2), = b
-        if not m2.factors:
-            return Expr._trusted(tuple((m1, _rational(c1 * c2)) for m1, c1 in a))
-        products = ((m1 * m2, _rational(c1 * c2)) for m1, c1 in a)
-        # products by one monomial never coincide: sort, nothing to merge
-        return Expr._trusted(tuple(sorted(products, key=_first_key)))
+            return Expr((m1 * m2, c1 * c2) for m1, c1 in a.items()
+                        for m2, c2 in b.items())
+        (m2, c2), = b.items()
+        # products by one monomial never coincide: nothing to merge
+        return Expr._trusted({m1 * m2: _rational(c1 * c2) for m1, c1 in a.items()})
 
     __rmul__ = __mul__
 
@@ -407,32 +397,44 @@ class Expr:
         return self * (Fraction(1) / Fraction(s))
 
     def __eq__(self, other):
-        if isinstance(other, Expr):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction, Atom)):
-            return self.terms == as_expr(other).terms
+        if isinstance(other, (Expr, int, Fraction, Atom)):
+            return self.coeffs == as_expr(other).coeffs
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.terms)
+        return hash(frozenset(self.coeffs.items()))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.coeffs)
 
     def __str__(self):
         pieces = []
         for mono, c in self.terms:
             mag = abs(c)
-            if not mono.factors:
-                body = str(mag)
+            if mono == MONO_ONE:
+                body = rational_str(mag)
             elif mag == 1:
                 body = str(mono)
             else:
-                body = f"{mag}*{mono}"
+                body = f"{rational_str(mag)}*{mono}"
             pieces.append((c < 0, body))
         return signed_sum(pieces)
 
     __repr__ = __str__
+
+
+def _folded(acc: dict, pairs) -> dict:
+    """Add the canonical (monomial, coefficient) pairs into the canonical
+    dict ``acc``, dropping the sums that vanish, and return it."""
+    for m, c in pairs:
+        prev = acc.get(m)
+        if prev is None:
+            acc[m] = c
+        elif s := prev + c:
+            acc[m] = _rational(s)
+        else:
+            del acc[m]
+    return acc
 
 
 ZERO = Expr()
@@ -464,38 +466,35 @@ def as_expr(v) -> Expr:
 
 
 def is_zero(e) -> bool:
-    return not as_expr(e).terms
+    return not as_expr(e).coeffs
 
 
 def atoms_of(e) -> tuple:
-    seen = set()
-    for mono, _ in as_expr(e).terms:
-        seen.update(a for a, _ in mono.factors)
-    return tuple(sorted(seen))
+    return tuple(sorted({a for mono in as_expr(e).coeffs for a, _ in mono}))
 
 
 def derive(e, image) -> tuple:
     """The derivation sending each atom ``a`` to ``image(a)``, applied to e.
 
-    ``image(a)`` is canonical terms, or None (or no terms) for zero, and is
+    ``image(a)`` is the (monomial, coefficient) pairs of one expression,
+    such as its ``coeffs.items()``, or None (or no pairs) for zero, and is
     asked once per atom.  One pass over the terms of ``e``: each factor
     ``a**k`` of a term ``c*m`` contributes ``k*c*(m/a)*image(a)``, with
     ``m/a`` cut from ``m`` and so canonical.  Returns ``(total, pieces)``:
     the derivative, normalized once, and the unnormalized contributions per
-    atom, ``{a: [(monomial, coefficient), ...]}``, in the order first met.
+    atom, ``{a: [(monomial, coefficient), ...]}``.
     """
     images, pieces = {}, {}
-    for mono, c in as_expr(e).terms:
-        factors = mono.factors
-        for idx, (a, k) in enumerate(factors):
+    for mono, c in as_expr(e).coeffs.items():
+        for idx, (a, k) in enumerate(mono):
             img = images.get(a, _UNSEEN)
             if img is _UNSEEN:
                 img = images[a] = image(a)
             if not img:
                 continue
             rest = Monomial._trusted(
-                factors[:idx] + ((a, k - 1),) + factors[idx + 1:] if k > 1
-                else factors[:idx] + factors[idx + 1:])
+                mono[:idx] + ((a, k - 1),) + mono[idx + 1:] if k > 1
+                else mono[:idx] + mono[idx + 1:])
             kc = k * c
             pieces.setdefault(a, []).extend((rest * m, kc * ci)
                                             for m, ci in img)
@@ -517,9 +516,9 @@ def diff_partial(e, v: Atom) -> Expr:
 
     def image(a):
         if a == v:
-            return ONE.terms
+            return ONE.coeffs.items()
         if a.kind != COORD and v.name in a.args:
-            return Expr.of(derivative_of(a, v.name)).terms
+            return Expr.of(derivative_of(a, v.name)).coeffs.items()
     return derive(e, image)[0]
 
 
@@ -540,9 +539,9 @@ def replace_atoms(e, mapping: Mapping[Atom, object]) -> Expr:
     products = {}
 
     def pieces():
-        for mono, c in as_expr(e).terms:
+        for mono, c in as_expr(e).coeffs.items():
             hit, rest = [], []
-            for f in mono.factors:
+            for f in mono:
                 (hit if f[0] in table else rest).append(f)
             if not hit:
                 yield mono, c
@@ -553,7 +552,7 @@ def replace_atoms(e, mapping: Mapping[Atom, object]) -> Expr:
                 product = products[hit] = reduce(
                     mul, [table[a] ** k for a, k in hit])
             rest = Monomial._trusted(tuple(rest))
-            for m, cc in product.terms:
+            for m, cc in product.coeffs.items():
                 yield m * rest, c * cc
     return Expr(pieces())
 
@@ -579,25 +578,25 @@ def substitute(e, bindings: Mapping[Atom, object]) -> Expr:
 def collect(e, parametric) -> dict:
     """Split ``e`` by monomials in the ``parametric`` atoms.
 
-    Returns an ordered mapping from parametric monomial to the coefficient
-    expression over the remaining atoms; summing monomial * coefficient over
-    the entries recovers ``e`` exactly.  The zero expression yields an empty
-    mapping.
+    Returns a mapping, sorted by key, from parametric monomial to the
+    coefficient expression over the remaining atoms, whose terms are sorted
+    here too; summing monomial * coefficient over the entries recovers
+    ``e`` exactly.  The zero expression yields an empty mapping.
     """
     pset = set(parametric)
     if not pset:
         raise ValueError("parametric set must be non-empty")
     buckets = {}
-    for mono, c in as_expr(e).terms:
+    for mono, c in as_expr(e).coeffs.items():
         par, rest = [], []
-        for f in mono.factors:
+        for f in mono:
             (par if f[0] in pset else rest).append(f)
-        # both runs are cut from a canonical factor tuple
-        buckets.setdefault(Monomial._trusted(tuple(par)), []).append(
-            (Monomial._trusted(tuple(rest)), c))
-    # distinct terms stay distinct after the split: a sorted bucket is canonical
-    return {key: Expr._trusted(tuple(sorted(buckets[key], key=_first_key)))
-            for key in sorted(buckets, key=lambda m: m.key)}
+        # both runs are cut from a canonical factor tuple, and distinct
+        # terms stay distinct after the split
+        buckets.setdefault(Monomial._trusted(tuple(par)), {})[
+            Monomial._trusted(tuple(rest))] = c
+    return {key: Expr._trusted(buckets[key], tuple(sorted(buckets[key].items())))
+            for key in sorted(buckets)}
 
 
 def evaluate(e, point: Mapping[Atom, object]):
@@ -605,7 +604,7 @@ def evaluate(e, point: Mapping[Atom, object]):
     total = Fraction(0)
     for mono, c in as_expr(e).terms:
         v = c
-        for a, k in mono.factors:
+        for a, k in mono:
             if a not in point:
                 raise MissingBindingError(f"no value bound for {a.name}")
             v = v * point[a] ** k

@@ -52,7 +52,7 @@ def scale_power(d: int) -> Expr:
 
 def reduce_scale(e) -> Expr:
     """Cancel exp(a) * exp(-a) pairs inside every monomial."""
-    return Expr((_cancel_scale(mono), c) for mono, c in as_expr(e).terms)
+    return Expr((_cancel_scale(mono), c) for mono, c in as_expr(e).coeffs.items())
 
 
 def _cancel_scale(mono: Monomial) -> Monomial:
@@ -60,7 +60,7 @@ def _cancel_scale(mono: Monomial) -> Monomial:
     if not m:
         return mono
     return Monomial((a, k - m if a == SCALE or a == SCALE_INV else k)
-                    for a, k in mono.factors)
+                    for a, k in mono)
 
 
 class FiniteTransformation:
@@ -93,14 +93,14 @@ def _weight(xc: Expr, c: Atom):
         return 0
     if len(xc.terms) == 1:
         mono, k = xc.terms[0]
-        if mono.factors == ((c, 1),) and type(k) is int:
+        if mono == ((c, 1),) and type(k) is int:
             return k
     return None
 
 
 def _is_affine(e: Expr) -> bool:
-    return all(sum(k for a, k in mono.factors if not is_unknown(a)) <= 1
-               for mono, _ in e.terms)
+    return all(sum(k for a, k in mono if not is_unknown(a)) <= 1
+               for mono in e.coeffs)
 
 
 def _lie_series(pg: dict, c: Atom, bound: int, a: Expr) -> Expr:

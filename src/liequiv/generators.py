@@ -207,14 +207,14 @@ def apply_with_trace(pg: dict, e) -> tuple:
         if c is None:
             raise UnknownSymbolError(
                 f"no prolonged action is defined for {a.name}")
-        if c.terms:
-            coeffs[a] = c.terms
+        if c:
+            coeffs[a] = c.coeffs.items()
     if not coeffs:
         return ZERO, ()
     total, pieces = derive(e, coeffs.get)
     trace = ((a, Expr(pieces[a]) if len(pieces) > 1 else total)
              for a in coeffs if a in pieces)
-    return total, tuple(item for item in trace if item[1].terms)
+    return total, tuple(item for item in trace if item[1])
 
 
 def first_order_field(reg: JetRegistry, g: GeneratorSpec) -> dict:

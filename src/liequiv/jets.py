@@ -33,8 +33,7 @@ share.
 from __future__ import annotations
 
 from .expr import (COORD, MONO_ONE, Atom, Expr, Monomial, UnknownSymbolError,
-                   _first_key, coordinate, derivative_of, derive,
-                   function_symbol)
+                   coordinate, derivative_of, derive, function_symbol)
 
 
 class UnsupportedDimensionError(Exception):
@@ -177,16 +176,15 @@ def total_derivative(e, w: Atom, reg: JetRegistry) -> Expr:
         a = c and reg.advance.get((c, w))
         if c and not a:
             stuck.add(n)
-        return a and Monomial._trusted(((a, 1),))
+        return None if a is None else Monomial._trusted(((a, 1),))
 
     def image(a):
         if a.kind == COORD:
             m = along(a.name)
-            return m and ((m, 1),)
+            return None if m is None else ((m, 1),)
         # f_n sorts before every coordinate, so f_n * n_w is canonical
-        return sorted(
-            ((Monomial._trusted(((derivative_of(a, n), 1),) + m.factors), 1)
-             for n in a.args if (m := along(n)) is not None), key=_first_key)
+        return [(Monomial._trusted(((derivative_of(a, n), 1),) + m), 1)
+                for n in a.args if (m := along(n)) is not None]
 
     out = derive(e, image)[0]
     if stuck:

@@ -23,7 +23,7 @@ import json
 from . import __version__
 from .catalog import KIND_USER, StructureTable
 from .determining import DeterminingSystem, FiniteCheckResult, Verdict
-from .expr import signed_sum
+from .expr import rational_str, signed_sum
 from .flows import FiniteTransformation
 
 TOOL = "liequiv"
@@ -64,7 +64,7 @@ def _factor_string(factor) -> str | None:
         return None
     coeff, k = factor
     if k == 0:
-        return str(coeff)
+        return rational_str(coeff)
     if k == 1:
         exp_part = "exp(a)"
     elif k == -1:
@@ -73,12 +73,12 @@ def _factor_string(factor) -> str | None:
         exp_part = f"exp({k}*a)"
     if coeff == 1:
         return exp_part
-    return f"{coeff}*{exp_part}"
+    return f"{rational_str(coeff)}*{exp_part}"
 
 
 def _combo_string(combo) -> str:
     """The map name -> coefficient as a signed sum; None prints 0."""
-    return signed_sum((c < 0, name if abs(c) == 1 else f"{abs(c)}*{name}")
+    return signed_sum((c < 0, name if abs(c) == 1 else f"{rational_str(abs(c))}*{name}")
                       for name, c in sorted((combo or {}).items()))
 
 

@@ -121,10 +121,10 @@ def restrict_to_manifold(e, system: BalanceSystem) -> tuple:
     reg = system.registry
     e = as_expr(e)
     u_t = set(reg.u_t)
-    degrees = [sum(k for a, k in mono.factors if a in u_t) for mono, _ in e.terms]
-    power = max(degrees, default=0)
+    degrees = {mono: sum(k for a, k in mono if a in u_t) for mono in e.coeffs}
+    power = max(degrees.values(), default=0)
     if power:
         rho_powers = [Monomial(((reg.rho, n),)) for n in range(power + 1)]
-        e = Expr((mono * rho_powers[power - d], c)
-                 for (mono, c), d in zip(e.terms, degrees))
+        e = Expr((mono * rho_powers[power - degrees[mono]], c)
+                 for mono, c in e.coeffs.items())
     return replace_atoms(e, system.principal), power

@@ -190,18 +190,20 @@ def test_transform_negative_parameter(capsys):
         assert maps.get("t") == image  # identity maps are omitted
 
 
-def test_console_entry_prints_big_integers():
+def test_console_entry_prints_big_integers(capsys):
     """``python -m liequiv`` prints a coefficient of more digits than
-    ``str(int)`` allows by default."""
+    ``str(int)`` allows by default, and ``cli.main`` in this process, under
+    the interpreter's digit limit, prints the same bytes."""
     import os
     import subprocess
 
+    argv = ["transform", "--dim", "1", "--gen", "2**20000*d/dt", "--format", "json"]
     done = subprocess.run(
-        [sys.executable, "-m", "liequiv", "transform", "--dim", "1",
-         "--gen", "2**20000*d/dt", "--format", "json"],
+        [sys.executable, "-m", "liequiv", *argv],
         capture_output=True, timeout=60,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert done.returncode == 0, done.stderr.decode()
+    assert run(capsys, *argv) == (0, done.stdout.decode(), "")
     maps = {m["coordinate"]: m["image"] for m in json.loads(done.stdout)["maps"]}
     digits = maps["t"].removesuffix("*a + t")
     assert len(digits) == 6021 and digits.isdigit()

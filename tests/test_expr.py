@@ -8,13 +8,15 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liequiv import build_registry
 from liequiv.expr import (COORD, FUNC, MONO_ONE, ZERO, Atom,
                           CyclicSubstitutionError, Expr, MissingBindingError,
                           Monomial, UnknownSymbolError, UnsupportedFormError,
-                          as_expr, atoms_of, collect, coordinate,
-                          derivative_of, derive, diff_partial, evaluate,
-                          function_symbol, is_zero, replace_atoms, signed_sum,
-                          substitute, unknown)
+                          _normal_form, as_expr, atoms_of, collect,
+                          coordinate, derivative_of, derive, diff_partial,
+                          evaluate, function_symbol, is_zero, rational_str,
+                          replace_atoms, signed_sum, substitute, unknown)
+from liequiv.jets import total_derivative
 
 from conftest import diff_atom, random_expr
 
@@ -295,8 +297,16 @@ def strictly_increasing(keys) -> bool:
     return all(a < b for a, b in zip(keys, keys[1:]))
 
 
+def nested_key(m: Monomial) -> tuple:
+    """The order monomials had before they were tuples of string atoms: one
+    (atom key, exponent) pair per factor."""
+    return tuple((a.key, e) for a, e in m.factors)
+
+
 def assert_normal_form(e: Expr):
-    assert strictly_increasing([mono.key for mono, _ in e.terms])
+    assert all(type(mono) is Monomial for mono in e.coeffs)
+    assert e.terms == tuple(sorted(e.coeffs.items()))
+    assert strictly_increasing([nested_key(mono) for mono, _ in e.terms])
     for mono, c in e.terms:
         assert type(c) is (int if c.denominator == 1 else Fraction) and c != 0
         assert strictly_increasing([a.key for a, _ in mono.factors])
@@ -370,7 +380,9 @@ def collect_one(e, sym, parametric, pick):
     (cyclically) and sympy's coefficient of the same parametric monomial."""
     buckets = collect(e, parametric)
     keys = list(buckets)
-    assert strictly_increasing([key.key for key in keys])
+    assert strictly_increasing([nested_key(key) for key in keys])
+    # the buckets leave collect sorted, so that reading them sorts nothing
+    assert all(coeff._terms is not None for coeff in buckets.values())
     back = Expr()
     for key, coeff in buckets.items():
         assert {a for a, _ in key.factors} <= set(parametric)
@@ -433,7 +445,7 @@ def test_derive_matches_sympy(e, images):
     assert set(pieces) == {a for a in want if images.get(a)}
 
 
-# -- flat monomial keys and the trusted constructor ----------------------------
+# -- atom and monomial order, and the trusted constructors ---------------------
 
 # names that are prefixes of one another, and one name under two kinds, so
 # that ties on the rank or the name are decided by the next key field
@@ -441,10 +453,31 @@ KEY_ATOMS = NF_ATOMS + [coordinate("u1"), coordinate("u1_x1x1"),
                         coordinate("G"), Atom(FUNC, "u1")]
 
 
-def nested_key(m: Monomial) -> tuple:
-    """The monomial key before the flat one: one (atom key, exponent) pair
-    per factor."""
-    return tuple((a.key, e) for a, e in m.factors)
+def test_atoms_compare_and_hash_by_key():
+    """An atom's str hash, == and < agree with its (rank, name) key, also
+    between separately built atoms of one key (Pi11 declared at dim 1 and
+    at dim 2), and an atom prints only its name."""
+    pool = KEY_ATOMS + [coordinate("p"), Atom(FUNC, "Pi11", ("u1_x1", "u1_x2",
+                                                              "u2_x1", "u2_x2"))]
+    for a in pool:
+        assert a != a.name and a.name != a and a.name not in {a}
+        assert str(a) == repr(a) == f"{a}" == f"{a:s}" == a.name
+        for b in pool:
+            assert (a == b) == (a.key == b.key)
+            assert (a < b) == (a.key < b.key)
+            assert (a.key != b.key) or hash(a) == hash(b)
+
+
+def test_monomials_refuse_tuple_arithmetic():
+    m = Monomial(((p, 2),))
+    for bad in (lambda: 2 * m, lambda: m * 2, lambda: m * ((rho, 1),)):
+        with pytest.raises(TypeError):
+            bad()
+
+
+def reference_monomial(pairs) -> tuple:
+    """``_normal_form`` of the pairs, sorted by atom key."""
+    return tuple(sorted(_normal_form(pairs).items(), key=lambda f: f[0].key))
 
 
 monomials = st.lists(
@@ -457,22 +490,23 @@ monomials = st.lists(
        st.sets(st.sampled_from(KEY_ATOMS), min_size=1, max_size=6),
        st.lists(st.fractions(max_denominator=5).filter(bool), min_size=12,
                 max_size=12))
-def test_flat_key_and_trusted_constructor(monos, parametric, coeffs):
-    by_flat = sorted(monos, key=lambda m: m.key)
-    assert [nested_key(m) for m in by_flat] == sorted(map(nested_key, monos))
+def test_monomial_order_and_trusted_constructor(monos, parametric, coeffs):
+    assert [nested_key(m) for m in sorted(monos)] == sorted(map(nested_key, monos))
     for m1 in monos:
         assert m1 * MONO_ONE is m1
-        assert MONO_ONE * m1 is m1 or not m1.factors
+        assert MONO_ONE * m1 is m1 or m1 == MONO_ONE
         for m2 in monos:
-            assert (m1.key < m2.key) == (nested_key(m1) < nested_key(m2))
-            assert (m1 == m2) == (m1.key == m2.key) == (m1.factors == m2.factors)
+            assert (m1 < m2) == (nested_key(m1) < nested_key(m2))
+            assert (m1 == m2) == (nested_key(m1) == nested_key(m2)) == \
+                (m1.factors == m2.factors)
             if m1 == m2:
                 assert hash(m1) == hash(m2)
 
     def assert_canonical(m):
         rebuilt = Monomial(m.factors)  # through _normal_form
-        assert (m.factors, m.key, hash(m)) == (rebuilt.factors, rebuilt.key,
-                                               hash(rebuilt))
+        assert type(m) is Monomial
+        assert (m.factors, hash(m)) == (rebuilt.factors, hash(rebuilt))
+        assert m.factors == reference_monomial(m.factors)
 
     buckets = collect(Expr(zip(monos, coeffs)), parametric)
     for par, coeff in buckets.items():
@@ -509,9 +543,10 @@ def test_power_is_repeated_product(e, n):
 
 
 def assert_same(got: Expr, want: Expr):
-    assert got.terms == want.terms
-    assert [(m.factors, m.key, hash(m)) for m, _ in got.terms] == \
-        [(m.factors, m.key, hash(m)) for m, _ in want.terms]
+    assert got.terms == want.terms and got.coeffs == want.coeffs
+    assert [(m.factors, nested_key(m), hash(m)) for m, _ in got.terms] == \
+        [(m.factors, nested_key(m), hash(m)) for m, _ in want.terms]
+    assert (str(got), hash(got)) == (str(want), hash(want))
     assert_normal_form(got)
 
 
@@ -519,12 +554,13 @@ def assert_same(got: Expr, want: Expr):
 @given(monomials, monomials, expressions, expressions,
        st.tuples(monomials, term_coefficients), term_coefficients)
 def test_merges_match_normal_form(m1, m2, a, b, one, k):
-    """Every operator that merges or sorts canonical operands gives what
+    """Every operator that merges canonical operands gives what
     _normal_form gives for the concatenated or cross-product pairs."""
     product = m1 * m2
     rebuilt = Monomial(m1.factors + m2.factors)
-    assert (product.factors, product.key, hash(product)) == \
-        (rebuilt.factors, rebuilt.key, hash(rebuilt))
+    assert type(product) is Monomial
+    assert (product.factors, hash(product)) == (rebuilt.factors, hash(rebuilt))
+    assert product.factors == reference_monomial(m1.factors + m2.factors)
     assert all(type(e) is int and e > 0 for _, e in product.factors)
 
     def cross(x, y):
@@ -563,6 +599,56 @@ def test_collect_buckets_are_canonical(e, parametric):
         assert_same(coeff, Expr(reversed(coeff.terms)))
 
 
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(expressions, st.randoms(use_true_random=False),
+       st.sets(st.sampled_from(KEY_ATOMS), min_size=1, max_size=6))
+def test_order_of_construction_is_invisible(e, rnd, parametric):
+    """An expression fills its dict in the order its terms arrive; built
+    from its terms in a shuffled order, or as a sum of shuffled parts, it
+    has the same terms, text, hash and collect buckets."""
+    def seen(x):
+        buckets = collect(x, parametric) if x else {}
+        return (x.terms, str(x), hash(x), x,
+                [(key, coeff.terms) for key, coeff in buckets.items()])
+
+    terms = list(e.terms)
+    rnd.shuffle(terms)
+    cut = rnd.randint(0, len(terms))
+    left, right = Expr(terms[:cut]), Expr(terms[cut:])
+    singles = [Expr((term,)) for term in terms]
+    built = [Expr(terms), left + right, right + left, left - (-right),
+             sum(singles, ZERO), sum(reversed(singles), ZERO)]
+    for x in built:
+        assert seen(x) == seen(e)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_total_derivative_of_an_independent_is_one(dim):
+    """D_w(w) is 1: the image of w is the unit monomial, which is falsy and
+    still a term."""
+    reg = build_registry(dim)
+    for w in reg.independents:
+        for v in reg.independents:
+            assert total_derivative(Expr.of(v), w, reg) == (1 if v == w else 0)
+
+
+def test_rational_str_writes_any_number_of_digits():
+    few = [0, 7, -7, 10**599, 10**600 - 1, 10**600, -(10**600) - 1,
+           10**1300 + 1, 3**2000]
+    for n in few:
+        assert rational_str(n) == str(n)
+        assert rational_str(Fraction(n, 7**700)) == str(Fraction(n, 7**700))
+    assert rational_str(Fraction(6, 3)) == "2"
+    big = 2**20000 + 10**700  # a zero run across a chunk boundary
+    text = rational_str(-big)
+    digits = text.removeprefix("-")
+    assert text[0] == "-" and digits.isdigit() and len(digits) == 6021
+    assert reduce(lambda acc, i: acc * 10**500 + int(digits[i:i + 500]),
+                  range(len(digits) % 500, len(digits), 500),
+                  int(digits[:len(digits) % 500])) == big
+    assert rational_str(Fraction(1, big)) == "1/" + digits
+
+
 halves = st.fractions(min_value=-3, max_value=3, max_denominator=2)
 
 
@@ -571,7 +657,7 @@ halves = st.fractions(min_value=-3, max_value=3, max_denominator=2)
 def test_integral_coefficients_are_ints(x, y, m1, m2):
     """Fraction operands whose sum, difference, product, negation or
     scaling by 1/2 then 2 is integral give int coefficients, on every path
-    that makes a coefficient: _merge, the one-term and the general product,
+    that makes a coefficient: the sum, the one-term and the general product,
     scaling, and construction."""
     a, b = Expr(((m1, x),)), Expr(((m1, y),))
     want = [(a + b, x + y), (a - b, x - y), (a * b, x * y), (-a, -x),

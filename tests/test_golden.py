@@ -2,6 +2,9 @@
 stable byte-for-byte, and live reports validate against the shipped schema."""
 
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -55,6 +58,32 @@ def test_reports_match_goldens(tmp_path, golden, argv, expect_code):
     code, got = _run_to_bytes(tmp_path, argv)
     assert code == expect_code
     assert got == (GOLDEN / golden).read_bytes()
+
+
+def test_goldens_from_a_fresh_process_with_another_creation_order(tmp_path):
+    # atoms, and the dicts the kernel fills, are made in another order than
+    # in this process: ?c1..?c200 first, then the models of dims 3, 2, 1; no
+    # insertion order may reach a report byte
+    script = """
+import json, sys
+from liequiv import cli
+from liequiv.expr import unknown
+constants = [unknown(f"c{i}") for i in range(1, 201)]
+for dim in (3, 2, 1):
+    cli._system(dim)
+    cli._catalog(dim)
+for n, argv in enumerate(json.loads(sys.argv[1])):
+    cli.main(argv + ["--out", f"{sys.argv[2]}/{n}"])
+"""
+    argvs = [argv for _, argv, _ in GOLDENS]
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs), str(tmp_path)],
+        capture_output=True, timeout=300,
+        env={**os.environ, "PYTHONHASHSEED": "271828",
+             "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.returncode == 0, done.stderr.decode()
+    for n, (golden, _, _) in enumerate(GOLDENS):
+        assert (tmp_path / str(n)).read_bytes() == (GOLDEN / golden).read_bytes(), golden
 
 
 def test_each_model_is_built_once_per_dimension(tmp_path, monkeypatch):
