@@ -101,24 +101,22 @@ class Atom(str):
     """An indivisible symbol: coordinate, function symbol, or formal derivative.
 
     Atoms are immutable value objects; identity is the pair (kind, name),
-    the ``key``, held as the string ``chr(rank) + name``.  Function symbols
-    carry the ordered tuple of coordinate names they are declared over;
-    formal derivatives additionally carry the base symbol name and the
-    sorted multiset of differentiation arguments.
+    held as the string ``chr(rank) + name``.  Function symbols carry the
+    ordered tuple of coordinate names they are declared over; formal
+    derivatives additionally carry the base symbol name and the sorted
+    multiset of differentiation arguments.
     """
 
-    __slots__ = ("kind", "name", "args", "base", "wrt", "key")
+    __slots__ = ("kind", "name", "args", "base", "wrt")
 
     def __new__(cls, kind: str, name: str, args: tuple = (), base: str = "",
                 wrt: tuple = ()):
-        rank = _KIND_RANK[kind]
-        self = super().__new__(cls, chr(rank) + name)
+        self = super().__new__(cls, chr(_KIND_RANK[kind]) + name)
         self.kind = kind
         self.name = name
         self.args = tuple(args)
         self.base = base
         self.wrt = tuple(wrt)
-        self.key = (rank, name)
         return self
 
     def __reduce__(self):

@@ -180,7 +180,7 @@ def _numeric_rotation(reg: JetRegistry, i: int, j: int, tensorial: bool):
         (reg.u_tx, reg.u_tx.__getitem__, 0),
         (reg.u_xx, lambda idx: reg.u_xx[idx[:1] + tuple(sorted(idx[1:]))], 0),
         (reg.pi, lambda idx: reg.pi_at(*idx), stress),
-        (reg.pi_d, lambda idx: reg.pi_d_at(*idx), stress),
+        (reg.pi_d, lambda idx: reg.pi_d[tuple(sorted(idx[:2])) + idx[2:]], stress),
     ]
 
     def flow(point: dict, a: float) -> dict:

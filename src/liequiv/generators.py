@@ -175,13 +175,13 @@ def _first_order(reg: JetRegistry, g: GeneratorSpec) -> tuple:
 def prolong(reg: JetRegistry, g: GeneratorSpec) -> dict:
     """The prolonged field of ``g`` as one table {coordinate: coefficient}."""
     table, D, d_xi = _first_order(reg, g)
-    second = [(reg.u_x[(k, l)], reg.x[j - 1]) for k, l, j in sorted(reg.u_xx)]
+    second = [(reg.u_x[(k, l)], reg.x[j - 1]) for k, l, j in reg.u_xx]
     # the D_x(xi^t) u_tt term of zeta^u_tx needs the unregistered u_tt
     if not any(reg.t in d_xi[w] for w in reg.x):
-        second += [(reg.u_t[k - 1], reg.x[l - 1]) for k, l in sorted(reg.u_tx)]
+        second += [(reg.u_t[k - 1], reg.x[l - 1]) for k, l in reg.u_tx]
     _prolong(reg, table, second, D, d_xi)
-    grad = tuple(reg.u_x[kl] for kl in sorted(reg.u_x))
-    _prolong(reg, table, [(reg.pi[ij], a) for ij in reg.pi_pairs() for a in grad],
+    grad = tuple(reg.u_x.values())
+    _prolong(reg, table, [(s, a) for s in reg.pi.values() for a in grad],
              diff_partial, _derivatives(table, grad, diff_partial))
     return table
 

@@ -5,16 +5,20 @@ For dimension N the space carries independents (t, x1..xN), dependents
 components (spatial pairs stored with sorted indices, plus the mixed t-x
 jets referenced by second prolongation), and the constitutive coordinates:
 the symmetric stress components Pi^{ij} declared over all velocity-gradient
-jets, the state functions G and H declared over (p, rho), and one coordinate
-Pi^{ij}_{kl} for each formal derivative of a stress component by a gradient
-jet.  ``space`` lists them all in that order; its head ``point`` is
-(t, x1..xN, u1..uN, p, rho), and the head of that, ``independents``, is
-(t, x1..xN).
+jets, one coordinate Pi^{ij}_{kl} for each formal derivative of a stress
+component by a gradient jet, and the state functions G and H declared over
+(p, rho).
 
-Two plain dicts look coordinates up: ``by_name`` maps each frozen name to
-its coordinate, and ``advance`` maps a pair (c, w) to the coordinate c_w
-representing d(c)/d(w), a jet along t or x or Pi^{ij}_{kl} for Pi^{ij}
-along u^k_{x_l}; a pair with no registered advance has no entry.
+Each coordinate is registered once, by one ``register`` call in
+``JetRegistry.__init__`` that fixes all three of its entries: its place in
+the tuple ``space``, in the order the calls run; its frozen name in the
+dict ``by_name``; and each pair (c, w) it advances in the dict ``advance``,
+which maps (c, w) to the coordinate c_w representing d(c)/d(w), a jet along
+t or x or Pi^{ij}_{kl} for Pi^{ij} along u^k_{x_l}.  A pair with no
+registered advance has no entry.  The head of ``space``, ``point``, is
+(t, x1..xN, u1..uN, p, rho), and the head of that, ``independents``, is
+(t, x1..xN); each family attribute (``u_x``, ``pi``, ...) holds its
+coordinates in ``space`` order.
 
 ``ansatz`` is the classical ansatz of the equivalence generators, the one
 table of the unprolonged directions: an ordered dict {direction: frozenset
@@ -53,76 +57,63 @@ class JetRegistry:
                 f"dimension must be 1, 2 or 3, got {dim!r}")
         self.dim = dim
         rng = range(1, dim + 1)
+        space, self.by_name, self.advance = [], {}, {}
 
-        self.t = coordinate("t")
-        self.x = tuple(coordinate(f"x{i}") for i in rng)
-        self.u = tuple(coordinate(f"u{k}") for k in rng)
-        self.p = coordinate("p")
-        self.rho = coordinate("rho")
-        self.independents = (self.t,) + self.x
-        self.point = self.independents + self.u + (self.p, self.rho)
+        def register(a: Atom, *advances: tuple) -> Atom:
+            # a joins the space under its name, as c_w for each (c, w) given
+            if a.name in self.by_name:
+                raise ValueError(f"duplicate coordinate registration: {a.name}")
+            space.append(a)
+            self.by_name[a.name] = a
+            self.advance.update(dict.fromkeys(advances, a))
+            return a
 
-        self.u_t = tuple(coordinate(f"u{k}_t") for k in rng)
-        self.u_x = {(k, l): coordinate(f"u{k}_x{l}") for k in rng for l in rng}
-        self.p_t = coordinate("p_t")
-        self.p_x = tuple(coordinate(f"p_x{i}") for i in rng)
-        self.rho_t = coordinate("rho_t")
-        self.rho_x = tuple(coordinate(f"rho_x{i}") for i in rng)
+        self.t = t = register(coordinate("t"))
+        self.x = x = tuple(register(coordinate(f"x{i}")) for i in rng)
+        self.u = u = tuple(register(coordinate(f"u{k}")) for k in rng)
+        self.p = p = register(coordinate("p"))
+        self.rho = rho = register(coordinate("rho"))
+        self.independents = (t,) + x
+        self.point = tuple(space)
 
-        self.u_xx = {(k, l, j): coordinate(f"u{k}_x{l}x{j}")
+        self.u_t = tuple(register(coordinate(f"u{k}_t"), (u[k - 1], t))
+                         for k in rng)
+        self.u_x = u_x = {(k, l): register(coordinate(f"u{k}_x{l}"),
+                                           (u[k - 1], x[l - 1]))
+                          for k in rng for l in rng}
+        self.p_t = register(coordinate("p_t"), (p, t))
+        self.p_x = tuple(register(coordinate(f"p_x{i}"), (p, x[i - 1]))
+                         for i in rng)
+        self.rho_t = register(coordinate("rho_t"), (rho, t))
+        self.rho_x = tuple(register(coordinate(f"rho_x{i}"), (rho, x[i - 1]))
+                           for i in rng)
+
+        self.u_xx = {(k, l, j): register(coordinate(f"u{k}_x{l}x{j}"),
+                                         (u_x[(k, l)], x[j - 1]),
+                                         (u_x[(k, j)], x[l - 1]))
                      for k in rng for l in rng for j in rng if l <= j}
-        self.u_tx = {(k, l): coordinate(f"u{k}_tx{l}") for k in rng for l in rng}
+        self.u_tx = {(k, l): register(coordinate(f"u{k}_tx{l}"),
+                                      (u_x[(k, l)], t),
+                                      (self.u_t[k - 1], x[l - 1]))
+                     for k in rng for l in rng}
 
-        gradient_args = tuple(f"u{k}_x{l}" for k in rng for l in rng)
-        self.pi = {(i, j): function_symbol(f"Pi{i}{j}", gradient_args)
+        gradient_args = tuple(a.name for a in u_x.values())
+        self.pi = {(i, j): register(function_symbol(f"Pi{i}{j}", gradient_args))
                    for i in rng for j in rng if i <= j}
-        self.pi_d = {(i, j, k, l): derivative_of(self.pi[(i, j)], f"u{k}_x{l}")
-                     for (i, j) in self.pi for k in rng for l in rng}
-        self.g = function_symbol("G", ("p", "rho"))
-        self.h = function_symbol("H", ("p", "rho"))
+        self.pi_d = {ij + kl: register(derivative_of(s, a.name), (s, a))
+                     for ij, s in self.pi.items() for kl, a in u_x.items()}
+        self.g = register(function_symbol("G", ("p", "rho")))
+        self.h = register(function_symbol("H", ("p", "rho")))
+        self.space = tuple(space)
 
         # the classical ansatz: each base direction in slot order, with the
         # coordinates its coefficient may depend on
         point = frozenset(self.point)
-        gradient = frozenset(self.u_x.values()) | frozenset(self.pi.values())
-        state = frozenset((self.p, self.rho, self.g, self.h))
+        gradient = frozenset(u_x.values()) | frozenset(self.pi.values())
+        state = frozenset((p, rho, self.g, self.h))
         self.ansatz = {**dict.fromkeys(self.point, point),
-                       **dict.fromkeys((self.pi[k] for k in sorted(self.pi)),
-                                       gradient),
+                       **dict.fromkeys(self.pi.values(), gradient),
                        self.g: state, self.h: state}
-
-        self.space = (
-            self.point + self.u_t + tuple(self.u_x[k] for k in sorted(self.u_x))
-            + (self.p_t,) + self.p_x + (self.rho_t,) + self.rho_x
-            + tuple(self.u_xx[k] for k in sorted(self.u_xx))
-            + tuple(self.u_tx[k] for k in sorted(self.u_tx))
-            + tuple(self.pi[k] for k in sorted(self.pi))
-            + tuple(self.pi_d[k] for k in sorted(self.pi_d))
-            + (self.g, self.h)
-        )
-        self.by_name = {}
-        for a in self.space:
-            if a.name in self.by_name:
-                raise ValueError(f"duplicate coordinate registration: {a.name}")
-            self.by_name[a.name] = a
-
-        self.advance = adv = {}
-        for k in rng:
-            adv[(self.u[k - 1], self.t)] = self.u_t[k - 1]
-            for l in rng:
-                adv[(self.u[k - 1], self.x[l - 1])] = self.u_x[(k, l)]
-                adv[(self.u_x[(k, l)], self.t)] = self.u_tx[(k, l)]
-                adv[(self.u_t[k - 1], self.x[l - 1])] = self.u_tx[(k, l)]
-                for j in rng:
-                    pair = (min(l, j), max(l, j))
-                    adv[(self.u_x[(k, l)], self.x[j - 1])] = self.u_xx[(k,) + pair]
-        adv[(self.p, self.t)] = self.p_t
-        adv[(self.rho, self.t)] = self.rho_t
-        for i in rng:
-            adv[(self.p, self.x[i - 1])] = self.p_x[i - 1]
-            adv[(self.rho, self.x[i - 1])] = self.rho_x[i - 1]
-        for (i, j, k, l), a in self.pi_d.items():
-            adv[(self.pi[(i, j)], self.u_x[(k, l)])] = a
 
         # Names of the coordinates a total derivative chains through, in
         # registry order after the leading independents; second-order and
@@ -136,13 +127,8 @@ class JetRegistry:
         """Stress component with the symmetric pair resolved to i <= j."""
         return self.pi[(i, j) if i <= j else (j, i)]
 
-    def pi_d_at(self, i: int, j: int, k: int, l: int) -> Atom:
-        if i > j:
-            i, j = j, i
-        return self.pi_d[(i, j, k, l)]
-
     def pi_pairs(self) -> tuple:
-        return tuple(sorted(self.pi))
+        return tuple(self.pi)
 
 
 def build_registry(dim: int) -> JetRegistry:

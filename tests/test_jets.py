@@ -55,6 +55,45 @@ def test_registration_is_unique(spaces):
         assert len({a.name for a in atoms}) == len(atoms)
 
 
+def reference_space(dim):
+    """The names of the space in registry order and its advances as
+    (c, w, c_w) name triples, written out from the grammar of
+    docs/names.md."""
+    rng = range(1, dim + 1)
+    pairs = [(a, b) for a in rng for b in rng]
+    names = ["t", *(f"x{i}" for i in rng), *(f"u{k}" for k in rng), "p", "rho",
+             *(f"u{k}_t" for k in rng), *(f"u{k}_x{l}" for k, l in pairs),
+             "p_t", *(f"p_x{i}" for i in rng), "rho_t", *(f"rho_x{i}" for i in rng),
+             *(f"u{k}_x{l}x{j}" for k in rng for l, j in pairs if l <= j),
+             *(f"u{k}_tx{l}" for k, l in pairs),
+             *(f"Pi{i}{j}" for i, j in pairs if i <= j),
+             *(f"Pi{i}{j}_d_u{k}x{l}" for i, j in pairs if i <= j
+               for k, l in pairs),
+             "G", "H"]
+    advances = {(f"u{k}_x{l}", f"x{j}", f"u{k}_x{min(l, j)}x{max(l, j)}")
+                for k in rng for l, j in pairs}
+    for k, l in pairs:
+        advances |= {(f"u{k}", f"x{l}", f"u{k}_x{l}"),
+                     (f"u{k}_x{l}", "t", f"u{k}_tx{l}"),
+                     (f"u{k}_t", f"x{l}", f"u{k}_tx{l}")}
+    for c in ("p", "rho", *(f"u{k}" for k in rng)):
+        advances.add((c, "t", f"{c}_t"))
+    for c in ("p", "rho"):
+        advances |= {(c, f"x{i}", f"{c}_x{i}") for i in rng}
+    advances |= {(f"Pi{i}{j}", f"u{k}_x{l}", f"Pi{i}{j}_d_u{k}x{l}")
+                 for i, j in pairs if i <= j for k, l in pairs}
+    return names, advances
+
+
+def test_space_and_advances_follow_the_name_grammar():
+    for dim in (1, 2, 3):
+        reg = build_registry(dim)
+        names, advances = reference_space(dim)
+        assert [a.name for a in reg.space] == names
+        assert {(c.name, w.name, a.name)
+                for (c, w), a in reg.advance.items()} == advances
+
+
 def test_space_starts_with_the_point(spaces):
     for dim in (1, 2, 3):
         reg = spaces[dim].reg
@@ -67,7 +106,7 @@ def test_space_starts_with_the_point(spaces):
 def test_symmetric_stress_resolution(spaces):
     reg = spaces[3].reg
     assert reg.pi_at(3, 1) == reg.pi_at(1, 3)
-    assert reg.pi_d_at(2, 1, 1, 2) == reg.pi_d[(1, 2, 1, 2)]
+    assert reg.advance[(reg.pi_at(2, 1), reg.u_x[(1, 2)])] == reg.pi_d[(1, 2, 1, 2)]
 
 
 def test_second_jets_store_sorted_pairs(spaces):

@@ -155,7 +155,7 @@ def _axis_swap_map(reg, i, j):
     for (a, b), atom in reg.pi.items():
         table[atom] = reg.pi_at(sw(a), sw(b))
     for (a, b, k, l), atom in reg.pi_d.items():
-        table[atom] = reg.pi_d_at(sw(a), sw(b), sw(k), sw(l))
+        table[atom] = reg.advance[(reg.pi_at(sw(a), sw(b)), reg.u_x[(sw(k), sw(l))])]
     return {key: Expr.of(val) for key, val in table.items() if key != val}
 
 
