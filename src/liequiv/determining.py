@@ -15,8 +15,12 @@ expression.  For catalog entries with a closed-form flow it exponentiates
 the field the determining equations were built with and cross-checks the
 statement finitely: the pullback of each equation must equal a nonzero
 factor, constant over the space, times the equation.  That factor is kept
-exact, as the pair (c, k) meaning c*exp(a)^k.  A generator without a
-catalog entry is checked as an entry of kind ``"user"``, which has no flow.
+exact, as the pair (c, k) meaning c*exp(a)^k, and decided term by term:
+the pullback has as many terms as the equation, exp(a)^k is read from any
+one of them, and every equation term m must meet the pullback coefficient
+at m*exp(a)^k in the one ratio c.  The verdict does not depend on which
+term is read.  A generator without a catalog entry is checked as an entry
+of kind ``"user"``, which has no flow.
 
 This module makes no text: witnesses and factors are printed by ``report``.
 """
@@ -27,9 +31,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .catalog import CatalogEntry
-from .expr import Expr, collect, is_unknown, is_zero
+from .expr import Expr, Monomial, collect, is_unknown, is_zero
 from .flows import SCALE, SCALE_INV, FiniteTransformation, exponentiate
-from .generators import GeneratorSpec, apply_with_trace, prolong
+from .generators import GeneratorSpec, apply, prolong
 from .linsolve import solve_linear
 from .system import BalanceSystem, restrict_to_manifold
 
@@ -58,7 +62,7 @@ def determining_equations(system: BalanceSystem, g: GeneratorSpec,
     pg = prolong(system.registry, g)
     splits = []
     for eq_name, eq in system.equations():
-        residual = apply_with_trace(pg, eq)[0]
+        residual = apply(pg, eq)
         restricted, power = restrict_to_manifold(residual, system)
         buckets = {} if is_zero(restricted) else collect(restricted, system.parametric)
         splits.append(EquationSplit(eq_name, power, tuple(buckets.items())))
@@ -90,19 +94,26 @@ class Verdict:
 
 def finite_check(system: BalanceSystem, ft: FiniteTransformation) -> FiniteCheckResult:
     """Pull every equation back through the coordinate maps and test that the
-    result is a nonzero constant multiple (a rational times a power of
-    exp(a)) of the original equation."""
+    result is a nonzero constant multiple c*s of the original equation, c
+    rational and s a power of exp(a), term by term: the pullback has as
+    many terms as the equation, s is read from any one of them, and each
+    equation term c_m*m must meet a pullback coefficient at m*s in the one
+    ratio c, compared by cross-multiplication."""
     factors = []
     for eq_name, eq in system.equations():
         pullback = ft.transform(eq)
         found = None
-        # a form-invariant pullback has one bucket by its scale monomial
-        buckets = collect(pullback, (SCALE, SCALE_INV))
-        if len(buckets) == 1:
-            (scale, part), = buckets.items()
-            ratio = Fraction(part.terms[0][1], eq.terms[0][1])
-            if part == ratio * eq:
-                found = (ratio, scale.exponent(SCALE) - scale.exponent(SCALE_INV))
+        pb = pullback.coeffs
+        if pb and len(pb) == len(eq.coeffs):
+            scale = Monomial._trusted(tuple(
+                f for f in next(iter(pb)) if f[0] in (SCALE, SCALE_INV)))
+            m0, c0 = next(iter(eq.coeffs.items()))
+            p0 = pb.get(m0 * scale)
+            if p0 is not None and all(
+                    pb.get(m * scale, 0) * c0 == p0 * c
+                    for m, c in eq.coeffs.items()):
+                found = (Fraction(p0, c0),
+                         scale.exponent(SCALE) - scale.exponent(SCALE_INV))
         factors.append(FiniteFactor(eq_name, found, pullback))
     return FiniteCheckResult(all(f.factor is not None for f in factors),
                              tuple(factors))

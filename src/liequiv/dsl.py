@@ -8,12 +8,13 @@ coefficient factors ending in a direction:
 
 Coefficient factors are rational literals (``2``, ``3/4``), coordinate
 names from the frozen grammar, opaque constants ``?name``, parenthesized
-sums, and ``**`` powers.  Directions name the base coordinates only (t, x_i,
-u_k, p, rho, Pi_ij, G, H); jet and stress-derivative directions are produced
-by prolongation and are rejected here.  ``Pi21`` resolves to the symmetric
-representative ``Pi12``.  The input ``0`` alone is the zero generator;
-anywhere else ``0`` is an ordinary rational factor.  The grammar is frozen
-in docs/dsl_grammar.ebnf.
+sums, and ``**`` powers; a power of a one-term base whose coefficient could
+pass ``POWER_BITS`` bits is a syntax error at its exponent.  Directions name
+the base coordinates only (t, x_i, u_k, p, rho, Pi_ij, G, H); jet and
+stress-derivative directions are produced by prolongation and are rejected
+here.  ``Pi21`` resolves to the symmetric representative ``Pi12``.  The
+input ``0`` alone is the zero generator; anywhere else ``0`` is an ordinary
+rational factor.  The grammar is frozen in docs/dsl_grammar.ebnf.
 
 One regular-expression pass turns the input into ``(kind, text, offset)``
 tokens.  Line and column are computed from the offset only when a
@@ -51,6 +52,10 @@ class UnknownCoordinateError(Exception):
 
 
 RATIONAL = r"\d+(?:/\d+)?"  # the rational literal, also read by ``transform --param``
+# The size of c**n is below n times the bits of the numerator and the
+# denominator of c that are not 1; a power of a one-term base passing this
+# many bits is refused before it is built.
+POWER_BITS = 1 << 20
 
 _TOKEN = re.compile(rf"""
     (?P<ws>\s+)
@@ -127,7 +132,15 @@ class _Parser:
         if kind != "number" or "/" in text:
             self.fail("expected a non-negative integer exponent")
         self.pos += 1
-        return base ** self.number(tok).numerator
+        n = self.number(tok).numerator
+        if len(base.coeffs) == 1:
+            c, = base.coeffs.values()
+            bits = sum(v.bit_length() for v in (abs(c.numerator), c.denominator)
+                       if v > 1)
+            if n * bits > POWER_BITS:
+                self.fail(f"the power {n} of a coefficient of {bits} bits passes "
+                          f"the bound of {POWER_BITS} bits", tok)
+        return base ** n
 
     def number(self, tok: tuple) -> Fraction:
         """The value of a number token; a zero denominator or a literal

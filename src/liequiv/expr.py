@@ -50,9 +50,14 @@ monomials that never coincide.  ``Monomial._trusted`` and
 ``Expr._trusted`` take input that is canonical as it stands.
 
 The Leibniz rule lives in one routine, ``derive``, which applies the
-derivation fixed by an image for each atom.  Every derivative in the engine,
-partial, per atom, total or the action of a prolonged field, is an image
-table over it.
+derivation fixed by an image for each atom and adds each contribution into
+one dict as it is made.  Every derivative in the engine, partial, per atom,
+total or the action of a prolonged field, is an image table over it; the
+share of one atom is ``derive`` over a one-entry table.
+
+``replace_atoms`` rebuilds only the terms that hold a replaced atom: the
+other terms go into its output as they are, the replaced pieces are added
+in, and an expression that holds no replaced atom comes back itself.
 
 Division and negative or fractional exponents are deliberately unsupported;
 callers that need a denominator clear it explicitly.
@@ -471,18 +476,17 @@ def atoms_of(e) -> tuple:
     return tuple(sorted({a for mono in as_expr(e).coeffs for a, _ in mono}))
 
 
-def derive(e, image) -> tuple:
+def derive(e, image) -> Expr:
     """The derivation sending each atom ``a`` to ``image(a)``, applied to e.
 
     ``image(a)`` is the (monomial, coefficient) pairs of one expression,
     such as its ``coeffs.items()``, or None (or no pairs) for zero, and is
     asked once per atom.  One pass over the terms of ``e``: each factor
     ``a**k`` of a term ``c*m`` contributes ``k*c*(m/a)*image(a)``, with
-    ``m/a`` cut from ``m`` and so canonical.  Returns ``(total, pieces)``:
-    the derivative, normalized once, and the unnormalized contributions per
-    atom, ``{a: [(monomial, coefficient), ...]}``.
+    ``m/a`` cut from ``m`` and so canonical, added into one dict as it is
+    made; the sums are made canonical once, at the end.
     """
-    images, pieces = {}, {}
+    images, acc = {}, {}
     for mono, c in as_expr(e).coeffs.items():
         for idx, (a, k) in enumerate(mono):
             img = images.get(a, _UNSEEN)
@@ -494,11 +498,13 @@ def derive(e, image) -> tuple:
                 mono[:idx] + ((a, k - 1),) + mono[idx + 1:] if k > 1
                 else mono[:idx] + mono[idx + 1:])
             kc = k * c
-            pieces.setdefault(a, []).extend((rest * m, kc * ci)
-                                            for m, ci in img)
-    # most partials of a jet expression vanish; skip building those
-    return (Expr(pair for p in pieces.values() for pair in p) if pieces
-            else ZERO), pieces
+            for m, ci in img:
+                m = rest * m
+                prev = acc.get(m)
+                acc[m] = kc * ci if prev is None else prev + kc * ci
+    if not acc:  # most partials of a jet expression vanish
+        return ZERO
+    return Expr._trusted({m: _rational(c) for m, c in acc.items() if c})
 
 
 def diff_partial(e, v: Atom) -> Expr:
@@ -517,7 +523,7 @@ def diff_partial(e, v: Atom) -> Expr:
             return ONE.coeffs.items()
         if a.kind != COORD and v.name in a.args:
             return Expr.of(derivative_of(a, v.name)).coeffs.items()
-    return derive(e, image)[0]
+    return derive(e, image)
 
 
 def replace_atoms(e, mapping: Mapping[Atom, object]) -> Expr:
@@ -527,32 +533,40 @@ def replace_atoms(e, mapping: Mapping[Atom, object]) -> Expr:
     inside replacement values are left alone, which makes relabelings and
     self-referencing maps (x -> x + a) well defined.
 
-    Each term splits into its replaced factors and a kept run, which is cut
-    from the canonical monomial and so canonical itself.  The product of
-    the replacement values is built once per call for each distinct tuple
-    of replaced factors, (atom, exponent) pairs, and shared by every term
-    with that tuple.
+    Only the terms that hold a replaced atom are rebuilt: every other term
+    goes into the output as it is, and an input with no replaced atom comes
+    back itself.  A touched term splits into its replaced factors and a
+    kept run, which is cut from the canonical monomial and so canonical
+    itself; the product of the replacement values is built once per call
+    for each distinct tuple of replaced factors, (atom, exponent) pairs,
+    and shared by every term with that tuple.
     """
+    e = as_expr(e)
     table = {a: as_expr(v) for a, v in mapping.items()}
-    products = {}
-
-    def pieces():
-        for mono, c in as_expr(e).coeffs.items():
-            hit, rest = [], []
-            for f in mono:
-                (hit if f[0] in table else rest).append(f)
-            if not hit:
-                yield mono, c
-                continue
-            hit = tuple(hit)
-            product = products.get(hit)
-            if product is None:
-                product = products[hit] = reduce(
-                    mul, [table[a] ** k for a, k in hit])
-            rest = Monomial._trusted(tuple(rest))
-            for m, cc in product.coeffs.items():
-                yield m * rest, c * cc
-    return Expr(pieces())
+    touched = []
+    for mono, c in e.coeffs.items():
+        for a, _ in mono:
+            if a in table:
+                touched.append((mono, c))
+                break
+    if not touched:
+        return e
+    out, products = dict(e.coeffs), {}
+    for mono, c in touched:
+        del out[mono]
+    for mono, c in touched:
+        hit, rest = [], []
+        for f in mono:
+            (hit if f[0] in table else rest).append(f)
+        hit = tuple(hit)
+        product = products.get(hit)
+        if product is None:
+            product = products[hit] = reduce(
+                mul, [table[a] ** k for a, k in hit])
+        rest = Monomial._trusted(tuple(rest))
+        _folded(out, ((m * rest, _rational(c * cc))
+                      for m, cc in product.coeffs.items()))
+    return Expr._trusted(out)
 
 
 def substitute(e, bindings: Mapping[Atom, object]) -> Expr:

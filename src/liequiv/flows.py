@@ -19,6 +19,12 @@ or a Fraction is bound inside the series (any other type raises
 UnsupportedFormError), and a shift that vanishes there leaves its
 coordinate out.
 
+``FiniteTransformation.transform`` pulls an expression through the images.
+``replace_atoms`` rebuilds only the terms that hold a moved coordinate, and
+``reduce_scale`` returns its input unless a monomial holds both scale
+atoms, so an expression the flow does not move, such as every equation
+under a space or time translation, comes back itself.
+
 Rotation candidates have no closed form in this exact-rational carrier
 (their flows need cos/sin); ``numeric_flow`` realizes their fully prolonged
 motion pointwise by one tensor law over the registered families, the
@@ -34,7 +40,7 @@ from itertools import product
 from .catalog import rotation_specs
 from .expr import (Atom, Expr, Monomial, ZERO, as_expr, coordinate,
                    evaluate, is_unknown, is_zero, replace_atoms)
-from .generators import GeneratorSpec, apply_with_trace, prolong
+from .generators import GeneratorSpec, apply, prolong
 from .jets import JetRegistry
 
 PARAM = coordinate("a")
@@ -51,8 +57,12 @@ def scale_power(d: int) -> Expr:
 
 
 def reduce_scale(e) -> Expr:
-    """Cancel exp(a) * exp(-a) pairs inside every monomial."""
-    return Expr((_cancel_scale(mono), c) for mono, c in as_expr(e).coeffs.items())
+    """Cancel exp(a) * exp(-a) pairs inside every monomial; an expression
+    with no monomial holding both comes back itself."""
+    e = as_expr(e)
+    if not any(m.exponent(SCALE) and m.exponent(SCALE_INV) for m in e.coeffs):
+        return e
+    return Expr((_cancel_scale(mono), c) for mono, c in e.coeffs.items())
 
 
 def _cancel_scale(mono: Monomial) -> Monomial:
@@ -118,7 +128,7 @@ def _lie_series(pg: dict, c: Atom, bound: int, a: Expr) -> Expr:
                 f"{_NO_FLOW}: the Lie series of {c.name} leaves the affine "
                 f"terms at order {n}")
         shift = shift + power * term
-        term = apply_with_trace(pg, term)[0] / (n + 1)
+        term = apply(pg, term) / (n + 1)
         power = power * a
     raise NoClosedFormError(
         f"{_NO_FLOW}: the Lie series of {c.name} does not end within "

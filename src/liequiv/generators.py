@@ -29,14 +29,14 @@ take the rule with c = u_t and w = x_l; its D_{x_l}(xi^t) u_tt term needs
 the unregistered u_tt, so u_tx has a coefficient only for generators whose
 xi^t depends on t alone.  A coordinate with no action has no table entry.
 
-The directional action of a prolonged field (``apply_with_trace``) treats
-every coordinate of the extended space as independent, as a vector field
-must; the constitutive argument declarations play no role there.  It is
+The directional action of a prolonged field, ``apply``, treats every
+coordinate of the extended space as independent, as a vector field must;
+the constitutive argument declarations play no role there.  It is
 ``expr.derive``, the one Leibniz routine of the engine, with the prolonged
 coefficients as its image table, and it is the only action of a field:
 the invariance residual is the action of the full prolongation on an
-equation, and the Lie bracket is the bracket of the prolonged fields, whose
-base components
+equation, the Lie series of a flow repeats it, and the Lie bracket is the
+bracket of the prolonged fields, whose base components
 
     [X1, X2]^a = X1(c2^a) - X2(c1^a)
 
@@ -48,6 +48,10 @@ between a generator and its table {direction: coefficient} over the keys of
 ``reg.ansatz``.  ``first_order_field`` extends it by the first-order jets,
 and ``prolong`` goes on from that same first prolongation; every key they
 add is a value of the registry table ``reg.advance``.
+
+``apply_with_trace`` returns the action with the share of each coordinate,
+``derive`` over that coordinate's one-entry image table; the shares sum to
+the action.  It serves inspection only: no caller in the engine needs it.
 """
 
 from __future__ import annotations
@@ -186,34 +190,41 @@ def prolong(reg: JetRegistry, g: GeneratorSpec) -> dict:
     return table
 
 
+def apply(pg: dict, e) -> Expr:
+    """The directional derivative of ``e`` along the prolonged field ``pg``.
+
+    The derivation ``expr.derive`` with the prolonged coefficients as its
+    image table; ?constants are constant.  A coordinate of ``e`` without a
+    coefficient raises ``UnknownSymbolError``, naming the first such
+    coordinate in canonical order.
+    """
+    missing = []
+
+    def image(a):
+        c = pg.get(a)
+        if c is None and not is_unknown(a):
+            missing.append(a)
+        return c and c.coeffs.items()
+
+    out = derive(e, image)
+    if missing:
+        raise UnknownSymbolError(
+            f"no prolonged action is defined for {min(missing).name}")
+    return out
+
+
 def apply_with_trace(pg: dict, e) -> tuple:
-    """Directional derivative of ``e`` with the per-coordinate contributions.
+    """``apply(pg, e)`` with the per-coordinate contributions.
 
     Returns (total, trace) where trace is the tuple of (coordinate, term)
     pairs, in canonical coordinate order, before any cross-coordinate
-    cancellation; summing the trace normalizes to the total.
-
-    The action is the derivation ``expr.derive`` with the prolonged
-    coefficients as its image table.  The coordinates are checked first, in
-    canonical order, so the first one without a coefficient is the one
-    named by ``UnknownSymbolError``; every trace entry is normalized once,
-    from its share of the derivation's pieces.
+    cancellation; the trace sums to the total.  Each term is ``derive`` over
+    the one-entry image table of its coordinate, and coordinates whose term
+    vanishes are left out.
     """
-    coeffs = {}
-    for a in atoms_of(e):
-        if is_unknown(a):
-            continue
-        c = pg.get(a)
-        if c is None:
-            raise UnknownSymbolError(
-                f"no prolonged action is defined for {a.name}")
-        if c:
-            coeffs[a] = c.coeffs.items()
-    if not coeffs:
-        return ZERO, ()
-    total, pieces = derive(e, coeffs.get)
-    trace = ((a, Expr(pieces[a]) if len(pieces) > 1 else total)
-             for a in coeffs if a in pieces)
+    total = apply(pg, e)
+    trace = ((a, derive(e, {a: c.coeffs.items()}.get))
+             for a in atoms_of(e) if (c := pg.get(a)))
     return total, tuple(item for item in trace if item[1])
 
 
@@ -225,7 +236,7 @@ def first_order_field(reg: JetRegistry, g: GeneratorSpec) -> dict:
 def bracket_fields(reg: JetRegistry, p1: dict, p2: dict) -> GeneratorSpec:
     """[X1, X2] on the base directions from two first-order fields."""
     return from_coefficients(reg, {
-        a: apply_with_trace(p1, p2[a])[0] - apply_with_trace(p2, p1[a])[0]
+        a: apply(p1, p2[a]) - apply(p2, p1[a])
         for a in reg.ansatz})
 
 

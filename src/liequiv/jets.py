@@ -172,7 +172,7 @@ def total_derivative(e, w: Atom, reg: JetRegistry) -> Expr:
         return [(Monomial._trusted(((derivative_of(a, n), 1),) + m), 1)
                 for n in a.args if (m := along(n)) is not None]
 
-    out = derive(e, image)[0]
+    out = derive(e, image)
     if stuck:
         first = next(n for n in reg._chain if n in stuck)
         raise JetOrderError(

@@ -47,4 +47,4 @@ def diff_atom(e, a: Atom) -> Expr:
     the extended space, where function symbols are coordinates in their own
     right and must not chain through their declared arguments.
     """
-    return derive(e, lambda b: ONE.terms if b == a else None)[0]
+    return derive(e, lambda b: ONE.terms if b == a else None)

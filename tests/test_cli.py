@@ -59,6 +59,10 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--dim", "1", "--gen", "1/0*d/dt")
     assert code == 2
     assert "line 1, column 1: rational literal 1/0" in err
+    # a constant power past the bit bound is refused before it is built
+    code, _, err = run(capsys, "verify", "--dim", "1", "--gen", "2**99999999999*d/dt")
+    assert code == 2
+    assert "line 1, column 4: the power 99999999999 of a coefficient" in err
     assert run(capsys, "transform", "--dim", "2", "--gen", "J12_naive")[0] == 2
     empty = tmp_path / "empty.dsl"
     empty.write_text("# nothing but a comment\n\n", encoding="utf-8")

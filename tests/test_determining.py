@@ -7,13 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liequiv.catalog import KIND_USER, CatalogEntry, find_entry
-from liequiv.determining import (check_entry, determining_equations,
-                                 finite_check, solve_unknowns)
-from liequiv.expr import (ZERO, Expr, atoms_of, evaluate, is_unknown,
+from liequiv.catalog import verified_entries
+from liequiv.determining import (FiniteCheckResult, FiniteFactor, check_entry,
+                                 determining_equations, finite_check,
+                                 solve_unknowns)
+from liequiv.dsl import parse_generator
+from liequiv.expr import (ZERO, Expr, atoms_of, collect, evaluate, is_unknown,
                           substitute, unknown)
-from liequiv.flows import exponentiate
-from liequiv.generators import (apply_with_trace, bracket, combine,
-                                make_generator, prolong)
+from liequiv.flows import SCALE, SCALE_INV, FiniteTransformation, exponentiate
+from liequiv.generators import apply, bracket, combine, make_generator, prolong
 from liequiv.report import verdict_payload
 from liequiv.system import restrict_to_manifold
 
@@ -101,7 +103,7 @@ def test_determining_system_reconstructs_residual(spaces):
         d = determining_equations(system, entry.spec, name)
         pg = prolong(reg, entry.spec)
         for split, (_, eq) in zip(d.splits, system.equations()):
-            residual = apply_with_trace(pg, eq)[0]
+            residual = apply(pg, eq)
             restricted, power = restrict_to_manifold(residual, system)
             assert split.rho_power == power
             assert recompose(split) == restricted
@@ -289,6 +291,85 @@ def test_finite_check_trace_shift(spaces):
     fc = finite_check(system, _flow(spaces, 2, "T"))
     assert fc.passed
     assert all(f.factor == (1, 0) for f in fc.factors)
+
+
+def collect_finite_check(system, ft):
+    """The finite check decided on whole expressions: the pullback splits
+    into one bucket by its exp(a) monomial, and that bucket equals the
+    ratio of the first terms times the equation."""
+    factors = []
+    for eq_name, eq in system.equations():
+        pullback = ft.transform(eq)
+        found = None
+        buckets = collect(pullback, (SCALE, SCALE_INV))
+        if len(buckets) == 1:
+            (scale, part), = buckets.items()
+            ratio = Fraction(part.terms[0][1], eq.terms[0][1])
+            if part == ratio * eq:
+                found = (ratio, scale.exponent(SCALE) - scale.exponent(SCALE_INV))
+        factors.append(FiniteFactor(eq_name, found, pullback))
+    return FiniteCheckResult(all(f.factor is not None for f in factors),
+                             tuple(factors))
+
+
+def assert_same_finite_check(got, want, where):
+    assert got == want, where
+    for f, g in zip(got.factors, want.factors):
+        assert f.pullback.terms == g.pullback.terms, where
+        if f.factor is not None:
+            assert [type(v) for v in f.factor] == [type(v) for v in g.factor]
+
+
+# generators outside the catalog whose flows exist but move the system:
+# their pullbacks differ from every multiple of some equation
+NON_SYMMETRY_FLOWS = ("x1*d/dx1", "t*d/dt", "2*p*d/dp", "rho*d/drho",
+                      "d/du1", "t*d/du1", "d/drho", "G*d/dG", "p*d/dG",
+                      "u1*d/du1", "x1*d/dx1 + 2*p*d/dp + d/dt")
+
+
+@pytest.mark.parametrize("param", [None, Fraction(-3, 2), Fraction(5, 3)])
+def test_finite_check_matches_the_collect_decision(spaces, param):
+    """Every theorem entry's flow at N = 1-3, symbolic and with a rational
+    parameter, and flows of generators that move the system, get the
+    factors and pullbacks of the decision on whole expressions."""
+    for dim in (1, 2, 3):
+        reg, system = spaces[dim].reg, spaces[dim].system
+        specs = [(e.name, e.spec) for e in verified_entries(spaces[dim].catalog)]
+        specs += [(src, parse_generator(reg, src)) for src in NON_SYMMETRY_FLOWS]
+        for name, spec in specs:
+            ft = exponentiate(reg, prolong(reg, spec), param)
+            assert_same_finite_check(finite_check(system, ft),
+                                     collect_finite_check(system, ft),
+                                     (dim, name, param))
+
+
+def test_finite_check_refuses_pullbacks_that_are_no_multiple(spaces):
+    """Hand-built maps of the N = 1 mass equation rho*u1_x1 + rho_t +
+    rho_x1*u1 whose pullback is no constant multiple of it."""
+    reg, system = spaces[1].reg, spaces[1].system
+    rho, rho_t, u1 = (Expr.of(a) for a in (reg.rho, reg.rho_t, reg.u[0]))
+    cases = {
+        # u1 -> u1 + 1 adds rho_x1: four terms against three
+        "term count": {reg.u[0]: u1 + 1},
+        # rho -> exp(a)*rho: the same three terms under two scale monomials
+        "two scales": {reg.rho: SCALE * rho},
+        # rho_t -> 2*rho_t: one scale monomial, the ratio 2 on one term only
+        "one ratio off": {reg.rho_t: 2 * rho_t},
+    }
+    for why, images in cases.items():
+        ft = FiniteTransformation(images)
+        got = finite_check(system, ft)
+        assert_same_finite_check(got, collect_finite_check(system, ft), why)
+        mass = got.factors[0]
+        assert mass.equation == "mass" and mass.factor is None, why
+        assert not got.passed
+    pullback = finite_check(system, FiniteTransformation(cases["term count"]))
+    assert len(pullback.factors[0].pullback.terms) == 4
+    # scaling every term of the equation by one factor passes
+    ft = FiniteTransformation({c: 3 * SCALE * Expr.of(c)
+                               for c in (reg.rho, reg.rho_t, reg.rho_x[0])})
+    mass = finite_check(system, ft).factors[0]
+    assert mass.factor == (Fraction(3), 1)
 
 
 def test_infinitesimal_and_finite_routes_agree(spaces):

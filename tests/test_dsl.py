@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liequiv.catalog import find_entry
-from liequiv.dsl import (DslSyntaxError, UnknownCoordinateError, parse_expr,
-                         parse_generator, print_generator)
+from liequiv.dsl import (POWER_BITS, DslSyntaxError, UnknownCoordinateError,
+                         parse_expr, parse_generator, print_generator)
 from liequiv.expr import ONE, ZERO, Expr, is_zero, signed_sum, unknown
 from liequiv.generators import AnsatzError, base_coefficients, make_generator
 from liequiv.jets import build_registry
@@ -124,6 +124,38 @@ def test_zero_denominator_is_a_syntax_error(spaces, parse, src, column):
         parse(spaces[1].reg, src)
     assert (err.value.line, err.value.column) == (1, column)
     assert "1/0" in str(err.value)
+
+
+@pytest.mark.parametrize("src, column", [
+    ("2**99999999999*d/dt", 4),
+    ("x1*d/dt + (2*p)**99999999999*d/dp", 18),
+    ("(1/3)**99999999*d/dt", 8),
+    ("(-7)**99999999*d/dt", 7),
+    ("(2**2000)**1000*d/dt", 12),
+    (f"2**{POWER_BITS // 2 + 1}*d/dt", 4),
+])
+def test_constant_powers_past_the_bit_bound_are_syntax_errors(spaces, src, column):
+    """A one-term base whose coefficient c could pass POWER_BITS bits in
+    c**n, by n times the bits of c's numerator and denominator other than
+    1, is refused at the exponent before the power is built."""
+    with pytest.raises(DslSyntaxError) as err:
+        parse_generator(spaces[1].reg, src)
+    assert (err.value.line, err.value.column) == (1, column)
+    assert f"bound of {POWER_BITS} bits" in str(err.value)
+
+
+def test_powers_within_the_bit_bound_are_built(spaces):
+    """At the bound a power is built; a coefficient of 1, a zero base and a
+    sum are not bounded."""
+    reg = spaces[1].reg
+    at_bound = parse_expr(reg, f"2**{POWER_BITS // 2}")
+    assert at_bound == Expr.const(2 ** (POWER_BITS // 2))
+    assert parse_expr(reg, "2**20000") == Expr.const(2 ** 20000)
+    assert parse_expr(reg, "(-1/1)**99999999999") == Expr.const(-1)
+    assert parse_expr(reg, "0**99999999999") == ZERO
+    p = Expr.of(reg.p)
+    assert parse_expr(reg, "p**99999999") == p ** 99999999
+    assert parse_expr(reg, "(p + 1)**3") == (p + 1) ** 3
 
 
 def test_unknown_constants_round_trip(spaces):

@@ -432,12 +432,12 @@ def polynomials(max_terms):
 def test_derive_matches_sympy(e, images):
     """derive(e, image) is sum_a image(a) * d e / d a, with every atom an
     independent symbol and an unlisted or None image meaning zero; each
-    atom's pieces are its own summand."""
+    atom's share is derive over the one-entry table of its image."""
     def image(a):
         img = images.get(a)
         return None if img is None else img.terms
 
-    total, pieces = derive(e, image)
+    total = derive(e, image)
     assert_normal_form(total)
     sym_e = plain(e)
     want = {}
@@ -445,9 +445,10 @@ def test_derive_matches_sympy(e, images):
         d = sympy.diff(sym_e, sympy.Symbol(a.name))
         want[a] = sympy.expand(plain(images.get(a, ZERO) or ZERO) * d)
     assert sympy.expand(plain(total) - sympy.Add(*want.values())) == 0
-    for a, part in pieces.items():
-        assert sympy.expand(plain(Expr(part)) - want[a]) == 0
-    assert set(pieces) == {a for a in want if images.get(a)}
+    for a in want:
+        share = derive(e, {a: image(a)}.get)
+        assert_normal_form(share)
+        assert sympy.expand(plain(share) - want[a]) == 0
 
 
 # -- atom and monomial order, and the trusted constructors ---------------------
@@ -737,6 +738,66 @@ def test_replace_atoms_matches_per_term_reference(e, table):
     # repeated monomials with exponents up to 3 share replaced-factor tuples
     e = e + e * e
     assert_same(replace_atoms(e, table), replace_reference(e, table))
+
+
+# a touch case never replaces these atoms, and may replace the keys
+UNTOUCHED = [p, rho, u1_x1, G]
+TOUCH_KEYS = [t, x1, c1, c2]
+
+
+def sums_over(atoms, max_terms=4):
+    monomial = st.lists(st.tuples(st.sampled_from(atoms), st.integers(1, 2)),
+                        max_size=3).map(Monomial)
+    return st.lists(st.tuples(monomial, term_coefficients),
+                    max_size=max_terms).map(Expr)
+
+
+@st.composite
+def touch_cases(draw):
+    """(e, table): untouched terms over atoms that are never keys, plus
+    terms that hold keys, so that the table touches no term, some terms or
+    every term.  Each key k occurs alone, as the term 1*k, and its value may
+    hold an untouched monomial m: -c*m cancels the untouched term c*m, any
+    other coefficient lands on it."""
+    reach = draw(st.sampled_from(["none", "some", "every"]))
+    e = ZERO if reach == "every" else draw(sums_over(UNTOUCHED))
+    untouched = e.terms
+    table = {}
+    for k in draw(st.lists(st.sampled_from(TOUCH_KEYS), min_size=1,
+                           max_size=3, unique=True)):
+        value = draw(sums_over(UNTOUCHED + TOUCH_KEYS, 3))
+        if untouched and draw(st.booleans()):
+            m, c = draw(st.sampled_from(untouched))
+            value = value + Expr([(m, draw(st.sampled_from([-c, c, 1])))])
+        table[k] = value
+        if reach != "none":
+            e = e + k + Expr.of(k) * draw(sums_over(UNTOUCHED + TOUCH_KEYS, 2))
+    return e, table
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(touch_cases())
+def test_replace_atoms_rebuilds_only_touched_terms(case):
+    e, table = case
+    got = replace_atoms(e, table)
+    assert_same(got, replace_reference(e, table))
+    if not any(a in table for m in e.coeffs for a, _ in m):
+        assert got is e
+
+
+def test_replace_atoms_adds_replaced_pieces_into_untouched_terms():
+    e = 3 * p * rho + 2 * x1 + t * rho - rho
+    assert replace_atoms(e, {}) is e
+    assert replace_atoms(e, {c1: p, G: rho}) is e  # touches no term
+    # x1 -> -3/2*p*rho cancels the untouched 3*p*rho
+    assert_same(replace_atoms(e, {x1: Fraction(-3, 2) * p * rho}), t * rho - rho)
+    # t -> 1 lands t*rho on the untouched -rho, and the two cancel
+    assert_same(replace_atoms(e, {t: 1}), 3 * p * rho + 2 * x1)
+    # t -> 2 lands on it and leaves rho
+    assert_same(replace_atoms(e, {t: 2}), 3 * p * rho + 2 * x1 + rho)
+    # every term touched
+    assert_same(replace_atoms(e, {p: t, rho: x1}),
+                3 * t * x1 + 2 * x1 + t * x1 - x1)
 
 
 def test_pickled_atoms_and_monomials_hash_in_a_new_process():

@@ -318,6 +318,20 @@ def test_reduce_scale():
     assert reduce_scale(e) == Expr.const(1)
     e = Expr.of(SCALE) ** 3 * SCALE_INV
     assert reduce_scale(e) == Expr.of(SCALE) ** 2
+    # no monomial holds both scale atoms: the input comes back
+    p = coordinate("p")
+    e = SCALE * p + SCALE_INV ** 2 + p
+    assert reduce_scale(e) is e
+    assert reduce_scale(e + SCALE * SCALE_INV * p) == e + p
+
+
+def test_transform_returns_an_equation_it_does_not_move(spaces):
+    """A space translation moves no atom of the system's equations: the
+    pullback is the equation itself."""
+    system = spaces[3].system
+    ft = _flow(spaces, 3, "X1")
+    for _, eq in system.equations():
+        assert ft.transform(eq) is eq
 
 
 def test_with_parameter(spaces):

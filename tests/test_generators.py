@@ -14,9 +14,9 @@ from liequiv.dsl import parse_generator, print_generator
 from liequiv.expr import (ONE, ZERO, Expr, UnknownSymbolError,
                           UnsupportedFormError, atoms_of, is_unknown, is_zero,
                           unknown)
-from liequiv.generators import (AnsatzError, GeneratorSpec, apply_with_trace,
-                                bracket, base_coefficients, combine,
-                                first_order_field, from_coefficients,
+from liequiv.generators import (AnsatzError, GeneratorSpec, apply,
+                                apply_with_trace, bracket, base_coefficients,
+                                combine, first_order_field, from_coefficients,
                                 make_generator, prolong)
 from liequiv.jets import build_registry, total_derivative
 
@@ -226,7 +226,7 @@ def test_apply_autonomous_translation(spaces):
     reg = spaces[1].reg
     system = spaces[1].system
     pg = prolong(reg, _spec(spaces, 1, "X0"))
-    assert is_zero(apply_with_trace(pg, system.mass)[0])
+    assert is_zero(apply(pg, system.mass))
 
 
 def test_apply_pressure_shift_on_momentum(spaces):
@@ -234,7 +234,7 @@ def test_apply_pressure_shift_on_momentum(spaces):
     system = spaces[2].system
     pg = prolong(reg, _spec(spaces, 2, "S"))
     for eq in system.momentum:
-        assert is_zero(apply_with_trace(pg, eq)[0])
+        assert is_zero(apply(pg, eq))
 
 
 def test_trace_shift_cancellation(spaces):
@@ -260,7 +260,7 @@ def test_apply_rejects_unreachable_coordinates(spaces):
     pg = prolong(reg, make_generator(reg, xi_t=Expr.of(reg.x[0])))
     assert pg.get(reg.u_tx[(1, 1)]) is None
     with pytest.raises(UnknownSymbolError):
-        apply_with_trace(pg, Expr.of(reg.u_tx[(1, 1)]))[0]
+        apply(pg, Expr.of(reg.u_tx[(1, 1)]))
 
 
 def test_bracket_examples(spaces):
@@ -545,14 +545,19 @@ def test_apply_matches_the_definition(case):
     try:
         want_total, want_trace = reference_action(pg, e)
     except UnknownSymbolError as err:
-        with pytest.raises(UnknownSymbolError, match=re.escape(str(err))):
-            apply_with_trace(pg, e)
+        for act in (apply, apply_with_trace):
+            with pytest.raises(UnknownSymbolError, match=re.escape(str(err))):
+                act(pg, e)
         return
     total, trace = apply_with_trace(pg, e)
     assert [a for a, _ in trace] == [a for a, _ in want_trace]
     for (a, got), (_, want) in zip(trace, want_trace):
         assert got == want, a
     assert total == want_total
+    # the trace is built from shares of the action and sums to it
+    action = apply(pg, e)
+    assert total == action == sum((term for _, term in trace), ZERO)
+    assert action.terms == want_total.terms
 
 
 @settings(derandomize=True, deadline=None, max_examples=30)
@@ -564,6 +569,5 @@ def test_action_on_the_system_is_linear_in_the_generator(spaces, case):
     mixed = prolong(reg, combine(reg, parts))
     singles = [(c, prolong(reg, g)) for c, g in parts]
     for name, eq in system.equations():
-        want = sum((c * apply_with_trace(pg, eq)[0] for c, pg in singles),
-                   Expr())
-        assert apply_with_trace(mixed, eq)[0] == want, name
+        want = sum((c * apply(pg, eq) for c, pg in singles), Expr())
+        assert apply(mixed, eq) == want, name
