@@ -8,10 +8,11 @@ generator, 2 on usage or input errors.  Output is deterministic; two runs
 over the same inputs produce byte-identical reports.
 
 Each dimension's registry, system and catalog depend on the dimension alone
-and are immutable (the catalog is a tuple of frozen entries), so the CLI
-builds each of them once per process, on first use, and every later command
-at that dimension shares it; a DSL or @file selector still builds no
-catalog.  Nothing computed from a generator is kept between commands.  A
+(the catalog is a tuple of frozen entries), so the CLI builds each of them
+once per process, on first use, and every later command at that dimension
+shares it; a DSL or @file selector still builds no catalog.  The system's
+memo of principal products grows as commands restrict, but it holds system
+data only: nothing computed from a generator is kept between commands.  A
 library caller that runs many checks should likewise build the three once
 per dimension and pass them around.
 """

@@ -142,39 +142,49 @@ def solve_unknowns(dsys: DeterminingSystem) -> dict:
     and are listed in the companion ``free`` list.  The unknowns are collected
     from the split coefficients only: an unknown of the generator that
     occurs in no split coefficient is reported neither in ``solution`` nor in
-    ``free`` (ROADMAP open item 1).
+    ``free`` (ROADMAP open item 1).  Each distinct coefficient is grouped
+    into rows once; a repeat passes the same row objects to ``solve_linear``
+    again, so the solver still sees one row per coefficient and monomial.
     """
     unknowns = set()
     equations = []
+    rows_of = {}
     for coeff in dsys.coefficients():
-        groups = {}
-        for mono, c in coeff.terms:
-            var = None
-            mixed = False
-            rest = []
-            for a, k in mono:
-                if is_unknown(a):
-                    if k > 1:
-                        raise ValueError(
-                            f"coefficient is nonlinear in unknown {a.name}")
-                    # raised after the loop: a nonlinear factor goes first
-                    mixed = var is not None
-                    var = a
-                else:
-                    rest.append((a, k))
-            if mixed:
-                raise ValueError("coefficient mixes unknowns within one term")
-            # factors are sorted, so the filtered subsequence is canonical;
-            # a row keeps its constant term under None
-            rest = tuple(rest)
-            row = groups.get(rest)
-            if row is None:
-                row = groups[rest] = {}
-            row[var] = row.get(var, 0) + c
-            if var is not None:
-                unknowns.add(var)
-        for row in groups.values():
-            equations.append((row, -row.pop(None, 0)))
+        rows = rows_of.get(coeff)
+        if rows is None:
+            rows = rows_of[coeff] = _grouped_rows(coeff, unknowns)
+        equations += rows
     solution, free = solve_linear(equations, sorted(unknowns))
     return {"solution": solution, "free": free}
 
+
+def _grouped_rows(coeff: Expr, unknowns: set) -> list:
+    """The (row, rhs) equations of one split coefficient, one per monomial
+    over the coordinates, adding the unknowns they hold to ``unknowns``."""
+    groups = {}
+    for mono, c in coeff.terms:
+        var = None
+        mixed = False
+        rest = []
+        for a, k in mono:
+            if is_unknown(a):
+                if k > 1:
+                    raise ValueError(
+                        f"coefficient is nonlinear in unknown {a.name}")
+                # raised after the loop: a nonlinear factor goes first
+                mixed = var is not None
+                var = a
+            else:
+                rest.append((a, k))
+        if mixed:
+            raise ValueError("coefficient mixes unknowns within one term")
+        # factors are sorted, so the filtered subsequence is canonical;
+        # a row keeps its constant term under None
+        rest = tuple(rest)
+        row = groups.get(rest)
+        if row is None:
+            row = groups[rest] = {}
+        row[var] = row.get(var, 0) + c
+        if var is not None:
+            unknowns.add(var)
+    return [(row, -row.pop(None, 0)) for row in groups.values()]

@@ -8,8 +8,9 @@ coefficient factors ending in a direction:
 
 Coefficient factors are rational literals (``2``, ``3/4``), coordinate
 names from the frozen grammar, opaque constants ``?name``, parenthesized
-sums, and ``**`` powers; a power of a one-term base whose coefficient could
-pass ``POWER_BITS`` bits is a syntax error at its exponent.  Directions name
+sums, and ``**`` powers; a power whose size could pass ``POWER_BITS`` bits,
+its bound on the number of terms times its bound on the bits of one
+coefficient, is a syntax error at its exponent.  Directions name
 the base coordinates only (t, x_i, u_k, p, rho, Pi_ij, G, H); jet and
 stress-derivative directions are produced by prolongation and are rejected
 here.  ``Pi21`` resolves to the symmetric representative ``Pi12``.  The
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 
 from .expr import Expr, ONE, ZERO, is_zero, signed_sum, unknown
 from .generators import GeneratorSpec, base_coefficients, from_coefficients
@@ -52,9 +54,12 @@ class UnknownCoordinateError(Exception):
 
 
 RATIONAL = r"\d+(?:/\d+)?"  # the rational literal, also read by ``transform --param``
-# The size of c**n is below n times the bits of the numerator and the
-# denominator of c that are not 1; a power of a one-term base passing this
-# many bits is refused before it is built.
+# The size of a power is bounded by the number of its terms times the bits
+# of its largest coefficient.  A power of k terms has at most
+# comb(n + k - 1, k - 1) terms, and a coefficient below n times the bits of
+# the largest numerator and denominator of the base that are not 1, plus the
+# bits of k - 1 for the multinomial factor when k > 1.  A power whose bound
+# passes this many bits is refused before it is built.
 POWER_BITS = 1 << 20
 
 _TOKEN = re.compile(rf"""
@@ -133,13 +138,19 @@ class _Parser:
             self.fail("expected a non-negative integer exponent")
         self.pos += 1
         n = self.number(tok).numerator
-        if len(base.coeffs) == 1:
-            c, = base.coeffs.values()
-            bits = sum(v.bit_length() for v in (abs(c.numerator), c.denominator)
-                       if v > 1)
-            if n * bits > POWER_BITS:
-                self.fail(f"the power {n} of a coefficient of {bits} bits passes "
-                          f"the bound of {POWER_BITS} bits", tok)
+        k = len(base.coeffs)
+        bits = max((sum(v.bit_length() for v in (abs(c.numerator), c.denominator)
+                        if v > 1) for c in base.coeffs.values()), default=0)
+        if k > 1:  # a multinomial coefficient is below k**n
+            bits += (k - 1).bit_length()
+        size = n * bits
+        if k > 1 and size <= POWER_BITS:
+            # n is below POWER_BITS here, which keeps the binomial cheap
+            size *= comb(n + k - 1, k - 1)
+        if size > POWER_BITS:
+            what = f"a sum of {k} terms" if k > 1 else f"a coefficient of {bits} bits"
+            self.fail(f"the power {n} of {what} passes the bound of {POWER_BITS} "
+                      "bits", tok)
         return base ** n
 
     def number(self, tok: tuple) -> Fraction:

@@ -57,7 +57,9 @@ share of one atom is ``derive`` over a one-entry table.
 
 ``replace_atoms`` rebuilds only the terms that hold a replaced atom: the
 other terms go into its output as they are, the replaced pieces are added
-in, and an expression that holds no replaced atom comes back itself.
+in, and an expression that holds no replaced atom comes back itself.  A
+caller that replaces over one table many times passes a memo of the
+products it builds.
 
 Division and negative or fractional exponents are deliberately unsupported;
 callers that need a denominator clear it explicitly.
@@ -526,7 +528,7 @@ def diff_partial(e, v: Atom) -> Expr:
     return derive(e, image)
 
 
-def replace_atoms(e, mapping: Mapping[Atom, object]) -> Expr:
+def replace_atoms(e, mapping: Mapping[Atom, object], memo: dict | None = None) -> Expr:
     """Simultaneous single-pass replacement of atoms by expressions.
 
     Atoms absent from the mapping are kept.  No recursion: keys occurring
@@ -537,9 +539,12 @@ def replace_atoms(e, mapping: Mapping[Atom, object]) -> Expr:
     goes into the output as it is, and an input with no replaced atom comes
     back itself.  A touched term splits into its replaced factors and a
     kept run, which is cut from the canonical monomial and so canonical
-    itself; the product of the replacement values is built once per call
-    for each distinct tuple of replaced factors, (atom, exponent) pairs,
-    and shared by every term with that tuple.
+    itself; the product of the replacement values is built once for each
+    distinct tuple of replaced factors, (atom, exponent) pairs, and shared
+    by every term with that tuple.  The products go into ``memo``, a dict
+    from factor tuple to product: a fresh one per call by default, or one
+    the caller owns and passes with every call over the same ``mapping``,
+    so that each product is built once across the calls.
     """
     e = as_expr(e)
     table = {a: as_expr(v) for a, v in mapping.items()}
@@ -551,7 +556,7 @@ def replace_atoms(e, mapping: Mapping[Atom, object]) -> Expr:
                 break
     if not touched:
         return e
-    out, products = dict(e.coeffs), {}
+    out, products = dict(e.coeffs), {} if memo is None else memo
     for mono, c in touched:
         del out[mono]
     for mono, c in touched:

@@ -13,7 +13,9 @@ solved for and kept in one table, ``BalanceSystem.principal``.  The u^i_t
 solutions carry a denominator rho, so the table binds each u^i_t to its
 numerator.  Restriction scales every term by the power of rho that clears
 its denominators, then makes one ``replace_atoms`` pass over the table, and
-reports the power.
+reports the power.  The products of bindings that the pass builds depend on
+the table alone, so the system keeps them, ``BalanceSystem.products``, and
+each is built once for the life of the system.
 
 The registered coordinates after the point (t, x, u, p, rho) that the table
 does not bind are left free on the solution manifold, and the restricted
@@ -32,12 +34,16 @@ from .jets import JetRegistry, total_derivative
 
 
 class BalanceSystem:
-    """Immutable container for the three equations of one dimension.
+    """The three equations of one dimension, fixed once built.
 
     ``principal`` maps rho_t and p_t to their polynomial solutions and each
     u^i_t to the numerator rho*u^i_t - momentum_i of its solution
     numerator / rho.  No binding contains a principal derivative.
     ``parametric`` holds the coordinates the system leaves free.
+    ``products`` is the one thing that grows: the ``replace_atoms`` memo of
+    ``restrict_to_manifold``, from a tuple of replaced factors to its
+    product of ``principal`` bindings, filled on first use.  It depends on
+    the system alone and holds one entry per distinct tuple seen.
     """
 
     def __init__(self, reg: JetRegistry, mass: Expr, momentum: tuple,
@@ -50,6 +56,7 @@ class BalanceSystem:
         self.dissipation = dissipation
         self.principal = principal
         self.parametric = parametric
+        self.products = {}
 
     def equations(self) -> tuple:
         named = [("mass", self.mass)]
@@ -116,7 +123,9 @@ def restrict_to_manifold(e, system: BalanceSystem) -> tuple:
     largest total degree of the u_t among the terms of ``e``.  Each term of
     u_t degree d is multiplied by rho**(power - d), and one ``replace_atoms``
     pass over ``system.principal`` then gives the polynomial rho**power * e
-    on the manifold.
+    on the manifold.  After the scaling the terms stay distinct: terms of
+    one u_t degree gain the same power of rho, and terms of different u_t
+    degree keep apart.
     """
     reg = system.registry
     e = as_expr(e)
@@ -125,6 +134,6 @@ def restrict_to_manifold(e, system: BalanceSystem) -> tuple:
     power = max(degrees.values(), default=0)
     if power:
         rho_powers = [Monomial(((reg.rho, n),)) for n in range(power + 1)]
-        e = Expr((mono * rho_powers[power - degrees[mono]], c)
-                 for mono, c in e.coeffs.items())
-    return replace_atoms(e, system.principal), power
+        e = Expr._trusted({mono * rho_powers[power - degrees[mono]]: c
+                           for mono, c in e.coeffs.items()})
+    return replace_atoms(e, system.principal, system.products), power

@@ -5,7 +5,8 @@ from types import SimpleNamespace
 import pytest
 
 from liequiv import build_catalog, build_registry, build_system
-from liequiv.expr import ONE, Atom, Expr, derive
+from liequiv.expr import ONE, ZERO, Atom, Expr, derive, unknown
+from liequiv.generators import make_generator
 
 
 @pytest.fixture(scope="session")
@@ -48,3 +49,35 @@ def diff_atom(e, a: Atom) -> Expr:
     right and must not chain through their declared arguments.
     """
     return derive(e, lambda b: ONE.terms if b == a else None)
+
+
+def degree1_ansatz(reg):
+    """Every coefficient slot gets one ?constant for 1 and one for each
+    admitted coordinate: xi, eta^u on (t, x, u); eta^p, eta^rho on
+    (t, x, u, p, rho); mu^Pi on the gradient jets and the Pi components;
+    mu^G, mu^H on (p, rho, G, H)."""
+    base = [reg.t, *reg.x, *reg.u]
+    point = base + [reg.p, reg.rho]
+    gradient = ([reg.u_x[k] for k in sorted(reg.u_x)]
+                + [reg.pi[k] for k in reg.pi_pairs()])
+    state = [reg.p, reg.rho, reg.g, reg.h]
+    count = 0
+
+    def general(atoms):
+        nonlocal count
+        e = ZERO
+        for basis in [None] + atoms:
+            count += 1
+            c = unknown(f"c{count}")
+            e = e + (Expr.of(c) if basis is None else c * basis)
+        return e
+
+    spec = make_generator(
+        reg,
+        xi_t=general(base),
+        xi_x=tuple(general(base) for _ in reg.x),
+        eta_u=tuple(general(base) for _ in reg.u),
+        eta_p=general(point), eta_rho=general(point),
+        mu_pi=tuple(general(gradient) for _ in reg.pi_pairs()),
+        mu_g=general(state), mu_h=general(state))
+    return spec, count

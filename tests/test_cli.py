@@ -63,6 +63,10 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--dim", "1", "--gen", "2**99999999999*d/dt")
     assert code == 2
     assert "line 1, column 4: the power 99999999999 of a coefficient" in err
+    # so is a power of a sum whose expansion could pass it
+    code, _, err = run(capsys, "verify", "--dim", "1", "--gen", "(p + 1)**99999999*d/dp")
+    assert code == 2
+    assert "line 1, column 10: the power 99999999 of a sum of 2 terms" in err
     assert run(capsys, "transform", "--dim", "2", "--gen", "J12_naive")[0] == 2
     empty = tmp_path / "empty.dsl"
     empty.write_text("# nothing but a comment\n\n", encoding="utf-8")

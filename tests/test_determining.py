@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liequiv import determining as determining_module
 from liequiv.catalog import KIND_USER, CatalogEntry, find_entry
 from liequiv.catalog import verified_entries
 from liequiv.determining import (FiniteCheckResult, FiniteFactor, check_entry,
@@ -16,8 +17,11 @@ from liequiv.expr import (ZERO, Expr, atoms_of, collect, evaluate, is_unknown,
                           substitute, unknown)
 from liequiv.flows import SCALE, SCALE_INV, FiniteTransformation, exponentiate
 from liequiv.generators import apply, bracket, combine, make_generator, prolong
+from liequiv.linsolve import solve_linear
 from liequiv.report import verdict_payload
 from liequiv.system import restrict_to_manifold
+
+from conftest import degree1_ansatz
 
 
 def witness_is_sound(verdict, seed=7, draws=5):
@@ -172,38 +176,6 @@ def test_scaling_family_forces_weights(spaces):
     assert forced == find_entry(spaces[1].catalog, "Z1").spec
 
 
-def degree1_ansatz(reg):
-    """Every coefficient slot gets one ?constant for 1 and one for each
-    admitted coordinate: xi, eta^u on (t, x, u); eta^p, eta^rho on
-    (t, x, u, p, rho); mu^Pi on the gradient jets and the Pi components;
-    mu^G, mu^H on (p, rho, G, H)."""
-    base = [reg.t, *reg.x, *reg.u]
-    point = base + [reg.p, reg.rho]
-    gradient = ([reg.u_x[k] for k in sorted(reg.u_x)]
-                + [reg.pi[k] for k in reg.pi_pairs()])
-    state = [reg.p, reg.rho, reg.g, reg.h]
-    count = 0
-
-    def general(atoms):
-        nonlocal count
-        e = ZERO
-        for basis in [None] + atoms:
-            count += 1
-            c = unknown(f"c{count}")
-            e = e + (Expr.of(c) if basis is None else c * basis)
-        return e
-
-    spec = make_generator(
-        reg,
-        xi_t=general(base),
-        xi_x=tuple(general(base) for _ in reg.x),
-        eta_u=tuple(general(base) for _ in reg.u),
-        eta_p=general(point), eta_rho=general(point),
-        mu_pi=tuple(general(gradient) for _ in reg.pi_pairs()),
-        mu_g=general(state), mu_h=general(state))
-    return spec, count
-
-
 def test_degree1_ansatz_solver_counts(spaces):
     # (declared unknowns, unknowns reaching the solver, free, rank); the
     # unknowns that occur in no split coefficient never reach the solver.
@@ -222,6 +194,52 @@ def test_degree1_ansatz_solver_counts(spaces):
             continue  # 11,523 substitutions take 9 s; N = 1-2 check the solver
         for coeff in d.coefficients():
             assert substitute(coeff, res["solution"]) == ZERO
+
+
+def grouped_reference(dsys) -> tuple:
+    """The (row, rhs) equations of every split coefficient, repeats grouped
+    again, and the unknowns they hold, in the order solve_unknowns reads
+    them."""
+    equations, unknowns = [], set()
+    for coeff in dsys.coefficients():
+        groups = {}
+        for mono, c in coeff.terms:
+            found = [a for a, _ in mono if is_unknown(a)]
+            rest = tuple(f for f in mono if not is_unknown(f[0]))
+            var = found[0] if found else None
+            unknowns.update(found)
+            row = groups.setdefault(rest, {})
+            row[var] = row.get(var, 0) + c
+        equations += [(row, -row.pop(None, 0)) for row in groups.values()]
+    return equations, sorted(unknowns)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_solve_unknowns_groups_each_coefficient_once(spaces, monkeypatch, dim):
+    """solve_unknowns hands solve_linear one row per (coefficient, point
+    monomial), repeated coefficients included, and solves as the reference
+    that groups every coefficient does."""
+    spec, _ = degree1_ansatz(spaces[dim].reg)
+    d = determining_equations(spaces[dim].system, spec, f"ansatz{dim}")
+    equations, unknowns = grouped_reference(d)
+    seen = []
+
+    def recording(eqs, variables):
+        seen.append((list(eqs), list(variables)))
+        return solve_linear(eqs, variables)
+
+    monkeypatch.setattr(determining_module, "solve_linear", recording)
+    res = solve_unknowns(d)
+    (got, variables), = seen
+    assert variables == unknowns
+    assert len(got) == len(equations)
+    assert got == equations
+    # repeats share row objects: fewer rows are built than are passed
+    coefficients = d.coefficients()
+    assert len(set(coefficients)) < len(coefficients)
+    assert len({id(row) for row, _ in got}) < len(got)
+    solution, free = solve_linear(equations, unknowns)
+    assert res == {"solution": solution, "free": free}
 
 
 def test_solve_unknowns_rejects_nonlinear(spaces):

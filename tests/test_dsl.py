@@ -144,9 +144,26 @@ def test_constant_powers_past_the_bit_bound_are_syntax_errors(spaces, src, colum
     assert f"bound of {POWER_BITS} bits" in str(err.value)
 
 
+@pytest.mark.parametrize("src, column", [
+    ("(p + 1)**99999999*d/dp", 10),
+    ("(p + 1)**1024*d/dp", 10),
+    ("(p + 2**999)**32*d/dp", 15),
+    ("((p + 1)**30)**100*d/dp", 16),
+    ("(t + x1 + p)**99999999999*d/dt", 15),
+])
+def test_powers_of_sums_past_the_bound_are_syntax_errors(spaces, src, column):
+    """A power of a sum of k terms is refused at the exponent when its
+    comb(n + k - 1, k - 1) terms times n times the bits of k - 1 and of the
+    largest coefficient could pass POWER_BITS."""
+    with pytest.raises(DslSyntaxError) as err:
+        parse_generator(spaces[1].reg, src)
+    assert (err.value.line, err.value.column) == (1, column)
+    assert "terms passes the bound of" in str(err.value)
+
+
 def test_powers_within_the_bit_bound_are_built(spaces):
-    """At the bound a power is built; a coefficient of 1, a zero base and a
-    sum are not bounded."""
+    """At the bound a power is built, of one term or of a sum; a coefficient
+    of 1 and a zero base are not bounded."""
     reg = spaces[1].reg
     at_bound = parse_expr(reg, f"2**{POWER_BITS // 2}")
     assert at_bound == Expr.const(2 ** (POWER_BITS // 2))
@@ -156,6 +173,9 @@ def test_powers_within_the_bit_bound_are_built(spaces):
     p = Expr.of(reg.p)
     assert parse_expr(reg, "p**99999999") == p ** 99999999
     assert parse_expr(reg, "(p + 1)**3") == (p + 1) ** 3
+    # 32 terms times 31 * (1000 + 1) bits is just within 2**20
+    big = Expr.const(2 ** 999)
+    assert parse_expr(reg, "(p + 2**999)**31") == (p + big) ** 31
 
 
 def test_unknown_constants_round_trip(spaces):

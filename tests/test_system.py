@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 from liequiv import expr as expr_module
 from liequiv.expr import (ONE, Expr, Monomial, atoms_of, is_zero, replace_atoms,
                           substitute, unknown)
+from liequiv.generators import apply, prolong
 from liequiv.jets import build_registry
 from liequiv.system import build_system, restrict_to_manifold
+
+from conftest import degree1_ansatz
 
 
 def test_dim1_equations(spaces):
@@ -238,10 +241,58 @@ def test_restrict_matches_per_term_clearing(case):
     assert restrict_to_manifold(e, system) == restrict_reference(e, system)
 
 
+def restrict_rebuilt(e, system):
+    """restrict_to_manifold with every piece rebuilt: the rho-scaled terms
+    are normalised through Expr(...), and replace_atoms builds each product
+    of bindings afresh, with no memo."""
+    reg = system.registry
+    u_t = set(reg.u_t)
+    degree = {mono: sum(k for a, k in mono.factors if a in u_t)
+              for mono, _ in e.terms}
+    power = max(degree.values(), default=0)
+    scaled = Expr((mono * Monomial(((reg.rho, power - degree[mono]),)), c)
+                  for mono, c in e.terms)
+    return replace_atoms(scaled, system.principal), power
+
+
+def assert_restricts_as_rebuilt(exprs, system):
+    """Each of ``exprs`` restricts as restrict_rebuilt has it, on a fresh
+    system whose products memo is empty, and again on one whose memo every
+    expression has filled."""
+    reg = system.registry
+    want = [restrict_rebuilt(e, system) for e in exprs]
+    for e, w in zip(exprs, want):
+        assert restrict_to_manifold(e, build_system(reg.dim, reg)) == w
+    filled = build_system(reg.dim, reg)
+    for e in exprs:
+        restrict_to_manifold(e, filled)
+    products = dict(filled.products)
+    for e, w in zip(exprs, want):
+        assert restrict_to_manifold(e, filled) == w
+    assert filled.products == products
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_restrict_matches_rebuilt_on_ansatz_residuals(spaces, dim):
+    reg = spaces[dim].reg
+    system = spaces[dim].system
+    pg = prolong(reg, degree1_ansatz(reg)[0])
+    assert_restricts_as_rebuilt([apply(pg, eq) for _, eq in system.equations()],
+                                system)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(residuals())
+def test_restrict_matches_rebuilt_restriction(case):
+    system, e = case
+    assert_restricts_as_rebuilt([e], system)
+
+
 def test_restrict_builds_each_product_once(monkeypatch):
-    """replace_atoms builds the product of the bindings once per call for
-    each distinct tuple of replaced factors: the u_t patterns and those with
-    rho_t or p_t alike."""
+    """Each product of the bindings is built once per system, for each
+    distinct tuple of replaced factors: the u_t patterns and those with
+    rho_t or p_t alike.  The first restriction builds it; a later one on the
+    same system builds none."""
     calls = Counter()
 
     def counting(op, factors):
@@ -250,7 +301,8 @@ def test_restrict_builds_each_product_once(monkeypatch):
         return reduce(op, factors)
 
     monkeypatch.setattr(expr_module, "reduce", counting)
-    system = SYSTEMS[2]
+    # a system of its own: the shared ones may hold products already
+    system = build_system(2, build_registry(2))
     reg = system.registry
     principal = system.principal
     u1_t, u2_t = reg.u_t
@@ -259,9 +311,12 @@ def test_restrict_builds_each_product_once(monkeypatch):
     patterns = {((u1_t, 1),), ((u1_t, 2), (u2_t, 1)), ((reg.rho_t, 1), (u2_t, 2)),
                 ((reg.p_t, 1),)}
     products = {tuple(principal[a] ** k for a, k in pattern) for pattern in patterns}
-    for calls_so_far in (1, 2):
-        restrict_to_manifold(e, system)
-        assert calls == Counter({p: calls_so_far for p in products})
+    restrict_to_manifold(e, system)
+    assert calls == Counter(dict.fromkeys(products, 1))
+    assert set(system.products) == patterns
     calls.clear()
+    restrict_to_manifold(e, system)
+    assert not calls
     restrict_to_manifold(reg.rho_t * reg.g + reg.p_t + reg.rho_t * reg.p, system)
-    assert calls == Counter({(principal[reg.rho_t],): 1, (principal[reg.p_t],): 1})
+    assert calls == Counter({(principal[reg.rho_t],): 1})
+    assert set(system.products) == patterns | {((reg.rho_t, 1),)}
