@@ -1,33 +1,22 @@
 """Exact symbolic engine for equivalence generators of a viscous
 balance-law system (mass, momentum, pressure) with unspecified stress
-Pi(grad u) and state functions G(p, rho), H(p, rho)."""
+Pi(grad u) and state functions G(p, rho), H(p, rho).
+
+The package exports the names its callers read from it; every other name
+is read from its module (``liequiv.expr``, ``liequiv.linsolve``, ...)."""
 
 __version__ = "0.1.0"
 
-from .expr import (Atom, Expr, Monomial, as_expr, atoms_of, collect,
-                   diff_partial, evaluate, is_zero, replace_atoms, substitute)
-from .jets import JetRegistry, build_registry, total_derivative
-from .system import BalanceSystem, build_system, restrict_to_manifold
-from .generators import (GeneratorSpec, apply_with_trace, bracket, combine,
-                         from_coefficients, make_generator, prolong)
-from .flows import FiniteTransformation, exponentiate, numeric_flow
-from .determining import (DeterminingSystem, Verdict, check_entry,
-                          determining_equations, finite_check, solve_unknowns)
-from .catalog import (CatalogEntry, build_catalog, structure_constants,
-                      verified_entries)
-from .dsl import parse_expr, parse_generator, print_generator
+from .jets import build_registry
+from .system import build_system
+from .generators import combine, from_coefficients, make_generator, prolong
+from .flows import exponentiate
+from .determining import check_entry
+from .catalog import CatalogEntry, build_catalog
+from .dsl import parse_generator, print_generator
 
 __all__ = [
-    "Atom", "Expr", "Monomial", "as_expr", "atoms_of", "collect",
-    "diff_partial", "evaluate", "is_zero", "replace_atoms", "substitute",
-    "JetRegistry", "build_registry", "total_derivative",
-    "BalanceSystem", "build_system", "restrict_to_manifold",
-    "GeneratorSpec", "apply_with_trace", "bracket",
-    "combine", "from_coefficients", "make_generator", "prolong",
-    "FiniteTransformation", "exponentiate", "numeric_flow",
-    "DeterminingSystem", "Verdict", "check_entry", "determining_equations",
-    "finite_check", "solve_unknowns",
-    "CatalogEntry", "build_catalog", "structure_constants", "verified_entries",
-    "parse_expr", "parse_generator", "print_generator",
-    "__version__",
+    "build_registry", "build_system", "build_catalog", "CatalogEntry",
+    "check_entry", "exponentiate", "from_coefficients", "parse_generator",
+    "prolong", "combine", "make_generator", "print_generator", "__version__",
 ]

@@ -1,3 +1,3 @@
-from .cli import console_entry
+from .cli import main
 
-console_entry()
+raise SystemExit(main())

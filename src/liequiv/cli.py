@@ -1,11 +1,14 @@
 """Command-line interface.
 
 Commands: verify, deteq, bracket, transform, list, system-dump.  Each
-subparser carries its handler, and ``console_entry`` is the one entry point
-(``liequiv`` and ``python -m liequiv``).  Exit codes: 0 on success (for
-verify: all selected generators pass), 1 when verification finds a failing
-generator, 2 on usage or input errors.  Output is deterministic; two runs
-over the same inputs produce byte-identical reports.
+subparser carries its handler, and ``main`` is the one entry point: the
+``liequiv`` script and ``python -m liequiv`` exit with its return value, and
+it leaves the interpreter's limit on the digits of ``str(int)`` as it is, so
+a command gives the same bytes in process as from the console.  Exit codes:
+0 on success (for verify: all selected generators pass), 1 when
+verification finds a failing generator, 2 on usage or input errors.  Output
+is deterministic; two runs over the same inputs produce byte-identical
+reports.
 
 Each dimension's registry, system and catalog depend on the dimension alone
 (the catalog is a tuple of frozen entries), so the CLI builds each of them
@@ -76,13 +79,9 @@ def _select_generators(args, reg) -> tuple:
                 if "=" in line.split("d/d")[0]:
                     label, _, body = line.partition("=")
                     name = label.strip()
-                try:
-                    spec = parse_generator(reg, body)
-                except (DslSyntaxError, UnknownCoordinateError):
-                    # the same error again, at the body's line and column in the file
-                    pad = len(raw.rstrip()) - len(body)
-                    parse_generator(reg, "\n" * (idx - 1) + " " * pad + body)
-                    raise
+                # the body at its line and column: an error points into the file
+                pad = len(raw.rstrip()) - len(body)
+                spec = parse_generator(reg, "\n" * (idx - 1) + " " * pad + body)
                 out.append(CatalogEntry(name, KIND_USER, spec))
         if not out:
             raise UsageError(f"no generators found in {sel[1:]}")
@@ -240,11 +239,3 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         sys.stderr.write(f"liequiv: error: {exc}\n")
         return 2
-
-
-def console_entry() -> None:
-    # exact coefficients may have more digits than str(int) prints by default
-    if hasattr(sys, "set_int_max_str_digits"):  # Python 3.10.7 and later
-        sys.set_int_max_str_digits(0)
-    raise SystemExit(main())
-

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .catalog import CatalogEntry
-from .expr import Expr, Monomial, collect, is_unknown, is_zero
+from .expr import Expr, Monomial, collect, is_unknown
 from .flows import SCALE, SCALE_INV, FiniteTransformation, exponentiate
 from .generators import GeneratorSpec, apply, prolong
 from .linsolve import solve_linear
@@ -64,7 +64,7 @@ def determining_equations(system: BalanceSystem, g: GeneratorSpec,
     for eq_name, eq in system.equations():
         residual = apply(pg, eq)
         restricted, power = restrict_to_manifold(residual, system)
-        buckets = {} if is_zero(restricted) else collect(restricted, system.parametric)
+        buckets = collect(restricted, system.parametric)
         splits.append(EquationSplit(eq_name, power, tuple(buckets.items())))
     return DeterminingSystem(name, system.parametric, tuple(splits), pg)
 

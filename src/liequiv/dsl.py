@@ -8,14 +8,15 @@ coefficient factors ending in a direction:
 
 Coefficient factors are rational literals (``2``, ``3/4``), coordinate
 names from the frozen grammar, opaque constants ``?name``, parenthesized
-sums, and ``**`` powers; a power whose size could pass ``POWER_BITS`` bits,
-its bound on the number of terms times its bound on the bits of one
-coefficient, is a syntax error at its exponent.  Directions name
-the base coordinates only (t, x_i, u_k, p, rho, Pi_ij, G, H); jet and
-stress-derivative directions are produced by prolongation and are rejected
-here.  ``Pi21`` resolves to the symmetric representative ``Pi12``.  The
-input ``0`` alone is the zero generator; anywhere else ``0`` is an ordinary
-rational factor.  The grammar is frozen in docs/dsl_grammar.ebnf.
+sums, and ``**`` powers; a power or a product whose size could pass
+``POWER_BITS`` bits, its bound on the number of terms times its bound on the
+bits of one coefficient, is a syntax error at its exponent or its ``*``.
+Directions name the base coordinates only (t, x_i, u_k, p, rho, Pi_ij, G,
+H); jet and stress-derivative directions are produced by prolongation and
+are rejected here.  ``Pi21`` resolves to the symmetric representative
+``Pi12``.  The input ``0`` alone is the zero generator; anywhere else ``0``
+is an ordinary rational factor.  The grammar is frozen in
+docs/dsl_grammar.ebnf.
 
 One regular-expression pass turns the input into ``(kind, text, offset)``
 tokens.  Line and column are computed from the offset only when a
@@ -58,8 +59,11 @@ RATIONAL = r"\d+(?:/\d+)?"  # the rational literal, also read by ``transform --p
 # of its largest coefficient.  A power of k terms has at most
 # comb(n + k - 1, k - 1) terms, and a coefficient below n times the bits of
 # the largest numerator and denominator of the base that are not 1, plus the
-# bits of k - 1 for the multinomial factor when k > 1.  A power whose bound
-# passes this many bits is refused before it is built.
+# bits of k - 1 for the multinomial factor when k > 1.  A product of a and
+# b terms has at most a * b terms, and a coefficient below the bits of the
+# two factors' largest coefficients plus the bits of min(a, b), the most
+# products that add into one.  A power or product whose bound passes this
+# many bits is refused before it is built.
 POWER_BITS = 1 << 20
 
 _TOKEN = re.compile(rf"""
@@ -71,6 +75,13 @@ _TOKEN = re.compile(rf"""
   | (?P<op>\*\*|[-+*()])
   | (?P<bad>.)
 """, re.VERBOSE | re.DOTALL)
+
+
+def _bits(e: Expr) -> int:
+    """The most bits of one coefficient of ``e``, numerator and denominator
+    together, leaving out each that is 1."""
+    return max((sum(v.bit_length() for v in (abs(c.numerator), c.denominator)
+                    if v > 1) for c in e.coeffs.values()), default=0)
 
 
 class _Parser:
@@ -126,7 +137,14 @@ class _Parser:
         the product, which a generator term then closes with the direction."""
         total = self.parse_power()
         while self.accept("*") and self.peek()[0] != "direction":
-            total = total * self.parse_power()
+            star = self.tokens[self.pos - 1]
+            factor = self.parse_power()
+            a, b = len(total.coeffs), len(factor.coeffs)
+            bits = _bits(total) + _bits(factor) + min(a, b).bit_length()
+            if a * b * bits > POWER_BITS:
+                self.fail(f"the product of {a} and {b} terms passes the bound of "
+                          f"{POWER_BITS} bits", star)
+            total = total * factor
         return total
 
     def parse_power(self) -> Expr:
@@ -139,8 +157,7 @@ class _Parser:
         self.pos += 1
         n = self.number(tok).numerator
         k = len(base.coeffs)
-        bits = max((sum(v.bit_length() for v in (abs(c.numerator), c.denominator)
-                        if v > 1) for c in base.coeffs.values()), default=0)
+        bits = _bits(base)
         if k > 1:  # a multinomial coefficient is below k**n
             bits += (k - 1).bit_length()
         size = n * bits

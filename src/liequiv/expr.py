@@ -232,6 +232,8 @@ def rational_str(c) -> str:
     """``str(c)`` of an int or a Fraction, whatever the interpreter's limit
     on the digits of ``str(int)``: a longer integer is written in chunks of
     fewer digits than any limit."""
+    if isinstance(c, int) and -_CHUNK < c < _CHUNK:
+        return str(c)
     if isinstance(c, Fraction):
         num = rational_str(c.numerator)
         return num if c.denominator == 1 else f"{num}/{rational_str(c.denominator)}"
@@ -298,7 +300,8 @@ class Monomial(tuple):
     def __str__(self):
         if self == MONO_ONE:
             return "1"
-        return "*".join(a.name if e == 1 else f"{a.name}**{e}" for a, e in self)
+        return "*".join(a.name if e == 1 else f"{a.name}**{rational_str(e)}"
+                        for a, e in self)
 
     __repr__ = __str__
 
@@ -600,11 +603,13 @@ def collect(e, parametric) -> dict:
     here too; summing monomial * coefficient over the entries recovers
     ``e`` exactly.  The zero expression yields an empty mapping.
     """
-    pset = set(parametric)
-    if not pset:
+    if not parametric:
         raise ValueError("parametric set must be non-empty")
-    buckets = {}
-    for mono, c in as_expr(e).coeffs.items():
+    coeffs = as_expr(e).coeffs
+    if not coeffs:  # most restricted residuals: no set of atoms to build
+        return {}
+    pset, buckets = set(parametric), {}
+    for mono, c in coeffs.items():
         par, rest = [], []
         for f in mono:
             (par if f[0] in pset else rest).append(f)

@@ -70,7 +70,7 @@ def _factor_string(factor) -> str | None:
     elif k == -1:
         exp_part = "exp(-a)"
     else:
-        exp_part = f"exp({k}*a)"
+        exp_part = f"exp({rational_str(k)}*a)"
     if coeff == 1:
         return exp_part
     return f"{rational_str(coeff)}*{exp_part}"
@@ -143,7 +143,7 @@ def transform_payload(generator: str, param, ft: FiniteTransformation,
                       result: FiniteCheckResult) -> dict:
     return {
         "generator": generator,
-        "parameter": "a" if param is None else str(param),
+        "parameter": "a" if param is None else rational_str(param),
         "maps": [{"coordinate": a.name, "image": str(img)}
                  for a, img in ft.images.items()],
         "equations": [

@@ -29,7 +29,7 @@ order, so in J^2 nothing constrains them.
 
 from __future__ import annotations
 
-from .expr import Expr, Monomial, ZERO, as_expr, atoms_of, replace_atoms
+from .expr import Expr, Monomial, ZERO, as_expr, replace_atoms
 from .jets import JetRegistry, total_derivative
 
 
@@ -103,12 +103,6 @@ def build_system(dim: int, reg: JetRegistry) -> BalanceSystem:
     principal = {reg.rho_t: as_expr(reg.rho_t) - mass,
                  reg.p_t: as_expr(reg.p_t) - pressure}
     principal.update((u_t, reg.rho * u_t - eq) for u_t, eq in zip(reg.u_t, momentum))
-    for e in principal.values():
-        hit = principal.keys() & atoms_of(e)
-        if hit:
-            raise ValueError(
-                f"principal solution depends on principal derivative "
-                f"{sorted(hit)[0].name}")
 
     parametric = tuple(sorted(a for a in reg.space[len(reg.point):]
                               if a not in principal))

@@ -26,6 +26,8 @@ def test_entry_counts(spaces):
 def test_unsupported_dimension():
     with pytest.raises(UnsupportedDimensionError):
         build_catalog(4, build_registry(3))
+    with pytest.raises(ValueError):  # not the dimension of the registry
+        build_catalog(2, build_registry(3))
 
 
 def test_density_scaling_coefficients(spaces):

@@ -198,24 +198,46 @@ def test_transform_negative_parameter(capsys):
         assert maps.get("t") == image  # identity maps are omitted
 
 
-def test_console_entry_prints_big_integers(capsys):
-    """``python -m liequiv`` prints a coefficient of more digits than
-    ``str(int)`` allows by default, and ``cli.main`` in this process, under
-    the interpreter's digit limit, prints the same bytes."""
+def console(*argv):
+    """(exit code, stdout, stderr) of ``python -m liequiv`` in a new process."""
     import os
     import subprocess
 
-    argv = ["transform", "--dim", "1", "--gen", "2**20000*d/dt", "--format", "json"]
     done = subprocess.run(
         [sys.executable, "-m", "liequiv", *argv],
         capture_output=True, timeout=60,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert done.returncode == 0, done.stderr.decode()
-    assert run(capsys, *argv) == (0, done.stdout.decode(), "")
-    maps = {m["coordinate"]: m["image"] for m in json.loads(done.stdout)["maps"]}
+    return done.returncode, done.stdout.decode(), done.stderr.decode()
+
+
+def test_console_script_prints_big_integers(capsys):
+    """``python -m liequiv`` prints a coefficient of more digits than
+    ``str(int)`` allows by default, and ``cli.main`` in this process prints
+    the same bytes."""
+    argv = ["transform", "--dim", "1", "--gen", "2**20000*d/dt", "--format", "json"]
+    code, out, err = console(*argv)
+    assert code == 0, err
+    assert run(capsys, *argv) == (0, out, "")
+    maps = {m["coordinate"]: m["image"] for m in json.loads(out)["maps"]}
     digits = maps["t"].removesuffix("*a + t")
     assert len(digits) == 6021 and digits.isdigit()
     assert digits.endswith(str(2 ** 20000 % 10 ** 30).zfill(30))
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "--gen", "1" * 5000 + "*d/dt"], 2),
+    (["transform", "--gen", "X0", "--param", "1" * 5000], 2),
+    # the exponent 2 * (10**4300 - 1) has more digits than str(int) prints
+    (["verify", "--gen", f"(p**{'9' * 4300})**2*d/dp"], 1),
+], ids=["long-literal", "long-param", "long-exponent"])
+def test_console_script_and_main_read_and_print_alike(capsys, argv, code):
+    """Both entry points run ``main`` under the interpreter's limit on the
+    digits of ``str(int)``: a literal past it is refused alike, and an
+    exponent past it prints alike."""
+    argv = [*argv, "--dim", "1"]
+    got = console(*argv)
+    assert got[0] == code, got[2]
+    assert run(capsys, *argv) == got
 
 
 def test_list_catalog(capsys):

@@ -178,6 +178,31 @@ def test_powers_within_the_bit_bound_are_built(spaces):
     assert parse_expr(reg, "(p + 2**999)**31") == (p + big) ** 31
 
 
+@pytest.mark.parametrize("src, column", [
+    ("(p + 1)**1000*(t + 1)**1000*d/dp", 14),
+    ("(p + 1)**100*(t + 1)**100*d/dp", 13),
+    (f"2**{POWER_BITS // 2}*2**{POWER_BITS // 2 - 2}*d/dt", 10),
+    ("d/dt + t*(p + 1)**100*(t + 1)**100*d/dp", 22),
+])
+def test_products_past_the_bound_are_syntax_errors(spaces, src, column):
+    """A product of a and b terms is refused at its "*" when its a * b terms
+    times the bits of both largest coefficients and of min(a, b) could pass
+    POWER_BITS."""
+    with pytest.raises(DslSyntaxError) as err:
+        parse_generator(spaces[1].reg, src)
+    assert (err.value.line, err.value.column) == (1, column)
+    assert f"terms passes the bound of {POWER_BITS} bits" in str(err.value)
+
+
+def test_products_within_the_bit_bound_are_built(spaces):
+    """(2**19 + 1) + (2**19 - 2) + 1 bits is the bound itself."""
+    reg = spaces[1].reg
+    at_bound = parse_expr(reg, f"2**{POWER_BITS // 2}*2**{POWER_BITS // 2 - 3}")
+    assert at_bound == Expr.const(2 ** (POWER_BITS - 3))
+    p, t = Expr.of(reg.p), Expr.of(reg.t)
+    assert parse_expr(reg, "(p + 1)**50*(t + 1)**50") == (p + 1) ** 50 * (t + 1) ** 50
+
+
 def test_unknown_constants_round_trip(spaces):
     reg = spaces[1].reg
     g = make_generator(reg, eta_p=unknown("alpha") * reg.p)

@@ -61,3 +61,12 @@ def test_every_export_resolves():
     namespace = {}
     exec("from liequiv import *", namespace)
     assert sorted(set(liequiv.__all__) - namespace.keys()) == []
+
+
+def test_package_exports_what_its_callers_use():
+    """The README example, the tests and the benchmark read these names from
+    the package; every other name is read from its module."""
+    assert set(liequiv.__all__) == {
+        "build_registry", "build_system", "build_catalog", "CatalogEntry",
+        "check_entry", "exponentiate", "from_coefficients", "parse_generator",
+        "prolong", "combine", "make_generator", "print_generator", "__version__"}
