@@ -66,10 +66,11 @@ def _catalog(dim: int) -> tuple:
 
 def _select_generators(args, reg) -> tuple:
     """Resolve --gen into catalog entries.  DSL strings and @file lines become
-    entries of kind "user"; only a catalog selector builds the catalog."""
+    entries of kind "user"; only a catalog selector builds the catalog.  An
+    @file line's name is its label or user_<line>, and must be new."""
     sel = args.gen
     if sel.startswith("@"):
-        out = []
+        out, first = [], {}
         with open(sel[1:], "r", encoding="utf-8") as handle:
             for idx, raw in enumerate(handle, start=1):
                 line = raw.strip()
@@ -79,6 +80,11 @@ def _select_generators(args, reg) -> tuple:
                 if "=" in line.split("d/d")[0]:
                     label, _, body = line.partition("=")
                     name = label.strip()
+                if not name or name in first:
+                    raise UsageError(f"{sel[1:]}, line {idx}: " + (
+                        f"generator name {name} repeats line {first[name]}"
+                        if name else "empty generator name"))
+                first[name] = idx
                 # the body at its line and column: an error points into the file
                 pad = len(raw.rstrip()) - len(body)
                 spec = parse_generator(reg, "\n" * (idx - 1) + " " * pad + body)
@@ -216,9 +222,10 @@ def main(argv=None) -> int:
     the exit code, then render and write the report once."""
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    while "--param" in argv[:-1]:  # its value may start with "-"
-        i = argv.index("--param")
-        argv[i:i + 2] = [f"--param={argv[i + 1]}"]
+    for flag in ("--gen", "--param"):  # a value may start with "-"
+        while flag in argv[:-1]:
+            i = argv.index(flag)
+            argv[i:i + 2] = [f"{flag}={argv[i + 1]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -19,14 +19,15 @@ the coordinate c_w = reg.advance[(c, w)] gets
     table[c_w] = D_w(table[c]) - sum_v D_w(table[v]) c_v
 
 over one of two spaces.  Over the jets, v and w run over (t, x) and D_w is
-the registered total derivative: this gives the first-order jets, then the
-second-order velocity jets u_xx and u_tx.  Over the constitutive elements
-(Ovsiannikov's equivalence method), v and w run over the gradient jets
-u^k_{x_l}, D_w is the chaining partial ``diff_partial`` (constant on
-everything that is not a gradient jet or a Pi component), and c = Pi^{ij}
-gives the stress-derivative coordinates Pi^{ij}_{kl}.  The mixed jets u_tx
-take the rule with c = u_t and w = x_l; its D_{x_l}(xi^t) u_tt term needs
-the unregistered u_tt, so u_tx has a coefficient only for generators whose
+the registered total derivative, and each (c, w) is read off a key of the
+jet table ``reg.jets``: (d, w) for (d, (w,)) gives the first-order jets,
+then (jets[d, (w1,)], w2) for (d, (w1, w2)) the second-order velocity jets
+u_xx and u_tx.  Over the constitutive elements (Ovsiannikov's equivalence
+method), v and w run over the gradient jets u^k_{x_l}, D_w is the chaining
+partial ``diff_partial`` (constant on everything that is not a gradient jet
+or a Pi component), and c = Pi^{ij} gives the stress-derivative coordinates
+Pi^{ij}_{kl}.  The D_{x_l}(xi^t) u_tt term of u^k_{tx_l} needs the
+unregistered u_tt, so u_tx has a coefficient only for generators whose
 xi^t depends on t alone.  A coordinate with no action has no table entry.
 
 The directional action of a prolonged field, ``apply``, treats every
@@ -171,19 +172,19 @@ def _first_order(reg: JetRegistry, g: GeneratorSpec) -> tuple:
     D = partial(total_derivative, reg=reg)
     table = base_coefficients(reg, g)
     d_xi = _derivatives(table, reg.independents, D)
-    _prolong(reg, table, [(a, w) for a in reg.u + (reg.p, reg.rho)
-                          for w in reg.independents], D, d_xi)
+    _prolong(reg, table, [(d, ws[0]) for d, ws in reg.jets if len(ws) == 1],
+             D, d_xi)
     return table, D, d_xi
 
 
 def prolong(reg: JetRegistry, g: GeneratorSpec) -> dict:
     """The prolonged field of ``g`` as one table {coordinate: coefficient}."""
     table, D, d_xi = _first_order(reg, g)
-    second = [(reg.u_x[(k, l)], reg.x[j - 1]) for k, l, j in reg.u_xx]
     # the D_x(xi^t) u_tt term of zeta^u_tx needs the unregistered u_tt
-    if not any(reg.t in d_xi[w] for w in reg.x):
-        second += [(reg.u_t[k - 1], reg.x[l - 1]) for k, l in reg.u_tx]
-    _prolong(reg, table, second, D, d_xi)
+    tx = not any(reg.t in d_xi[w] for w in reg.x)
+    _prolong(reg, table, [(reg.jets[d, ws[:-1]], ws[-1]) for d, ws in reg.jets
+                          if len(ws) == 2 and (tx or reg.t not in ws)],
+             D, d_xi)
     grad = tuple(reg.u_x.values())
     _prolong(reg, table, [(s, a) for s in reg.pi.values() for a in grad],
              diff_partial, _derivatives(table, grad, diff_partial))

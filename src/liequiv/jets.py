@@ -1,9 +1,8 @@
 """Coordinate registry of the extended jet-and-element space.
 
 For dimension N the space carries independents (t, x1..xN), dependents
-(u1..uN, p, rho), first-order jets, the second-order jets of the velocity
-components (spatial pairs stored with sorted indices, plus the mixed t-x
-jets referenced by second prolongation), and the constitutive coordinates:
+(u1..uN, p, rho), their first-order jets, the second-order jets u_xx and
+u_tx of the velocity components, and the constitutive coordinates:
 the symmetric stress components Pi^{ij} declared over all velocity-gradient
 jets, one coordinate Pi^{ij}_{kl} for each formal derivative of a stress
 component by a gradient jet, and the state functions G and H declared over
@@ -15,7 +14,11 @@ the tuple ``space``, in the order the calls run; its frozen name in the
 dict ``by_name``; and each pair (c, w) it advances in the dict ``advance``,
 which maps (c, w) to the coordinate c_w representing d(c)/d(w), a jet along
 t or x or Pi^{ij}_{kl} for Pi^{ij} along u^k_{x_l}.  A pair with no
-registered advance has no entry.  The head of ``space``, ``point``, is
+registered advance has no entry.  Every jet comes from one local rule,
+``jet(d, *ws)``: the jet of the dependent d along the independents ws,
+sorted with t first, is named d.name + "_" + the names of ws and advances
+the jet of d lacking ws[i] along ws[i], for each i; the table ``jets`` maps
+(d, ws) to it and (d, ()) to d.  The head of ``space``, ``point``, is
 (t, x1..xN, u1..uN, p, rho), and the head of that, ``independents``, is
 (t, x1..xN); each family attribute (``u_x``, ``pi``, ...) holds its
 coordinates in ``space`` order.
@@ -28,10 +31,9 @@ Pi^{ij}, on the velocity-gradient jets and the Pi components; along G or H,
 on (p, rho, G, H).
 
 Every coordinate has a frozen ASCII name (documented in docs/names.md):
-``t``, ``x2``, ``u1``, ``p``, ``rho``, ``u1_t``, ``u1_x2``, ``p_x1``,
-``rho_t``, ``u1_x1x2``, ``u1_tx2``, ``Pi12``, ``Pi12_d_u1x2``, ``G``,
-``G_p``, ``H``.  Registries are immutable after construction and safe to
-share.
+``t``, ``x2``, ``u1``, ``p``, ``rho``, the jets by their rule (``u1_x2``,
+``u1_tx2``, ``rho_t``), ``Pi12``, ``Pi12_d_u1x2``, ``G``, ``G_p``, ``H``.
+Registries are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -76,25 +78,24 @@ class JetRegistry:
         self.independents = (t,) + x
         self.point = tuple(space)
 
-        self.u_t = tuple(register(coordinate(f"u{k}_t"), (u[k - 1], t))
-                         for k in rng)
-        self.u_x = u_x = {(k, l): register(coordinate(f"u{k}_x{l}"),
-                                           (u[k - 1], x[l - 1]))
-                          for k in rng for l in rng}
-        self.p_t = register(coordinate("p_t"), (p, t))
-        self.p_x = tuple(register(coordinate(f"p_x{i}"), (p, x[i - 1]))
-                         for i in rng)
-        self.rho_t = register(coordinate("rho_t"), (rho, t))
-        self.rho_x = tuple(register(coordinate(f"rho_x{i}"), (rho, x[i - 1]))
-                           for i in rng)
+        jets = self.jets = {(d, ()): d for d in u + (p, rho)}
 
-        self.u_xx = {(k, l, j): register(coordinate(f"u{k}_x{l}x{j}"),
-                                         (u_x[(k, l)], x[j - 1]),
-                                         (u_x[(k, j)], x[l - 1]))
+        def jet(d: Atom, *ws: Atom) -> Atom:
+            # d along the sorted independents ws, the advance of each jet of
+            # d one order lower along the index it lacks
+            jets[d, ws] = a = register(
+                coordinate(d.name + "_" + "".join(w.name for w in ws)),
+                *((jets[d, ws[:i] + ws[i + 1:]], w) for i, w in enumerate(ws)))
+            return a
+
+        self.u_t = tuple(jet(d, t) for d in u)
+        self.u_x = u_x = {(k, l): jet(u[k - 1], x[l - 1])
+                          for k in rng for l in rng}
+        self.p_t, self.p_x = jet(p, t), tuple(jet(p, w) for w in x)
+        self.rho_t, self.rho_x = jet(rho, t), tuple(jet(rho, w) for w in x)
+        self.u_xx = {(k, l, j): jet(u[k - 1], x[l - 1], x[j - 1])
                      for k in rng for l in rng for j in rng if l <= j}
-        self.u_tx = {(k, l): register(coordinate(f"u{k}_tx{l}"),
-                                      (u_x[(k, l)], t),
-                                      (self.u_t[k - 1], x[l - 1]))
+        self.u_tx = {(k, l): jet(u[k - 1], t, x[l - 1])
                      for k in rng for l in rng}
 
         gradient_args = tuple(a.name for a in u_x.values())
@@ -115,11 +116,9 @@ class JetRegistry:
                        **dict.fromkeys(self.pi.values(), gradient),
                        self.g: state, self.h: state}
 
-        # Names of the coordinates a total derivative chains through, in
-        # registry order after the leading independents; second-order and
-        # mixed jets catch out-of-order input.
-        self._chain = {c.name: c for c in self.space[1 + dim:]
-                       if c.kind == COORD}
+        # the coordinates a total derivative chains through, by name in
+        # space order; a top-order jet among them raises JetOrderError
+        self._chain = {c.name: c for c in jets.values()}
 
     # -- lookups ---------------------------------------------------------
 

@@ -1,17 +1,24 @@
+import contextlib
+import io
 import json
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liequiv import cli, generators, report
 from liequiv.catalog import CatalogEntry, find_entry
 from liequiv.cli import main
 from liequiv.determining import FiniteCheckResult, FiniteFactor, Verdict
-from liequiv.expr import Expr, UnknownSymbolError, UnsupportedFormError
+from liequiv.dsl import print_generator
+from liequiv.expr import (Expr, UnknownSymbolError, UnsupportedFormError,
+                          unknown)
 from liequiv.flows import exponentiate
-from liequiv.generators import prolong
+from liequiv.generators import from_coefficients, prolong
+from liequiv.jets import build_registry
 
 
 def run(capsys, *argv):
@@ -198,6 +205,64 @@ def test_transform_negative_parameter(capsys):
         assert maps.get("t") == image  # identity maps are omitted
 
 
+@pytest.mark.parametrize("spaced, joined", [
+    (["verify", "--gen", "-d/dt"], ["verify", "--gen=-d/dt"]),
+    (["deteq", "--gen", "-2*u1*x1*d/du1"], ["deteq", "--gen=-2*u1*x1*d/du1"]),
+    (["transform", "--gen", "-d/dt", "--param", "-3/2"],
+     ["transform", "--gen=-d/dt", "--param=-3/2"]),
+], ids=["verify", "deteq", "transform"])
+def test_gen_value_may_start_with_a_sign(capsys, spaced, joined):
+    """The token after --gen is its value, as print_generator writes a
+    generator whose first term is negative."""
+    got = run(capsys, *spaced, "--dim", "2")
+    assert got[0] == 0, got[2]
+    assert got == run(capsys, *joined, "--dim", "2")
+
+
+REGISTRIES = {dim: build_registry(dim) for dim in (1, 2)}
+
+
+@st.composite
+def admitted_commands(draw):
+    """verify or deteq on a printed generator of the classical ansatz: a few
+    directions, each a small polynomial in atoms its slot admits and a
+    ?constant.  xi and eta^u stay off p and rho, whose second jets are not
+    registered."""
+    dim = draw(st.sampled_from(sorted(REGISTRIES)))
+    reg = REGISTRIES[dim]
+    table = {}
+    for direction in draw(st.lists(st.sampled_from(list(reg.ansatz)),
+                                   max_size=3, unique=True)):
+        admitted = sorted(reg.ansatz[direction])
+        if direction in reg.independents + reg.u:
+            admitted = [a for a in admitted if a not in (reg.p, reg.rho)]
+        factors = st.lists(st.sampled_from(admitted + [unknown("a")]),
+                           max_size=2)
+        coeff = Expr.const(0)
+        for c, fs in draw(st.lists(st.tuples(
+                st.fractions(-3, 3, max_denominator=2), factors),
+                min_size=1, max_size=2)):
+            term = Expr.const(c)
+            for a in fs:
+                term = term * a
+            coeff = coeff + term
+        table[direction] = coeff
+    g = from_coefficients(reg, table)
+    command = draw(st.sampled_from(("verify", "deteq")))
+    return [command, "--dim", str(dim), "--gen", print_generator(reg, g)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(admitted_commands())
+def test_admitted_generators_are_no_input_errors(argv):
+    """Whatever validate_ansatz admits, main reads as printed: the verdict
+    is 0 or 1, never the input error 2."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1), (argv, err.getvalue())
+
+
 def console(*argv):
     """(exit code, stdout, stderr) of ``python -m liequiv`` in a new process."""
     import os
@@ -266,6 +331,22 @@ def test_generator_file_selector(tmp_path, capsys):
     assert [r["generator"] for r in payload["results"]] == ["boost1", "user_3"]
     assert all(r["infinitesimal"]["status"] == "zero"
                for r in payload["results"])
+
+
+def test_generator_file_names_are_nonempty_and_new(tmp_path, capsys):
+    for body, message in (
+            (" = d/dt\n", "line 1: empty generator name"),
+            ("x = d/dt\n# comment\nx = d/dx1\n",
+             "line 3: generator name x repeats line 1"),
+            ("d/dt\nuser_1 = d/dx1\n",
+             "line 2: generator name user_1 repeats line 1"),
+            ("user_2 = d/dt\nd/dx1\n",
+             "line 2: generator name user_2 repeats line 1")):
+        path = tmp_path / "gens.dsl"
+        path.write_text(body, encoding="utf-8")
+        for command in ("verify", "deteq"):
+            code, out, err = run(capsys, command, "--dim", "1", "--gen", f"@{path}")
+            assert (code, out, err) == (2, "", f"liequiv: error: {path}, {message}\n")
 
 
 def test_generator_file_errors_point_into_the_file(tmp_path, capsys):

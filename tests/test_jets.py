@@ -94,6 +94,32 @@ def test_space_and_advances_follow_the_name_grammar():
                 for (c, w), a in reg.advance.items()} == advances
 
 
+def test_jet_table_names_every_jet_and_family(spaces):
+    for dim in (1, 2, 3):
+        reg = spaces[dim].reg
+        for (d, ws), a in reg.jets.items():
+            name = d.name + "_" + "".join(w.name for w in ws) if ws else d.name
+            assert a == reg.by_name[name]
+        rng = range(1, dim + 1)
+        u, x, t, jets = reg.u, reg.x, reg.t, reg.jets
+        assert reg.u_t == tuple(jets[d, (t,)] for d in u)
+        assert reg.u_x == {(k, l): jets[u[k - 1], (x[l - 1],)]
+                           for k in rng for l in rng}
+        assert reg.p_t == jets[reg.p, (t,)]
+        assert reg.rho_t == jets[reg.rho, (t,)]
+        assert reg.p_x == tuple(jets[reg.p, (w,)] for w in x)
+        assert reg.rho_x == tuple(jets[reg.rho, (w,)] for w in x)
+        assert reg.u_xx == {(k, l, j): jets[u[k - 1], (x[l - 1], x[j - 1])]
+                            for k in rng for l in rng for j in rng if l <= j}
+        assert reg.u_tx == {(k, l): jets[u[k - 1], (t, x[l - 1])]
+                            for k in rng for l in rng}
+        # the dependents and these families, no more, in space order
+        assert list(jets.values()) == [
+            *u, reg.p, reg.rho, *reg.u_t, *reg.u_x.values(), reg.p_t,
+            *reg.p_x, reg.rho_t, *reg.rho_x, *reg.u_xx.values(),
+            *reg.u_tx.values()]
+
+
 def test_space_starts_with_the_point(spaces):
     for dim in (1, 2, 3):
         reg = spaces[dim].reg
