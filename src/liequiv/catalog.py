@@ -118,7 +118,7 @@ def find_entry(catalog, name: str):
 def _feature_vector(reg: JetRegistry, g: GeneratorSpec) -> dict:
     vec = {}
     for direction, coeff in base_coefficients(reg, g).items():
-        for mono, c in coeff.terms:
+        for mono, c in coeff.coeffs.items():
             vec[(direction.name, mono)] = c
     return vec
 

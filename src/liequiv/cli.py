@@ -71,24 +71,28 @@ def _select_generators(args, reg) -> tuple:
     sel = args.gen
     if sel.startswith("@"):
         out, first = [], {}
-        with open(sel[1:], "r", encoding="utf-8") as handle:
-            for idx, raw in enumerate(handle, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                name, body = f"user_{idx}", line
-                if "=" in line.split("d/d")[0]:
-                    label, _, body = line.partition("=")
-                    name = label.strip()
-                if not name or name in first:
-                    raise UsageError(f"{sel[1:]}, line {idx}: " + (
-                        f"generator name {name} repeats line {first[name]}"
-                        if name else "empty generator name"))
-                first[name] = idx
-                # the body at its line and column: an error points into the file
-                pad = len(raw.rstrip()) - len(body)
-                spec = parse_generator(reg, "\n" * (idx - 1) + " " * pad + body)
-                out.append(CatalogEntry(name, KIND_USER, spec))
+        try:
+            with open(sel[1:], "r", encoding="utf-8") as handle:
+                lines = handle.readlines()
+        except UnicodeDecodeError:
+            raise UsageError(f"{sel[1:]} is not UTF-8 text") from None
+        for idx, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            name, body = f"user_{idx}", line
+            if "=" in line.split("d/d")[0]:
+                label, _, body = line.partition("=")
+                name = label.strip()
+            if not name or name in first:
+                raise UsageError(f"{sel[1:]}, line {idx}: " + (
+                    f"generator name {name} repeats line {first[name]}"
+                    if name else "empty generator name"))
+            first[name] = idx
+            # the body at its line and column: an error points into the file
+            pad = len(raw.rstrip()) - len(body)
+            spec = parse_generator(reg, "\n" * (idx - 1) + " " * pad + body)
+            out.append(CatalogEntry(name, KIND_USER, spec))
         if not out:
             raise UsageError(f"no generators found in {sel[1:]}")
         return tuple(out)

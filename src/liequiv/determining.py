@@ -15,12 +15,9 @@ expression.  For catalog entries with a closed-form flow it exponentiates
 the field the determining equations were built with and cross-checks the
 statement finitely: the pullback of each equation must equal a nonzero
 factor, constant over the space, times the equation.  That factor is kept
-exact, as the pair (c, k) meaning c*exp(a)^k, and decided term by term:
-the pullback has as many terms as the equation, exp(a)^k is read from any
-one of them, and every equation term m must meet the pullback coefficient
-at m*exp(a)^k in the one ratio c.  The verdict does not depend on which
-term is read.  A generator without a catalog entry is checked as an entry
-of kind ``"user"``, which has no flow.
+exact, as the pair (c, k) meaning c*exp(a)^k, and ``flows.scale_factor``
+decides it: only ``flows`` reads the scale atoms.  A generator without a
+catalog entry is checked as an entry of kind ``"user"``, which has no flow.
 
 This module makes no text: witnesses and factors are printed by ``report``.
 """
@@ -28,11 +25,10 @@ This module makes no text: witnesses and factors are printed by ``report``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .catalog import CatalogEntry
-from .expr import Expr, Monomial, collect, is_unknown
-from .flows import SCALE, SCALE_INV, FiniteTransformation, exponentiate
+from .expr import Expr, collect, is_unknown
+from .flows import FiniteTransformation, exponentiate, scale_factor
 from .generators import GeneratorSpec, apply, prolong
 from .linsolve import solve_linear
 from .system import BalanceSystem, restrict_to_manifold
@@ -93,28 +89,13 @@ class Verdict:
 
 
 def finite_check(system: BalanceSystem, ft: FiniteTransformation) -> FiniteCheckResult:
-    """Pull every equation back through the coordinate maps and test that the
-    result is a nonzero constant multiple c*s of the original equation, c
-    rational and s a power of exp(a), term by term: the pullback has as
-    many terms as the equation, s is read from any one of them, and each
-    equation term c_m*m must meet a pullback coefficient at m*s in the one
-    ratio c, compared by cross-multiplication."""
+    """Pull every equation back through the coordinate maps and record the
+    factor c*exp(a)^k that ``flows.scale_factor`` finds between the
+    pullback and the equation, or None."""
     factors = []
     for eq_name, eq in system.equations():
         pullback = ft.transform(eq)
-        found = None
-        pb = pullback.coeffs
-        if pb and len(pb) == len(eq.coeffs):
-            scale = Monomial._trusted(tuple(
-                f for f in next(iter(pb)) if f[0] in (SCALE, SCALE_INV)))
-            m0, c0 = next(iter(eq.coeffs.items()))
-            p0 = pb.get(m0 * scale)
-            if p0 is not None and all(
-                    pb.get(m * scale, 0) * c0 == p0 * c
-                    for m, c in eq.coeffs.items()):
-                found = (Fraction(p0, c0),
-                         scale.exponent(SCALE) - scale.exponent(SCALE_INV))
-        factors.append(FiniteFactor(eq_name, found, pullback))
+        factors.append(FiniteFactor(eq_name, scale_factor(eq, pullback), pullback))
     return FiniteCheckResult(all(f.factor is not None for f in factors),
                              tuple(factors))
 

@@ -10,7 +10,8 @@ Coefficient factors are rational literals (``2``, ``3/4``), coordinate
 names from the frozen grammar, opaque constants ``?name``, parenthesized
 sums, and ``**`` powers; a power or a product whose size could pass
 ``POWER_BITS`` bits, its bound on the number of terms times its bound on the
-bits of one coefficient, is a syntax error at its exponent or its ``*``.
+bits of one coefficient, is a syntax error at its exponent or its ``*``, and
+so is a ``(`` nested more than ``PAREN_DEPTH`` deep, at that ``(``.
 Directions name the base coordinates only (t, x_i, u_k, p, rho, Pi_ij, G,
 H); jet and stress-derivative directions are produced by prolongation and
 are rejected here.  ``Pi21`` resolves to the symmetric representative
@@ -65,6 +66,9 @@ RATIONAL = r"\d+(?:/\d+)?"  # the rational literal, also read by ``transform --p
 # products that add into one.  A power or product whose bound passes this
 # many bits is refused before it is built.
 POWER_BITS = 1 << 20
+# The parser recurses four calls deep per pair of parentheses; this bound
+# keeps the deepest input far inside the interpreter's recursion limit.
+PAREN_DEPTH = 100
 
 _TOKEN = re.compile(rf"""
     (?P<ws>\s+)
@@ -91,6 +95,7 @@ class _Parser:
         self.reg = reg
         self.src = src
         self.pos = 0
+        self.depth = 0  # the parentheses open at the next token
         self.tokens = []
         for m in _TOKEN.finditer(src):
             tok = (m.lastgroup, m.group(), m.start())
@@ -190,7 +195,11 @@ class _Parser:
         if kind == "name":
             return Expr.of(self.resolve_name(tok))
         if text == "(":
+            if self.depth == PAREN_DEPTH:
+                self.fail(f"parentheses nest deeper than {PAREN_DEPTH} levels", tok)
+            self.depth += 1
             inner = self.parse_sum()
+            self.depth -= 1
             if not self.accept(")"):
                 self.fail(f"expected ')', found {self.peek()[1] or 'end of input'!r}")
             return inner

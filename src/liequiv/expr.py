@@ -25,11 +25,10 @@ The representation rests on CPython's own hashing and ordering:
 * An ``Expr`` holds ``coeffs``, a dict from monomial to nonzero rational
   coefficient, never mutated once built.  Equality and hash are the
   dict's and need no order.  Sums, products and every routine below add
-  into dicts; order is made in two places only: ``Expr.terms``, the terms
-  sorted by monomial, built on first read and kept (the write is
-  idempotent, so expressions stay safe to share), and ``collect``, which
-  sorts its buckets and their terms inside the call.  Every output reads
-  ``terms``, so output is byte-stable across runs, platforms and hash
+  into dicts; ``Expr.terms`` alone orders terms: it sorts them by monomial
+  on first read and keeps them (the write is idempotent, so expressions
+  stay safe to share).  ``collect`` orders only its keys.  Every output
+  reads ``terms``, so output is byte-stable across runs, platforms and hash
   seeds, whatever order the dicts were filled in.
 
 A coefficient is a Python ``int`` when it is integral and a ``Fraction``
@@ -324,9 +323,8 @@ class Expr:
         self._terms = None
 
     @classmethod
-    def _trusted(cls, coeffs: dict, terms: tuple | None = None) -> "Expr":
-        """The expression of ``coeffs``, taken as it is, and of its sorted
-        ``terms`` when the caller has them.
+    def _trusted(cls, coeffs: dict) -> "Expr":
+        """The expression of ``coeffs``, taken as it is.
 
         Precondition: ``coeffs`` maps distinct monomials to nonzero
         coefficients, each an int when it is integral and a ``Fraction``
@@ -334,7 +332,7 @@ class Expr:
         """
         e = cls.__new__(cls)
         e.coeffs = coeffs
-        e._terms = terms
+        e._terms = None
         return e
 
     @property
@@ -599,9 +597,9 @@ def collect(e, parametric) -> dict:
     """Split ``e`` by monomials in the ``parametric`` atoms.
 
     Returns a mapping, sorted by key, from parametric monomial to the
-    coefficient expression over the remaining atoms, whose terms are sorted
-    here too; summing monomial * coefficient over the entries recovers
-    ``e`` exactly.  The zero expression yields an empty mapping.
+    coefficient expression over the remaining atoms; summing monomial *
+    coefficient over the entries recovers ``e`` exactly.  The zero
+    expression yields an empty mapping.
     """
     if not parametric:
         raise ValueError("parametric set must be non-empty")
@@ -617,8 +615,7 @@ def collect(e, parametric) -> dict:
         # terms stay distinct after the split
         buckets.setdefault(Monomial._trusted(tuple(par)), {})[
             Monomial._trusted(tuple(rest))] = c
-    return {key: Expr._trusted(buckets[key], tuple(sorted(buckets[key].items())))
-            for key in sorted(buckets)}
+    return {key: Expr._trusted(buckets[key]) for key in sorted(buckets)}
 
 
 def evaluate(e, point: Mapping[Atom, object]):

@@ -12,10 +12,12 @@ which must end within len(space) + 1 terms, each affine in the coordinates.
 A coordinate without a prolonged action (u_tx when xi^t depends on more than
 t) or a series that breaks either rule raises NoClosedFormError naming the
 coordinate.  The scale factors are carried symbolically through the
-reserved atoms ``exp(a)`` and ``exp(-a)``, which cancel pairwise inside
-monomials.  A flow is its public ``images`` table: the image of each
-coordinate it moves, in registry order.  A group parameter given as an int
-or a Fraction is bound inside the series (any other type raises
+reserved atoms ``exp(a)`` and ``exp(-a)``, which no other module names:
+this module writes them, cancels them pairwise in ``reduce_scale``, and
+reads them back in ``scale_factor``, which decides the factor c*exp(a)^k
+of every finite check.  A flow is its public ``images`` table: the image
+of each coordinate it moves, in registry order.  A group parameter given
+as an int or a Fraction is bound inside the series (any other type raises
 UnsupportedFormError), and a shift that vanishes there leaves its
 coordinate out.
 
@@ -35,10 +37,11 @@ the prolonged field.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import product
 
 from .catalog import rotation_specs
-from .expr import (Atom, Expr, Monomial, ZERO, as_expr, coordinate,
+from .expr import (Atom, Expr, Monomial, ZERO, as_expr, collect, coordinate,
                    evaluate, is_unknown, is_zero, replace_atoms)
 from .generators import GeneratorSpec, apply, prolong
 from .jets import JetRegistry
@@ -62,15 +65,31 @@ def reduce_scale(e) -> Expr:
     e = as_expr(e)
     if not any(m.exponent(SCALE) and m.exponent(SCALE_INV) for m in e.coeffs):
         return e
-    return Expr((_cancel_scale(mono), c) for mono, c in e.coeffs.items())
+    return sum((scale_power(s.exponent(SCALE) - s.exponent(SCALE_INV)) * part
+                for s, part in collect(e, (SCALE, SCALE_INV)).items()), ZERO)
 
 
-def _cancel_scale(mono: Monomial) -> Monomial:
-    m = min(mono.exponent(SCALE), mono.exponent(SCALE_INV))
-    if not m:
-        return mono
-    return Monomial((a, k - m if a == SCALE or a == SCALE_INV else k)
-                    for a, k in mono)
+def scale_factor(eq: Expr, pullback: Expr) -> tuple | None:
+    """The factor (c, k), c rational and k an int, with pullback =
+    c*exp(a)^k*eq, or None when the pullback is no such multiple of the
+    equation.
+
+    Decided term by term: the pullback has as many terms as the equation,
+    exp(a)^k is read from any one of them, and each equation term c_m*m
+    must meet a pullback coefficient at m*exp(a)^k in the one ratio c,
+    compared by cross-multiplication.  The verdict does not depend on
+    which term is read."""
+    pb = pullback.coeffs
+    if not pb or len(pb) != len(eq.coeffs):
+        return None
+    scale = Monomial._trusted(tuple(
+        f for f in next(iter(pb)) if f[0] in (SCALE, SCALE_INV)))
+    m0, c0 = next(iter(eq.coeffs.items()))
+    p0 = pb.get(m0 * scale)
+    if p0 is None or not all(pb.get(m * scale, 0) * c0 == p0 * c
+                             for m, c in eq.coeffs.items()):
+        return None
+    return Fraction(p0, c0), scale.exponent(SCALE) - scale.exponent(SCALE_INV)
 
 
 class FiniteTransformation:

@@ -13,7 +13,7 @@ from liequiv import cli, generators, report
 from liequiv.catalog import CatalogEntry, find_entry
 from liequiv.cli import main
 from liequiv.determining import FiniteCheckResult, FiniteFactor, Verdict
-from liequiv.dsl import print_generator
+from liequiv.dsl import PAREN_DEPTH, print_generator
 from liequiv.expr import (Expr, UnknownSymbolError, UnsupportedFormError,
                           unknown)
 from liequiv.flows import exponentiate
@@ -275,6 +275,11 @@ def console(*argv):
     return done.returncode, done.stdout.decode(), done.stderr.decode()
 
 
+def test_python_m_prints_what_main_prints(capsys):
+    argv = ["list", "--dim", "1"]
+    assert console(*argv) == run(capsys, *argv)
+
+
 def test_console_script_prints_big_integers(capsys):
     """``python -m liequiv`` prints a coefficient of more digits than
     ``str(int)`` allows by default, and ``cli.main`` in this process prints
@@ -347,6 +352,30 @@ def test_generator_file_names_are_nonempty_and_new(tmp_path, capsys):
         for command in ("verify", "deteq"):
             code, out, err = run(capsys, command, "--dim", "1", "--gen", f"@{path}")
             assert (code, out, err) == (2, "", f"liequiv: error: {path}, {message}\n")
+
+
+def test_generator_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "bad.dsl"
+    path.write_bytes(b"x = d/dt\n\xff\n")
+    code, out, err = run(capsys, "verify", "--dim", "1", "--gen", f"@{path}")
+    assert (code, out, err) == (2, "", f"liequiv: error: {path} is not UTF-8 text\n")
+
+
+@pytest.mark.parametrize("depth", [PAREN_DEPTH, PAREN_DEPTH + 1, 245, 10_000])
+def test_nesting_bound_from_gen_and_file(tmp_path, capsys, depth):
+    """The bound holds alike for --gen and for an @file line, whose error
+    points into the file."""
+    gen = "(" * depth + "t" + ")" * depth + "*d/dt"
+    path = tmp_path / "deep.dsl"
+    path.write_text(f"# deep\nx = {gen}\n", encoding="utf-8")
+    for selector, line, column in ((gen, 1, 1), (f"@{path}", 2, 5)):
+        code, out, err = run(capsys, "deteq", "--dim", "1", "--gen", selector)
+        if depth == PAREN_DEPTH:
+            assert (code, err) == (0, "")
+        else:
+            assert (code, out, err) == (2, "", (
+                f"liequiv: error: line {line}, column {column + PAREN_DEPTH}: "
+                f"parentheses nest deeper than {PAREN_DEPTH} levels\n"))
 
 
 def test_generator_file_errors_point_into_the_file(tmp_path, capsys):

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liequiv.catalog import find_entry
-from liequiv.dsl import (POWER_BITS, DslSyntaxError, UnknownCoordinateError,
-                         parse_expr, parse_generator, print_generator)
+from liequiv.dsl import (PAREN_DEPTH, POWER_BITS, DslSyntaxError,
+                         UnknownCoordinateError, parse_expr, parse_generator,
+                         print_generator)
 from liequiv.expr import ONE, ZERO, Expr, is_zero, signed_sum, unknown
 from liequiv.generators import AnsatzError, base_coefficients, make_generator
 from liequiv.jets import build_registry
@@ -201,6 +202,31 @@ def test_products_within_the_bit_bound_are_built(spaces):
     assert at_bound == Expr.const(2 ** (POWER_BITS - 3))
     p, t = Expr.of(reg.p), Expr.of(reg.t)
     assert parse_expr(reg, "(p + 1)**50*(t + 1)**50") == (p + 1) ** 50 * (t + 1) ** 50
+
+
+def nested(depth: int, inner: str = "t") -> str:
+    return "(" * depth + inner + ")" * depth
+
+
+def test_parentheses_nest_up_to_the_bound(spaces):
+    """The bound counts open parentheses, so pairs side by side each get it."""
+    reg = spaces[1].reg
+    t = Expr.of(reg.t)
+    assert parse_expr(reg, nested(PAREN_DEPTH)) == t
+    assert parse_expr(reg, nested(PAREN_DEPTH) + "*" + nested(PAREN_DEPTH)) == t * t
+    assert parse_generator(reg, nested(PAREN_DEPTH) + "*d/dt") == \
+        parse_generator(reg, "t*d/dt")
+
+
+@pytest.mark.parametrize("depth", [PAREN_DEPTH + 1, 10_000])
+def test_parentheses_past_the_bound_are_syntax_errors(spaces, depth):
+    """The "(" that passes the bound is the error, before any deeper one is
+    read."""
+    for parse in (parse_expr, parse_generator):
+        with pytest.raises(DslSyntaxError) as err:
+            parse(spaces[1].reg, "\n  " + nested(depth) + "*d/dt")
+        assert (err.value.line, err.value.column) == (2, 3 + PAREN_DEPTH)
+        assert f"parentheses nest deeper than {PAREN_DEPTH} levels" in str(err.value)
 
 
 def test_unknown_constants_round_trip(spaces):

@@ -71,6 +71,15 @@ def test_unsupported_exponents():
     with pytest.raises(UnsupportedFormError):
         (p + rho) ** Fraction(1, 2)
     assert p ** 0 == Expr.const(1)
+    with pytest.raises(UnsupportedFormError):
+        Monomial(((p, -1),))
+
+
+def test_reflected_operators_and_foreign_equality():
+    t = coordinate("t")
+    assert 1 - t == -(t - 1)
+    # Expr declines the comparison, and str's own comparison says no
+    assert (Expr.of(t) == "t") is False
 
 
 def test_diff_power_rule():
@@ -386,8 +395,9 @@ def collect_one(e, sym, parametric, pick):
     buckets = collect(e, parametric)
     keys = list(buckets)
     assert strictly_increasing([nested_key(key) for key in keys])
-    # the buckets leave collect sorted, so that reading them sorts nothing
-    assert all(coeff._terms is not None for coeff in buckets.values())
+    # a bucket reads its terms sorted by monomial
+    assert all(coeff.terms == tuple(sorted(coeff.coeffs.items()))
+               for coeff in buckets.values())
     back = Expr()
     for key, coeff in buckets.items():
         assert {a for a, _ in key.factors} <= set(parametric)
