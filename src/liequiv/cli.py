@@ -72,7 +72,7 @@ def _select_generators(args, reg) -> tuple:
     if sel.startswith("@"):
         out, first = [], {}
         try:
-            with open(sel[1:], "r", encoding="utf-8") as handle:
+            with open(sel[1:], "r", encoding="utf-8-sig") as handle:
                 lines = handle.readlines()
         except UnicodeDecodeError:
             raise UsageError(f"{sel[1:]} is not UTF-8 text") from None

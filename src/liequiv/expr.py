@@ -16,12 +16,12 @@ The representation rests on CPython's own hashing and ordering:
   ``str``'s, and they agree with the key ``(rank, name)``: atoms sort by
   kind rank, then by name.  An atom prints, and formats, as its name.
 * A ``Monomial`` is the tuple of its ``(atom, exponent)`` pairs, sorted by
-  atom, with positive int exponents; the empty tuple is 1.  Its hash,
-  ``==`` and ``<`` are ``tuple``'s: monomials sort lexicographically on
-  their pair sequences.  Only ``*`` multiplies monomials; tuple's ``+``
-  remains and concatenates plain tuples.  The empty monomial is falsy, so
-  no code tests a monomial's truth: the unit is compared with ``MONO_ONE``
-  and a missing monomial with ``None``.
+  atom, with nonzero int exponents, negative only on units; the empty
+  tuple is 1.  Its hash, ``==`` and ``<`` are ``tuple``'s: monomials sort
+  lexicographically on their pair sequences.  Only ``*`` multiplies
+  monomials; tuple's ``+`` remains and concatenates plain tuples.  The
+  empty monomial is falsy, so no code tests a monomial's truth: 1 is
+  compared with ``MONO_ONE`` and a missing monomial with ``None``.
 * An ``Expr`` holds ``coeffs``, a dict from monomial to nonzero rational
   coefficient, never mutated once built.  Equality and hash are the
   dict's and need no order.  Sums, products and every routine below add
@@ -60,8 +60,12 @@ in, and an expression that holds no replaced atom comes back itself.  A
 caller that replaces over one table many times passes a memo of the
 products it builds.
 
-Division and negative or fractional exponents are deliberately unsupported;
-callers that need a denominator clear it explicitly.
+A coordinate declared with the print name of its inverse is a unit,
+``coordinate("exp(a)", inverse="exp(-a)")``: its exponents may be negative
+and cancel in products, a one-term expression over units (a nonzero
+constant too) has every negative power, and ``exp(a)**-2`` prints
+``exp(-a)**2``.  Division by any other expression is deliberately
+unsupported; callers that need a denominator clear it explicitly.
 """
 
 from __future__ import annotations
@@ -87,7 +91,7 @@ class ExprError(Exception):
 
 
 class UnsupportedFormError(ExprError):
-    """Exponent outside the supported non-negative integers, or a value that
+    """Exponent outside the integers its base supports, or a value that
     cannot be read as an expression."""
 
 
@@ -113,20 +117,21 @@ class Atom(str):
     multiset of differentiation arguments.
     """
 
-    __slots__ = ("kind", "name", "args", "base", "wrt")
+    __slots__ = ("kind", "name", "args", "base", "wrt", "inverse")
 
     def __new__(cls, kind: str, name: str, args: tuple = (), base: str = "",
-                wrt: tuple = ()):
+                wrt: tuple = (), inverse: str = ""):
         self = super().__new__(cls, chr(_KIND_RANK[kind]) + name)
         self.kind = kind
         self.name = name
         self.args = tuple(args)
         self.base = base
         self.wrt = tuple(wrt)
+        self.inverse = inverse
         return self
 
     def __reduce__(self):
-        return Atom, (self.kind, self.name, self.args, self.base, self.wrt)
+        return Atom, (self.kind, self.name, self.args, self.base, self.wrt, self.inverse)
 
     def __repr__(self):
         return self.name
@@ -161,8 +166,8 @@ class Atom(str):
         return as_expr(self) ** n
 
 
-def coordinate(name: str) -> Atom:
-    return Atom(COORD, name)
+def coordinate(name: str, inverse: str = "") -> Atom:
+    return Atom(COORD, name, inverse=inverse)
 
 
 def unknown(label: str) -> Atom:
@@ -245,15 +250,15 @@ def rational_str(c) -> str:
 
 
 class Monomial(tuple):
-    """Product of atoms with positive integer exponents, as the tuple of its
-    (atom, exponent) pairs sorted by atom; the empty product is 1."""
+    """Product of atoms with nonzero int exponents, negative only on units,
+    as its (atom, exponent) pairs sorted by atom; the empty product is 1."""
 
     __slots__ = ()
 
     def __new__(cls, factors: Iterable = ()):
         factors = tuple(factors)
         for a, e in factors:
-            if not isinstance(e, int) or e < 0:
+            if not isinstance(e, int) or e < 0 and not a.inverse:
                 raise UnsupportedFormError(f"unsupported exponent {e!r} on {a!r}")
         return tuple.__new__(cls, sorted(_normal_form(factors).items()))
 
@@ -261,8 +266,8 @@ class Monomial(tuple):
     def _trusted(cls, factors: tuple) -> "Monomial":
         """The monomial of ``factors``, taken as they are.
 
-        Precondition: ``factors`` is canonical, sorted by atom with distinct
-        atoms and positive int exponents, such as a run cut from a monomial.
+        Precondition: ``factors`` is canonical, sorted by distinct atoms with
+        exponents the class allows, such as a run cut from a monomial.
         """
         return tuple.__new__(cls, factors)
 
@@ -287,6 +292,8 @@ class Monomial(tuple):
         mine = dict(self)
         for a, e in other:
             mine[a] = mine.get(a, 0) + e
+        if 0 in mine.values():  # only a unit's exponents can sum to 0
+            mine = {a: e for a, e in mine.items() if e}
         return tuple.__new__(Monomial, sorted(mine.items()))
 
     def __rmul__(self, other):
@@ -299,7 +306,8 @@ class Monomial(tuple):
     def __str__(self):
         if self == MONO_ONE:
             return "1"
-        return "*".join(a.name if e == 1 else f"{a.name}**{rational_str(e)}"
+        return "*".join((a.name if e > 0 else a.inverse)
+                        + ("" if e in (1, -1) else f"**{rational_str(abs(e))}")
                         for a, e in self)
 
     __repr__ = __str__
@@ -386,6 +394,11 @@ class Expr:
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        if isinstance(n, int) and n < 0 and len(self.coeffs) == 1:
+            (mono, c), = self.coeffs.items()
+            if all(a.inverse for a, _ in mono):  # one term over units
+                return Expr._trusted({Monomial._trusted(tuple(
+                    (a, e * n) for a, e in mono)): _rational(Fraction(c) ** n)})
         if not isinstance(n, int) or n < 0:
             raise UnsupportedFormError(f"unsupported exponent {n!r}")
         out, base = ONE, self
@@ -498,7 +511,7 @@ def derive(e, image) -> Expr:
             if not img:
                 continue
             rest = Monomial._trusted(
-                mono[:idx] + ((a, k - 1),) + mono[idx + 1:] if k > 1
+                mono[:idx] + ((a, k - 1),) + mono[idx + 1:] if k != 1
                 else mono[:idx] + mono[idx + 1:])
             kc = k * c
             for m, ci in img:

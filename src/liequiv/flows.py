@@ -11,21 +11,21 @@ Lie Groups to Differential Equations, sections 1.3 and 2.3)
 which must end within len(space) + 1 terms, each affine in the coordinates.
 A coordinate without a prolonged action (u_tx when xi^t depends on more than
 t) or a series that breaks either rule raises NoClosedFormError naming the
-coordinate.  The scale factors are carried symbolically through the
-reserved atoms ``exp(a)`` and ``exp(-a)``, which no other module names:
-this module writes them, cancels them pairwise in ``reduce_scale``, and
-reads them back in ``scale_factor``, which decides the factor c*exp(a)^k
-of every finite check.  A flow is its public ``images`` table: the image
-of each coordinate it moves, in registry order.  A group parameter given
-as an int or a Fraction is bound inside the series (any other type raises
+coordinate.  The scale factors are carried symbolically through one
+reserved atom, the unit ``exp(a)``, whose negative powers print through
+``exp(-a)`` and which no other module names: this module writes its
+powers, the kernel cancels them in every product, and ``scale_factor``
+reads one exponent back to decide the factor c*exp(a)^k of every finite
+check.  A flow is its public ``images`` table: the image of each
+coordinate it moves, in registry order.  A group parameter given as an
+int or a Fraction is bound inside the series (any other type raises
 UnsupportedFormError), and a shift that vanishes there leaves its
 coordinate out.
 
-``FiniteTransformation.transform`` pulls an expression through the images.
-``replace_atoms`` rebuilds only the terms that hold a moved coordinate, and
-``reduce_scale`` returns its input unless a monomial holds both scale
-atoms, so an expression the flow does not move, such as every equation
-under a space or time translation, comes back itself.
+``FiniteTransformation.transform`` pulls an expression through the images
+with ``replace_atoms``, which rebuilds only the terms that hold a moved
+coordinate, so an expression the flow does not move, such as every
+equation under a space or time translation, comes back itself.
 
 Rotation candidates have no closed form in this exact-rational carrier
 (their flows need cos/sin); ``numeric_flow`` realizes their fully prolonged
@@ -41,32 +41,17 @@ from fractions import Fraction
 from itertools import product
 
 from .catalog import rotation_specs
-from .expr import (Atom, Expr, Monomial, ZERO, as_expr, collect, coordinate,
-                   evaluate, is_unknown, is_zero, replace_atoms)
+from .expr import (Atom, Expr, Monomial, ZERO, coordinate, evaluate,
+                   is_unknown, is_zero, replace_atoms)
 from .generators import GeneratorSpec, apply, prolong
 from .jets import JetRegistry
 
 PARAM = coordinate("a")
-SCALE = coordinate("exp(a)")
-SCALE_INV = coordinate("exp(-a)")
+SCALE = coordinate("exp(a)", inverse="exp(-a)")
 
 
 class NoClosedFormError(Exception):
     """The generator has no closed-form flow in the exact carrier."""
-
-
-def scale_power(d: int) -> Expr:
-    return Expr.of(SCALE if d > 0 else SCALE_INV) ** abs(d)
-
-
-def reduce_scale(e) -> Expr:
-    """Cancel exp(a) * exp(-a) pairs inside every monomial; an expression
-    with no monomial holding both comes back itself."""
-    e = as_expr(e)
-    if not any(m.exponent(SCALE) and m.exponent(SCALE_INV) for m in e.coeffs):
-        return e
-    return sum((scale_power(s.exponent(SCALE) - s.exponent(SCALE_INV)) * part
-                for s, part in collect(e, (SCALE, SCALE_INV)).items()), ZERO)
 
 
 def scale_factor(eq: Expr, pullback: Expr) -> tuple | None:
@@ -82,14 +67,14 @@ def scale_factor(eq: Expr, pullback: Expr) -> tuple | None:
     pb = pullback.coeffs
     if not pb or len(pb) != len(eq.coeffs):
         return None
-    scale = Monomial._trusted(tuple(
-        f for f in next(iter(pb)) if f[0] in (SCALE, SCALE_INV)))
+    k = next(iter(pb)).exponent(SCALE)
+    scale = Monomial(((SCALE, k),))
     m0, c0 = next(iter(eq.coeffs.items()))
     p0 = pb.get(m0 * scale)
     if p0 is None or not all(pb.get(m * scale, 0) * c0 == p0 * c
                              for m, c in eq.coeffs.items()):
         return None
-    return Fraction(p0, c0), scale.exponent(SCALE) - scale.exponent(SCALE_INV)
+    return Fraction(p0, c0), k
 
 
 class FiniteTransformation:
@@ -109,8 +94,8 @@ class FiniteTransformation:
         return self.images.get(a, Expr.of(a))
 
     def transform(self, e) -> Expr:
-        """Pull an expression through the coordinate maps, scale-reduced."""
-        return reduce_scale(replace_atoms(e, self.images))
+        """Pull an expression through the coordinate maps."""
+        return replace_atoms(e, self.images)
 
 
 _NO_FLOW = "no closed-form flow in the exact carrier"
@@ -170,7 +155,7 @@ def exponentiate(reg: JetRegistry, pg: dict, param=None) -> FiniteTransformation
             if not is_zero(shift):
                 images[c] = c + shift
         elif k:
-            images[c] = scale_power(k) * c
+            images[c] = Expr.of(SCALE) ** k * c
     return FiniteTransformation(images)
 
 
@@ -182,7 +167,6 @@ def _numeric_closed_form(reg: JetRegistry, ft: FiniteTransformation):
         bind = dict(point)
         bind[PARAM] = a
         bind[SCALE] = math.exp(a)
-        bind[SCALE_INV] = math.exp(-a)
         return {c: float(evaluate(ft.image(c), bind)) for c in reg.space}
     return flow
 

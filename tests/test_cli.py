@@ -181,6 +181,18 @@ def test_transform_scaling(capsys):
     assert maps["p"] == "exp(a)**2*p"
 
 
+def test_transform_sorts_negative_scale_exponents(capsys):
+    """exp(a)**-2 sorts before exp(a)**-1, so in a pullback exp(-a)**2
+    terms print before exp(-a) terms."""
+    code, out, _ = run(capsys, "transform", "--dim", "2", "--gen",
+                       "t*d/dt + 2*x2*d/dx2")
+    assert code == 0
+    assert ("  mass: factor none (not form-invariant)\n"
+            "    exp(-a)**2*rho*u2_x2 + exp(-a)**2*rho_x2*u2 + exp(-a)*rho_t"
+            " + rho*u1_x1 + rho_x1*u1\n") in out
+    assert out.count(": factor none (not form-invariant)\n") == 4
+
+
 def test_transform_with_rational_parameter(capsys):
     code, out, _ = run(capsys, "transform", "--dim", "1", "--gen", "X0",
                        "--param", "3/2", "--format", "json")
@@ -359,6 +371,18 @@ def test_generator_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
     path.write_bytes(b"x = d/dt\n\xff\n")
     code, out, err = run(capsys, "verify", "--dim", "1", "--gen", f"@{path}")
     assert (code, out, err) == (2, "", f"liequiv: error: {path} is not UTF-8 text\n")
+
+
+def test_generator_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "bom.dsl"
+    path.write_bytes(b"\xef\xbb\xbfx = d/dt\n")
+    code, out, _ = run(capsys, "verify", "--dim", "1", "--gen", f"@{path}",
+                       "--format", "json")
+    assert code == 0
+    assert [r["generator"] for r in json.loads(out)["results"]] == ["x"]
+    path.write_bytes(b"\xef\xbb\xbfd/dt\n")
+    code, out, err = run(capsys, "verify", "--dim", "1", "--gen", f"@{path}")
+    assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize("depth", [PAREN_DEPTH, PAREN_DEPTH + 1, 245, 10_000])

@@ -15,7 +15,7 @@ from liequiv.determining import (FiniteCheckResult, FiniteFactor, check_entry,
 from liequiv.dsl import parse_generator
 from liequiv.expr import (ZERO, Expr, atoms_of, collect, evaluate, is_unknown,
                           substitute, unknown)
-from liequiv.flows import SCALE, SCALE_INV, FiniteTransformation, exponentiate
+from liequiv.flows import SCALE, FiniteTransformation, exponentiate
 from liequiv.generators import apply, bracket, combine, make_generator, prolong
 from liequiv.linsolve import solve_linear
 from liequiv.report import verdict_payload
@@ -319,12 +319,12 @@ def collect_finite_check(system, ft):
     for eq_name, eq in system.equations():
         pullback = ft.transform(eq)
         found = None
-        buckets = collect(pullback, (SCALE, SCALE_INV))
+        buckets = collect(pullback, (SCALE,))
         if len(buckets) == 1:
             (scale, part), = buckets.items()
             ratio = Fraction(part.terms[0][1], eq.terms[0][1])
             if part == ratio * eq:
-                found = (ratio, scale.exponent(SCALE) - scale.exponent(SCALE_INV))
+                found = (ratio, scale.exponent(SCALE))
         factors.append(FiniteFactor(eq_name, found, pullback))
     return FiniteCheckResult(all(f.factor is not None for f in factors),
                              tuple(factors))

@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liequiv import build_registry
-from liequiv.expr import (COORD, FUNC, MONO_ONE, ZERO, _KIND_RANK, Atom,
+from liequiv.expr import (COORD, FUNC, MONO_ONE, ONE, ZERO, _KIND_RANK, Atom,
                           CyclicSubstitutionError, Expr, MissingBindingError,
                           Monomial, UnknownSymbolError, UnsupportedFormError,
                           _normal_form, as_expr, atoms_of, collect,
                           coordinate, derivative_of, derive, diff_partial,
                           evaluate, function_symbol, is_zero, rational_str,
                           replace_atoms, signed_sum, substitute, unknown)
+from liequiv.flows import SCALE
 from liequiv.jets import total_derivative
 
 from conftest import diff_atom, random_expr
@@ -821,17 +822,70 @@ def test_pickled_atoms_and_monomials_hash_in_a_new_process():
     e = 3 * Expr.of(derivative_of(G, "rho")) * u1_x1 ** 2 + p
     script = (
         "import pickle, sys\n"
-        "from liequiv.expr import Atom, Monomial\n"
-        "e = pickle.loads(sys.stdin.buffer.read())\n"
+        "from liequiv.expr import Atom, Monomial, coordinate\n"
+        "e, unit, mono = pickle.loads(sys.stdin.buffer.read())\n"
         "monos = {Monomial(m.factors) for m, _ in e.terms}\n"
         "assert all(m in monos for m, _ in e.terms)\n"
         "atoms = [a for m, _ in e.terms for a, _ in m.factors]\n"
         "fresh = {Atom(a.kind, a.name) for a in atoms}\n"
-        "assert all(a in fresh for a in atoms)\n")
+        "assert all(a in fresh for a in atoms)\n"
+        "fresh = coordinate('exp(a)', inverse='exp(-a)')\n"
+        "assert unit in {fresh} and unit.inverse == 'exp(-a)'\n"
+        "assert mono in {Monomial(((fresh, -2),))} and str(mono) == 'exp(-a)**2'\n")
     for seed in ("1", "2"):
         done = subprocess.run([sys.executable, "-c", script],
-                              input=pickle.dumps(e), capture_output=True,
+                              input=pickle.dumps((e, SCALE, Monomial(((SCALE, -2),)))),
+                              capture_output=True,
                               env={**os.environ, "PYTHONHASHSEED": seed,
                                    "PYTHONPATH": ":".join(sys.path)},
                               timeout=60)
         assert done.returncode == 0, done.stderr.decode()
+
+
+# -- the Laurent ring of the unit exp(a) --------------------------------------
+
+A = sympy.Symbol("a")
+laurent = st.lists(
+    st.tuples(coefficients, st.integers(0, 2), st.integers(0, 2),
+              st.integers(-3, 3)), max_size=4).map(
+    lambda terms: sum((c * x1 ** i * p ** j * SCALE ** k
+                       for c, i, j, k in terms), ZERO))
+
+
+def from_print(e: Expr):
+    """sympy's reading of the printed expression, exp(-a) included."""
+    return sympy.sympify(str(e), locals={"exp": sympy.exp, "a": A})
+
+
+def assert_laurent_form(e: Expr):
+    assert e.terms == tuple(sorted(e.coeffs.items()))
+    for mono, c in e.terms:
+        assert c != 0
+        assert all(type(k) is int and (k > 0 or a == SCALE and k < 0)
+                   for a, k in mono.factors)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(laurent, laurent, laurent, st.integers(-3, 3))
+def test_laurent_ring_matches_sympy(e, f, g, k):
+    """Products with exp(a)**k, k of either sign, associate, cancel to the
+    factor they started from, print what sympy computes, and differentiate
+    by exp(a) as sympy's chain rule does: d/da = exp(a)*d/d exp(a)."""
+    assert (e * f) * g == e * (f * g)
+    assert e * SCALE ** k * SCALE ** -k == e
+    for h in (e * f, e * SCALE ** k, diff_partial(e, SCALE)):
+        assert_laurent_form(h)
+    assert sympy.expand(from_print(e * f) - from_print(e) * from_print(f)) == 0
+    de = from_print(diff_partial(e, SCALE)) * sympy.exp(A)
+    assert sympy.expand(de - sympy.diff(from_print(e), A)) == 0
+
+
+def test_only_units_take_negative_exponents():
+    assert str(SCALE ** -2 * p) == "exp(-a)**2*p"
+    assert (3 * SCALE) ** -1 == Fraction(1, 3) * SCALE ** -1
+    assert ONE ** -2 == ONE
+    for base in (Expr.of(p), SCALE * p, SCALE + 1, ZERO):
+        with pytest.raises(UnsupportedFormError):
+            base ** -1
+    for dim in (1, 2, 3):
+        assert not any(a.inverse for a in build_registry(dim).space), dim

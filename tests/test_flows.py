@@ -14,9 +14,8 @@ from liequiv.cli import main
 from liequiv.determining import finite_check
 from liequiv.expr import (ONE, ZERO, Expr, UnsupportedFormError, atoms_of,
                           coordinate, evaluate, replace_atoms)
-from liequiv.flows import (PARAM, SCALE, SCALE_INV, FiniteTransformation,
-                           NoClosedFormError, exponentiate, numeric_flow,
-                           reduce_scale, scale_power)
+from liequiv.flows import (PARAM, SCALE, FiniteTransformation,
+                           NoClosedFormError, exponentiate, numeric_flow)
 from liequiv.generators import combine, make_generator, prolong
 
 
@@ -77,7 +76,7 @@ def reference_images(reg, name):
         weights.update((c, 1) for c in reg.p_x + reg.rho_x)
         weights.update((c, 1) for c in reg.pi.values())
         weights.update((c, 1) for c in reg.pi_d.values())
-    return {c: scale_power(k) * c for c, k in weights.items()}
+    return {c: Expr.of(SCALE) ** k * c for c, k in weights.items()}
 
 
 def test_exponentiate_matches_reference_tables(spaces):
@@ -127,8 +126,8 @@ def test_density_scaling_maps(spaces):
 def test_space_scaling_has_inverse_weights(spaces):
     reg = spaces[1].reg
     ft = _flow(spaces, 1, "Z1")
-    assert ft.image(reg.rho_x[0]) == SCALE_INV * reg.rho_x[0]
-    assert ft.image(reg.u_xx[(1, 1, 1)]) == SCALE_INV * reg.u_xx[(1, 1, 1)]
+    assert ft.image(reg.rho_x[0]) == SCALE ** -1 * reg.rho_x[0]
+    assert ft.image(reg.u_xx[(1, 1, 1)]) == SCALE ** -1 * reg.u_xx[(1, 1, 1)]
     assert ft.image(reg.p) == SCALE ** 2 * reg.p
 
 
@@ -147,8 +146,8 @@ def test_dilation_flow(spaces):
         reg = spaces[dim].reg
         ft = exponentiate(reg, prolong(reg, _dilation(reg)))
         assert ft.image(reg.t) == SCALE * reg.t
-        assert ft.image(reg.u_t[0]) == SCALE_INV * reg.u_t[0]
-        assert ft.image(reg.u_tx[(1, 1)]) == SCALE_INV ** 2 * reg.u_tx[(1, 1)]
+        assert ft.image(reg.u_t[0]) == SCALE ** -1 * reg.u_t[0]
+        assert ft.image(reg.u_tx[(1, 1)]) == SCALE ** -2 * reg.u_tx[(1, 1)]
         assert ft.image(reg.pi_d[(1, 1, 1, 1)]) == SCALE * reg.pi_d[(1, 1, 1, 1)]
         fc = finite_check(spaces[dim].system, ft)
         assert fc.passed
@@ -236,7 +235,7 @@ def test_build_catalog_prolongs_nothing(spaces, monkeypatch):
 
 
 def identity_at_zero(reg, ft: FiniteTransformation) -> bool:
-    at0 = {PARAM: ZERO, SCALE: ONE, SCALE_INV: ONE}
+    at0 = {PARAM: ZERO, SCALE: ONE}
     for a in reg.space:
         img = replace_atoms(ft.image(a), at0)
         if img != Expr.of(a):
@@ -256,7 +255,7 @@ def composition_is_additive(reg, ft: FiniteTransformation) -> bool:
     a1 = coordinate("a:first")
     a2 = coordinate("a:second")
     for c, img in ft.images.items():
-        if {SCALE, SCALE_INV}.intersection(atoms_of(img)):
+        if SCALE in atoms_of(img):
             continue
         sh = img - c
         first = replace_atoms(sh, {PARAM: Expr.of(a1)})
@@ -265,7 +264,7 @@ def composition_is_additive(reg, ft: FiniteTransformation) -> bool:
                  for z in atoms_of(second) if z.name in reg.by_name}
         second = replace_atoms(second, moved)
         combined = replace_atoms(sh, {PARAM: Expr.of(a1) + a2})
-        if reduce_scale(first + second) != reduce_scale(combined):
+        if first + second != combined:
             return False
     return True
 
@@ -313,16 +312,21 @@ def test_combinations_have_flows_that_preserve_the_system(spaces, element):
     assert finite_check(spaces[dim].system, ft).passed
 
 
-def test_reduce_scale():
-    e = Expr.of(SCALE) * SCALE_INV
-    assert reduce_scale(e) == Expr.const(1)
-    e = Expr.of(SCALE) ** 3 * SCALE_INV
-    assert reduce_scale(e) == Expr.of(SCALE) ** 2
-    # no monomial holds both scale atoms: the input comes back
+def test_scale_exponents_cancel_in_products():
+    e = Expr.of(SCALE)
+    assert e ** 3 * e ** -1 == e ** 2
+    assert e * e ** -1 == ONE
     p = coordinate("p")
-    e = SCALE * p + SCALE_INV ** 2 + p
-    assert reduce_scale(e) is e
-    assert reduce_scale(e + SCALE * SCALE_INV * p) == e + p
+    assert (SCALE * p + 1) * e ** -1 == p + e ** -1
+
+
+def test_transform_returns_what_it_does_not_move():
+    """An expression that holds no moved coordinate is the pullback."""
+    p, t = coordinate("p"), coordinate("t")
+    ft = FiniteTransformation({t: Expr.of(SCALE) ** -1 * t})
+    for e in (Expr.of(p), SCALE * p + SCALE ** -2, ZERO):
+        assert ft.transform(e) is e
+    assert ft.transform(SCALE * p * t) == Expr.of(p) * t
 
 
 def test_transform_returns_an_equation_it_does_not_move(spaces):
@@ -349,7 +353,7 @@ def test_with_parameter(spaces):
                 bound = _flow(spaces, dim, entry.name, param).images
                 want = {}
                 for c, img in unbound.images.items():
-                    if {SCALE, SCALE_INV}.intersection(atoms_of(img)):
+                    if SCALE in atoms_of(img):
                         want[c] = img
                         continue
                     at = replace_atoms(img, {PARAM: Expr.const(param)})
