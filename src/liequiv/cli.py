@@ -38,7 +38,7 @@ from .dsl import (RATIONAL, DslSyntaxError, UnknownCoordinateError,
 from .flows import NoClosedFormError, exponentiate
 from .generators import AnsatzError, bracket, prolong
 from .jets import JetOrderError, build_registry
-from .system import build_system
+from .system import build_system, dissipation_function
 
 
 class UsageError(Exception):
@@ -177,8 +177,8 @@ def _cmd_list(args, reg, payload) -> int:
 def _cmd_system_dump(args, reg, payload) -> int:
     system = _system(args.dim)
     payload["equations"] = [{"name": name, "expression": str(eq)}
-                            for name, eq in system.equations()]
-    payload["dissipation"] = str(system.dissipation)
+                            for name, eq in system.equations.items()]
+    payload["dissipation"] = str(dissipation_function(reg))
     return 0
 
 

@@ -57,7 +57,7 @@ def determining_equations(system: BalanceSystem, g: GeneratorSpec,
                           name: str = "generator") -> DeterminingSystem:
     pg = prolong(system.registry, g)
     splits = []
-    for eq_name, eq in system.equations():
+    for eq_name, eq in system.equations.items():
         residual = apply(pg, eq)
         restricted, power = restrict_to_manifold(residual, system)
         buckets = collect(restricted, system.parametric)
@@ -93,7 +93,7 @@ def finite_check(system: BalanceSystem, ft: FiniteTransformation) -> FiniteCheck
     factor c*exp(a)^k that ``flows.scale_factor`` finds between the
     pullback and the equation, or None."""
     factors = []
-    for eq_name, eq in system.equations():
+    for eq_name, eq in system.equations.items():
         pullback = ft.transform(eq)
         factors.append(FiniteFactor(eq_name, scale_factor(eq, pullback), pullback))
     return FiniteCheckResult(all(f.factor is not None for f in factors),

@@ -3,6 +3,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+import sympy
 
 from liequiv import build_catalog, build_registry, build_system
 from liequiv.expr import ONE, ZERO, Atom, Expr, derive, unknown
@@ -39,6 +40,14 @@ def random_expr(rnd: random.Random, atoms, depth: int = 3) -> Expr:
     if pick < 0.9:
         return left - right
     return left ** rnd.randint(0, 2)
+
+
+def plain(e: Expr):
+    """The sympy polynomial of ``e``, one Symbol per atom name."""
+    return sympy.Add(*[sympy.Rational(c.numerator, c.denominator)
+                       * sympy.Mul(*[sympy.Symbol(a.name) ** k
+                                     for a, k in mono.factors])
+                       for mono, c in e.terms])
 
 
 def diff_atom(e, a: Atom) -> Expr:

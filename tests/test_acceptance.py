@@ -94,7 +94,7 @@ def test_acceptance_4_trace_shift_cancellation(spaces):
         reg = spaces[dim].reg
         entry = find_entry(spaces[dim].catalog, "T")
         total, trace = apply_with_trace(
-            prolong(reg, entry.spec), spaces[dim].system.pressure)
+            prolong(reg, entry.spec), spaces[dim].system.equations["pressure"])
         contributions = {a.name: term for a, term in trace}
         divu = sum((Expr.of(reg.u_x[(i, i)]) for i in range(1, dim + 1)),
                    Expr())

@@ -106,7 +106,7 @@ def test_determining_system_reconstructs_residual(spaces):
         entry = find_entry(spaces[2].catalog, name)
         d = determining_equations(system, entry.spec, name)
         pg = prolong(reg, entry.spec)
-        for split, (_, eq) in zip(d.splits, system.equations()):
+        for split, eq in zip(d.splits, system.equations.values()):
             residual = apply(pg, eq)
             restricted, power = restrict_to_manifold(residual, system)
             assert split.rho_power == power
@@ -316,7 +316,7 @@ def collect_finite_check(system, ft):
     into one bucket by its exp(a) monomial, and that bucket equals the
     ratio of the first terms times the equation."""
     factors = []
-    for eq_name, eq in system.equations():
+    for eq_name, eq in system.equations.items():
         pullback = ft.transform(eq)
         found = None
         buckets = collect(pullback, (SCALE,))

@@ -19,7 +19,7 @@ from liequiv.expr import (COORD, FUNC, MONO_ONE, ONE, ZERO, _KIND_RANK, Atom,
 from liequiv.flows import SCALE
 from liequiv.jets import total_derivative
 
-from conftest import diff_atom, random_expr
+from conftest import diff_atom, plain, random_expr
 
 p = coordinate("p")
 rho = coordinate("rho")
@@ -294,13 +294,6 @@ UNPLAIN = {v: k for k, v in PLAIN.items()}
 
 def to_plain(sym):
     return sympy.expand(sympy.expand(sym).xreplace(PLAIN))
-
-
-def plain(e: Expr):
-    return sympy.Add(*[sympy.Rational(c.numerator, c.denominator)
-                       * sympy.Mul(*[sympy.Symbol(a.name) ** k
-                                     for a, k in mono.factors])
-                       for mono, c in e.terms])
 
 
 def strictly_increasing(keys) -> bool:

@@ -226,15 +226,15 @@ def test_apply_autonomous_translation(spaces):
     reg = spaces[1].reg
     system = spaces[1].system
     pg = prolong(reg, _spec(spaces, 1, "X0"))
-    assert is_zero(apply(pg, system.mass))
+    assert is_zero(apply(pg, system.equations["mass"]))
 
 
 def test_apply_pressure_shift_on_momentum(spaces):
     reg = spaces[2].reg
     system = spaces[2].system
     pg = prolong(reg, _spec(spaces, 2, "S"))
-    for eq in system.momentum:
-        assert is_zero(apply(pg, eq))
+    for i in (1, 2):
+        assert is_zero(apply(pg, system.equations[f"momentum_{i}"]))
 
 
 def test_trace_shift_cancellation(spaces):
@@ -242,7 +242,7 @@ def test_trace_shift_cancellation(spaces):
         reg = spaces[dim].reg
         system = spaces[dim].system
         pg = prolong(reg, _spec(spaces, dim, "T"))
-        total, trace = apply_with_trace(pg, system.pressure)
+        total, trace = apply_with_trace(pg, system.equations["pressure"])
         assert is_zero(total)
         contributions = dict((a.name, term) for a, term in trace)
         divu = sum((Expr.of(reg.u_x[(i, i)]) for i in range(1, dim + 1)), Expr())
@@ -568,6 +568,6 @@ def test_action_on_the_system_is_linear_in_the_generator(spaces, case):
     reg, system = spaces[dim].reg, spaces[dim].system
     mixed = prolong(reg, combine(reg, parts))
     singles = [(c, prolong(reg, g)) for c, g in parts]
-    for name, eq in system.equations():
+    for name, eq in system.equations.items():
         want = sum((c * apply(pg, eq) for c, pg in singles), Expr())
         assert apply(mixed, eq) == want, name

@@ -2,36 +2,39 @@ from collections import Counter
 from functools import reduce
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liequiv import expr as expr_module
-from liequiv.expr import (ONE, Expr, Monomial, atoms_of, is_zero, replace_atoms,
-                          substitute, unknown)
+from liequiv.expr import (ONE, Expr, Monomial, ZERO, as_expr, atoms_of,
+                          diff_partial, is_zero, replace_atoms, substitute,
+                          unknown)
 from liequiv.generators import apply, prolong
 from liequiv.jets import build_registry
-from liequiv.system import build_system, restrict_to_manifold
+from liequiv.system import (BalanceSystem, build_system, dissipation_function,
+                            restrict_to_manifold)
 
-from conftest import degree1_ansatz
+from conftest import degree1_ansatz, plain
 
 
 def test_dim1_equations(spaces):
     reg = spaces[1].reg
     system = spaces[1].system
-    assert system.mass == (reg.rho_t + reg.u[0] * reg.rho_x[0]
-                           + reg.rho * reg.u_x[(1, 1)])
-    assert system.momentum[0] == (reg.rho * reg.u_t[0]
-                                  + reg.rho * reg.u[0] * reg.u_x[(1, 1)]
-                                  - reg.pi_d[(1, 1, 1, 1)] * reg.u_xx[(1, 1, 1)]
-                                  + reg.p_x[0])
-    assert system.pressure == (reg.p_t + reg.u[0] * reg.p_x[0]
-                               + reg.g * reg.u_x[(1, 1)]
-                               + reg.h * reg.pi[(1, 1)] * reg.u_x[(1, 1)])
+    assert list(system.equations) == ["mass", "momentum_1", "pressure"]
+    assert system.equations["mass"] == (reg.rho_t + reg.u[0] * reg.rho_x[0]
+                                         + reg.rho * reg.u_x[(1, 1)])
+    assert system.equations["momentum_1"] == (
+        reg.rho * reg.u_t[0] + reg.rho * reg.u[0] * reg.u_x[(1, 1)]
+        - reg.pi_d[(1, 1, 1, 1)] * reg.u_xx[(1, 1, 1)] + reg.p_x[0])
+    assert system.equations["pressure"] == (
+        reg.p_t + reg.u[0] * reg.p_x[0] + reg.g * reg.u_x[(1, 1)]
+        + reg.h * reg.pi[(1, 1)] * reg.u_x[(1, 1)])
 
 
 def test_dim2_dissipation(spaces):
     reg = spaces[2].reg
-    phi = spaces[2].system.dissipation
+    phi = dissipation_function(reg)
     want = (reg.pi[(1, 1)] * reg.u_x[(1, 1)]
             + reg.pi[(1, 2)] * (reg.u_x[(1, 2)] + reg.u_x[(2, 1)])
             + reg.pi[(2, 2)] * reg.u_x[(2, 2)])
@@ -47,10 +50,21 @@ def test_dimension_mismatch():
 def test_principal_map_is_triangular(spaces):
     for dim in (1, 2, 3):
         reg = spaces[dim].reg
-        principal = spaces[dim].system.principal
+        system = spaces[dim].system
+        principal = system.principal
         assert set(principal) == {reg.rho_t, reg.p_t} | set(reg.u_t)
         for e in principal.values():
             assert not set(principal).intersection(atoms_of(e))
+        assert system.leads == {u_t: reg.rho for u_t in reg.u_t}
+        momentum = {f"momentum_{i}": u_t for i, u_t in enumerate(reg.u_t, 1)}
+        jets = {"mass": reg.rho_t, **momentum, "pressure": reg.p_t}
+        assert list(system.equations) == list(jets)
+        for name, eq in system.equations.items():
+            # linear in its jet, with a lead free of every principal jet
+            lead = diff_partial(eq, jets[name])
+            assert not set(principal).intersection(atoms_of(lead)), name
+            assert lead == as_expr(system.leads.get(jets[name], ONE)), name
+            assert principal[jets[name]] == lead * jets[name] - eq, name
 
 
 def test_principal_dim1_rho_t(spaces):
@@ -74,7 +88,7 @@ def test_principal_dim2_pressure_binding_has_shear_term(spaces):
 def test_equations_vanish_on_manifold(spaces):
     for dim in (1, 2, 3):
         system = spaces[dim].system
-        for name, eq in system.equations():
+        for name, eq in system.equations.items():
             restricted, power = restrict_to_manifold(eq, system)
             assert is_zero(restricted), name
             assert power == (1 if name.startswith("momentum") else 0)
@@ -98,7 +112,7 @@ def test_restrict_clears_momentum_denominator(spaces):
     reg = spaces[1].reg
     system = spaces[1].system
     numerator = system.principal[reg.u_t[0]]
-    assert numerator == reg.rho * reg.u_t[0] - system.momentum[0]
+    assert numerator == reg.rho * reg.u_t[0] - system.equations["momentum_1"]
     got, power = restrict_to_manifold(Expr.of(reg.u_t[0]), system)
     assert power == 1
     assert got == numerator
@@ -123,14 +137,14 @@ def test_mass_equation_vanishes_at_consistent_point(spaces):
     point = {a: Fraction(rnd.randint(1, 9), rnd.randint(1, 5))
              for a in reg.space}
     point[reg.rho_t] = evaluate(system.principal[reg.rho_t], point)
-    assert evaluate(system.mass, point) == 0
+    assert evaluate(system.equations["mass"], point) == 0
 
 
 def test_equations_linear_in_second_jets(spaces):
     for dim in (1, 2, 3):
         reg = spaces[dim].reg
         second = set(reg.u_xx.values())
-        for _, eq in spaces[dim].system.equations():
+        for eq in spaces[dim].system.equations.values():
             for mono, _ in eq.terms:
                 deg = sum(k for a, k in mono.factors if a in second)
                 assert deg <= 1
@@ -165,14 +179,14 @@ def _axis_swap_map(reg, i, j):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_momentum_components_swap(spaces, dim):
     reg = spaces[dim].reg
-    system = spaces[dim].system
+    equations = spaces[dim].system.equations
     for i in range(1, dim + 1):
         for j in range(i + 1, dim + 1):
             table = _axis_swap_map(reg, i, j)
-            swapped = replace_atoms(system.momentum[i - 1], table)
-            assert swapped == system.momentum[j - 1]
-            assert replace_atoms(system.mass, table) == system.mass
-            assert replace_atoms(system.pressure, table) == system.pressure
+            swapped = replace_atoms(equations[f"momentum_{i}"], table)
+            assert swapped == equations[f"momentum_{j}"]
+            for name in ("mass", "pressure"):
+                assert replace_atoms(equations[name], table) == equations[name]
 
 
 def restrict_reference(e, system):
@@ -277,7 +291,7 @@ def test_restrict_matches_rebuilt_on_ansatz_residuals(spaces, dim):
     reg = spaces[dim].reg
     system = spaces[dim].system
     pg = prolong(reg, degree1_ansatz(reg)[0])
-    assert_restricts_as_rebuilt([apply(pg, eq) for _, eq in system.equations()],
+    assert_restricts_as_rebuilt([apply(pg, eq) for eq in system.equations.values()],
                                 system)
 
 
@@ -320,3 +334,68 @@ def test_restrict_builds_each_product_once(monkeypatch):
     restrict_to_manifold(reg.rho_t * reg.g + reg.p_t + reg.rho_t * reg.p, system)
     assert calls == Counter({(principal[reg.rho_t],): 1})
     assert set(system.products) == patterns | {((reg.rho_t, 1),)}
+
+
+# -- the declaration against sympy ---------------------------------------------
+
+
+def random_polynomial(draw, atoms, max_terms):
+    """Up to ``max_terms`` rational multiples of products of up to two of
+    ``atoms``, each to the power 1 or 2."""
+    terms = []
+    for _ in range(draw(st.integers(0, max_terms))):
+        factors = [(draw(st.sampled_from(atoms)), draw(st.integers(1, 2)))
+                   for _ in range(draw(st.integers(0, 2)))]
+        terms.append((Monomial(factors),
+                      draw(st.fractions(-5, 5, max_denominator=4).filter(bool))))
+    return Expr(terms)
+
+
+@st.composite
+def declarations(draw):
+    """(registry, declared, leads, residual) at N = 1-2: some of the class's
+    principal jets, in a random order, each with an equation lead*jet + rest,
+    lead 1 or rho and rest free of the declared jets; and a residual in
+    those jets and the other atoms."""
+    reg = SYSTEMS[draw(st.integers(1, 2))].registry
+    jets = draw(st.permutations([reg.rho_t, *reg.u_t, reg.p_t]))
+    jets = jets[:draw(st.integers(1, len(jets)))]
+    others = ([reg.t, reg.p, reg.rho, reg.g, reg.h, *reg.x, *reg.u, *reg.p_x,
+               *reg.rho_x, *reg.u_x.values(), *reg.pi.values()]
+              + [a for a in (reg.rho_t, *reg.u_t, reg.p_t) if a not in jets])
+    declared, leads = {}, {}
+    for n, jet in enumerate(jets):
+        lead = draw(st.sampled_from([ONE, Expr.of(reg.rho)]))
+        if lead != ONE:
+            leads[jet] = reg.rho
+        declared[f"e{n}"] = (lead * jet + random_polynomial(draw, others, 3), jet)
+    residual = random_polynomial(draw, [*jets, *others], 4)
+    return reg, declared, leads, residual
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(declarations())
+def test_declared_bindings_match_sympy(case):
+    reg, declared, leads, residual = case
+    system = BalanceSystem(reg, declared)
+    assert list(system.equations) == list(declared)
+    assert system.leads == leads
+    assert system.parametric == tuple(sorted(
+        a for a in reg.space[len(reg.point):] if a not in system.principal))
+    solved = {}
+    for name, (eq, jet) in declared.items():
+        assert system.equations[name] is eq
+        binding = system.principal[jet]
+        assert not set(system.principal).intersection(atoms_of(binding))
+        symbol = sympy.Symbol(jet.name)
+        (solution,) = sympy.solve(plain(eq), symbol)
+        lead = sympy.Symbol(leads[jet].name) if jet in leads else 1
+        assert sympy.cancel(plain(binding) / lead - solution) == 0, name
+        solved[symbol] = solution
+        assert restrict_to_manifold(eq, system)[0] == ZERO, name
+
+    got, power = restrict_to_manifold(residual, system)
+    assert power == max((sum(k for a, k in mono if a in leads)
+                         for mono, _ in residual.terms), default=0)
+    want = plain(residual).xreplace(solved) * sympy.Symbol(reg.rho.name) ** power
+    assert sympy.cancel(plain(got) - want) == 0
