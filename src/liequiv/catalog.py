@@ -29,7 +29,7 @@ one reduction of its own row, the same two steps as ``decompose_in_span``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .generators import (GeneratorSpec, base_coefficients, bracket_fields,
                          first_order_field, from_coefficients)
@@ -41,8 +41,7 @@ KIND_CANDIDATE = "rotation-candidate"
 KIND_USER = "user"
 
 
-@dataclass(frozen=True, eq=False)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     kind: str
     spec: GeneratorSpec
@@ -123,8 +122,7 @@ def _feature_vector(reg: JetRegistry, g: GeneratorSpec) -> dict:
     return vec
 
 
-@dataclass(frozen=True)
-class StructureTable:
+class StructureTable(NamedTuple):
     names: tuple
     combos: dict      # (name1, name2) -> {name: Fraction}, zero entries absent
     closed: bool

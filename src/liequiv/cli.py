@@ -183,12 +183,14 @@ def _cmd_system_dump(args, reg, payload) -> int:
 
 
 @functools.cache  # parse_args leaves the parser as it is
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple:
+    """The parser, and per command the flags whose value may start with "-"."""
     parser = argparse.ArgumentParser(
         prog="liequiv",
         description="symbolic equivalence-generator analysis of the viscous "
                     "balance-law system")
     sub = parser.add_subparsers(dest="command", required=True)
+    signed = {}
 
     def common(name, run, about, gen=None):
         p = sub.add_parser(name, help=about)
@@ -196,6 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dim", type=int, required=True, choices=(1, 2, 3))
         if gen:
             p.add_argument("--gen", required=True, help=gen)
+            signed[name] = ("--gen",)
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", default=None, help="write the report to a file")
         return p
@@ -216,17 +219,20 @@ def _build_parser() -> argparse.ArgumentParser:
                "@file.dsl holding one generator")
     p.add_argument("--param", default=None, help="exact group parameter: an "
                    "optional sign and n or n/d, e.g. -3/2")
+    signed["transform"] += ("--param",)
     common("list", _cmd_list, "print the catalog in DSL syntax")
     common("system-dump", _cmd_system_dump, "print the equations")
-    return parser
+    return parser, signed
 
 
 def main(argv=None) -> int:
     """Parse, let the command's handler fill the report skeleton and choose
     the exit code, then render and write the report once."""
-    parser = _build_parser()
+    parser, signed = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    for flag in ("--gen", "--param"):  # a value may start with "-"
+    # a value may start with "-": join each such flag the command declares
+    # with the token after it; argparse refuses any other flag as typed
+    for flag in signed.get(argv[0] if argv else None, ()):
         while flag in argv[:-1]:
             i = argv.index(flag)
             argv[i:i + 2] = [f"{flag}={argv[i + 1]}"]

@@ -11,20 +11,21 @@ A generator is an equivalence symmetry exactly when every split coefficient
 is the zero expression.  ``check_entry`` is the one verdict routine; its
 ``Verdict`` keeps the ``EquationSplit``s it was decided from, so an
 equation's witness is the first term of its split in canonical order, as an
-expression.  For catalog entries with a closed-form flow it exponentiates
-the field the determining equations were built with and cross-checks the
-statement finitely: the pullback of each equation must equal a nonzero
-factor, constant over the space, times the equation.  That factor is kept
-exact, as the pair (c, k) meaning c*exp(a)^k, and ``flows.scale_factor``
-decides it: only ``flows`` reads the scale atoms.  A generator without a
-catalog entry is checked as an entry of kind ``"user"``, which has no flow.
+expression.  It prolongs the entry once; for catalog entries with a
+closed-form flow it exponentiates the field the determining equations were
+built with and cross-checks the statement finitely: the pullback of each
+equation must equal a nonzero factor, constant over the space, times the
+equation.  That factor is kept exact, as the pair (c, k) meaning
+c*exp(a)^k, and ``flows.scale_factor`` decides it: only ``flows`` reads the
+scale atoms.  A generator without a catalog entry is checked as an entry of
+kind ``"user"``, which has no flow.
 
 This module makes no text: witnesses and factors are printed by ``report``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .catalog import CatalogEntry
 from .expr import Expr, collect, is_unknown
@@ -34,20 +35,16 @@ from .linsolve import solve_linear
 from .system import BalanceSystem, restrict_to_manifold
 
 
-@dataclass(frozen=True)
-class EquationSplit:
+class EquationSplit(NamedTuple):
     equation: str
     rho_power: int
     terms: tuple  # ((parametric Monomial, coefficient Expr), ...) sorted
 
 
-@dataclass(frozen=True)
-class DeterminingSystem:
+class DeterminingSystem(NamedTuple):
     generator: str
     parametric: tuple
     splits: tuple
-    # the field the residuals were taken with, kept for the finite route
-    prolonged: dict = field(compare=False, repr=False)
 
     def coefficients(self) -> tuple:
         return tuple(c for s in self.splits for _, c in s.terms)
@@ -55,31 +52,34 @@ class DeterminingSystem:
 
 def determining_equations(system: BalanceSystem, g: GeneratorSpec,
                           name: str = "generator") -> DeterminingSystem:
-    pg = prolong(system.registry, g)
+    return DeterminingSystem(name, system.parametric,
+                             _splits(system, prolong(system.registry, g)))
+
+
+def _splits(system: BalanceSystem, pg: dict) -> tuple:
+    """The ``EquationSplit`` of each equation under the prolonged field
+    ``pg``: its residual, restricted and split by parametric monomials."""
     splits = []
     for eq_name, eq in system.equations.items():
         residual = apply(pg, eq)
         restricted, power = restrict_to_manifold(residual, system)
         buckets = collect(restricted, system.parametric)
         splits.append(EquationSplit(eq_name, power, tuple(buckets.items())))
-    return DeterminingSystem(name, system.parametric, tuple(splits), pg)
+    return tuple(splits)
 
 
-@dataclass(frozen=True)
-class FiniteFactor:
+class FiniteFactor(NamedTuple):
     equation: str
     factor: tuple | None  # (Fraction c, int k): c*exp(a)^k; None: no multiple
     pullback: Expr  # the equation pulled back through the transformation
 
 
-@dataclass(frozen=True)
-class FiniteCheckResult:
+class FiniteCheckResult(NamedTuple):
     passed: bool
     factors: tuple
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     generator: str
     kind: str
     zero: bool  # no split has a term
@@ -104,13 +104,13 @@ def check_entry(system: BalanceSystem, entry: CatalogEntry) -> Verdict:
     """Infinitesimal verdict plus, when the entry has a closed-form flow, the
     finite cross-check and the agreement flag between the two routes; the
     flow is exponentiated from the field the determining equations used."""
-    dsys = determining_equations(system, entry.spec, entry.name)
-    zero = not any(s.terms for s in dsys.splits)
+    pg = prolong(system.registry, entry.spec)
+    splits = _splits(system, pg)
+    zero = not any(s.terms for s in splits)
     if not entry.has_flow:
-        return Verdict(entry.name, entry.kind, zero, dsys.splits, None, None)
-    fin = finite_check(system, exponentiate(system.registry, dsys.prolonged))
-    return Verdict(entry.name, entry.kind, zero, dsys.splits, fin,
-                   zero == fin.passed)
+        return Verdict(entry.name, entry.kind, zero, splits, None, None)
+    fin = finite_check(system, exponentiate(system.registry, pg))
+    return Verdict(entry.name, entry.kind, zero, splits, fin, zero == fin.passed)
 
 
 def solve_unknowns(dsys: DeterminingSystem) -> dict:

@@ -1,10 +1,11 @@
 """Finite transformations derived from the prolonged field.
 
 ``exponentiate`` takes a prolonged field X, the table that ``prolong``
-builds and ``DeterminingSystem.prolonged`` keeps, and walks every registered
-coordinate c: X(c) = k*c with an integer k scales it, c -> exp(a)^k * c;
-any other coordinate is shifted by its Lie series (Olver, Applications of
-Lie Groups to Differential Equations, sections 1.3 and 2.3)
+builds and ``check_entry`` also splits the determining equations with, and
+walks every registered coordinate c: X(c) = k*c with an integer k scales
+it, c -> exp(a)^k * c; any other coordinate is shifted by its Lie series
+(Olver, Applications of Lie Groups to Differential Equations, sections 1.3
+and 2.3)
 
     exp(aX) c = c + sum_{n >= 1} a^n/n! X^n(c),
 

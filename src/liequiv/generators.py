@@ -57,8 +57,8 @@ the action.  It serves inspection only: no caller in the engine needs it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .expr import (Expr, ZERO, as_expr, atoms_of, derive, diff_partial,
                    is_unknown, is_zero, UnknownSymbolError)
@@ -69,8 +69,7 @@ class AnsatzError(Exception):
     """A generator coefficient depends on a coordinate its slot forbids."""
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(NamedTuple):
     """Coefficients of an equivalence generator in the classical ansatz.
 
     ``mu_pi`` is ordered like ``registry.pi_pairs()``; stress-derivative

@@ -109,6 +109,14 @@ def test_table_cells_match_single_brackets(spaces):
                 assert table.cell(a.name, b.name) == want, (a.name, b.name)
 
 
+def test_entries_compare_by_value(spaces):
+    entry = find_entry(spaces[2].catalog, "Y1")
+    twin = CatalogEntry(entry.name, entry.kind, entry.spec)
+    assert twin is not entry
+    assert twin == entry and hash(twin) == hash(entry)
+    assert twin != CatalogEntry(entry.name, KIND_USER, entry.spec)
+
+
 def test_table_prolongs_each_entry_once(spaces, monkeypatch):
     reg = spaces[3].reg
     entries = verified_entries(spaces[3].catalog)

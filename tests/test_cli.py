@@ -231,6 +231,18 @@ def test_gen_value_may_start_with_a_sign(capsys, spaced, joined):
     assert got == run(capsys, *joined, "--dim", "2")
 
 
+@pytest.mark.parametrize("argv, typed", [
+    (["list", "--dim", "1", "--gen", "X0"], "--gen X0"),
+    (["system-dump", "--dim", "1", "--param", "2"], "--param 2"),
+])
+def test_undeclared_flags_are_refused_as_typed(capsys, argv, typed):
+    """Only a command that declares --gen or --param joins it with its
+    value; argparse quotes any other flag as the user typed it."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: unrecognized arguments: {typed}\n")
+
+
 REGISTRIES = {dim: build_registry(dim) for dim in (1, 2)}
 
 

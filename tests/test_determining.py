@@ -1,5 +1,7 @@
 import json
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from liequiv import determining as determining_module
 from liequiv.catalog import KIND_USER, CatalogEntry, find_entry
-from liequiv.catalog import verified_entries
+from liequiv.catalog import structure_constants, verified_entries
 from liequiv.determining import (FiniteCheckResult, FiniteFactor, check_entry,
                                  determining_equations, finite_check,
                                  solve_unknowns)
@@ -97,6 +99,54 @@ def recompose(split) -> Expr:
     for mono, coeff in split.terms:
         total = total + Expr(((mono, 1),)) * coeff
     return total
+
+
+def test_records_refuse_assignment(spaces):
+    reg, system, catalog = spaces[1].reg, spaces[1].system, spaces[1].catalog
+    entry = find_entry(catalog, "Z1")
+    verdict = check_entry(system, entry)
+    dsys = determining_equations(system, entry.spec, entry.name)
+    records = [entry.spec, entry, structure_constants(reg, (entry,)),
+               dsys.splits[0], dsys, verdict.finite.factors[0], verdict.finite,
+               verdict]
+    assert [type(r).__name__ for r in records] == [
+        "GeneratorSpec", "CatalogEntry", "StructureTable", "EquationSplit",
+        "DeterminingSystem", "FiniteFactor", "FiniteCheckResult", "Verdict"]
+    for record in records:
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
+
+def test_determining_system_holds_no_prolonged_field(spaces):
+    """Equality, hash and repr cover the generator's name, the parametric
+    coordinates and the splits, not the field the residuals were taken with."""
+    system = spaces[2].system
+    spec = find_entry(spaces[2].catalog, "J12_naive").spec
+    a = determining_equations(system, spec, "J12_naive")
+    b = determining_equations(system, spec, "J12_naive")
+    assert a.coefficients()
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == (f"DeterminingSystem(generator='J12_naive', "
+                       f"parametric={a.parametric!r}, splits={a.splits!r})")
+
+
+def test_check_entry_prolongs_each_entry_once(spaces, monkeypatch):
+    """The determining equations and the flow read one prolonged field."""
+    original = prolong
+    prolonged = Counter()
+
+    def counting(reg, g):
+        prolonged[id(g)] += 1
+        return original(reg, g)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("liequiv") and getattr(mod, "prolong", None) is original:
+            monkeypatch.setattr(mod, "prolong", counting)
+    entries = spaces[2].catalog
+    verdicts = [check_entry(spaces[2].system, e) for e in entries]
+    assert any(v.finite for v in verdicts) and not all(v.finite for v in verdicts)
+    assert prolonged == Counter(id(e.spec) for e in entries)
 
 
 def test_determining_system_reconstructs_residual(spaces):

@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import liequiv
@@ -32,6 +35,42 @@ def test_modules_use_every_import():
     assert modules
     found = {p.name: unused_imports(p.read_text()) for p in modules}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def imported_modules(source: str) -> set:
+    """The top-level names of the modules a source imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_imported_modules_are_found():
+    source = "import os.path\nfrom a.b import c\nfrom . import d\n"
+    assert imported_modules(source) == {"os", "a"}
+
+
+def test_no_module_imports_dataclasses():
+    """A record is a NamedTuple: a dataclass generates and compiles its
+    methods when its module is imported, on every command of the CLI."""
+    found = {p.name for p in PACKAGE.glob("*.py")
+             if "dataclasses" in imported_modules(p.read_text())}
+    assert found == set()
+
+
+def test_cold_cli_import_loads_no_code_generation():
+    """A fresh ``import liequiv.cli`` loads neither ``dataclasses`` nor
+    ``inspect``; the subprocess writes no bytecode."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=str(PACKAGE.parent))
+    code = ("import liequiv.cli, sys; "
+            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 def spanned_targets(source: str) -> list:
